@@ -3,11 +3,10 @@
 //! fully associative) is `AssocBuffer::fully_associative(256)`; the
 //! ablation benches sweep sizes and associativities.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
-/// Sets wider than this keep a key→way hash index so lookups stay O(1);
-/// narrower sets are scanned linearly (cheaper than any hash for a
+/// Sets wider than this keep a key→way [`WayIndex`] so lookups stay
+/// O(1); narrower sets are scanned linearly (cheaper than any hash for a
 /// handful of entries). The fully-associative paper configs (256–1024
 /// ways) are the ones the index exists for.
 const INDEXED_WAYS_MIN: usize = 8;
@@ -57,7 +56,7 @@ pub struct AssocBuffer<V> {
     stamp: u64,
     /// key → way position inside its set (the set itself is derived
     /// from the key). `None` for narrow sets, which scan instead.
-    index: Option<HashMap<u32, u32, BuildKeyHasher>>,
+    index: Option<WayIndex>,
 }
 
 #[derive(Clone, Debug)]
@@ -81,8 +80,7 @@ impl<V> AssocBuffer<V> {
             ways,
             set_mask: (sets - 1) as u32,
             stamp: 0,
-            index: (ways > INDEXED_WAYS_MIN)
-                .then(|| HashMap::with_capacity_and_hasher(sets * ways, BuildKeyHasher)),
+            index: (ways > INDEXED_WAYS_MIN).then(|| WayIndex::new(sets * ways)),
         }
     }
 
@@ -120,7 +118,7 @@ impl<V> AssocBuffer<V> {
     /// Way position of `key` inside its set, if resident.
     fn find_way(&self, set: usize, key: u32) -> Option<usize> {
         match &self.index {
-            Some(idx) => idx.get(&key).map(|&w| w as usize),
+            Some(idx) => idx.get(key).map(|w| w as usize),
             None => self.sets[set].iter().position(|e| e.key == key),
         }
     }
@@ -204,7 +202,7 @@ impl<V> AssocBuffer<V> {
             .expect("full set is nonempty");
         let old = std::mem::replace(&mut set[victim], Entry { key, value, stamp });
         if let Some(idx) = &mut self.index {
-            idx.remove(&old.key);
+            idx.remove(old.key);
             idx.insert(key, victim as u32);
         }
         Some((old.key, old.value))
@@ -232,7 +230,7 @@ impl<V> AssocBuffer<V> {
         let set = &mut self.sets[set_idx];
         let removed = set.swap_remove(pos);
         if let Some(idx) = &mut self.index {
-            idx.remove(&removed.key);
+            idx.remove(removed.key);
             if let Some(moved) = set.get(pos) {
                 idx.insert(moved.key, pos as u32);
             }
@@ -240,13 +238,124 @@ impl<V> AssocBuffer<V> {
         removed.value
     }
 
-    /// Discard all entries (context switch).
+    /// Discard all entries (context switch). Costs O(resident entries),
+    /// whatever the capacity.
     pub fn flush(&mut self) {
+        if let Some(idx) = &mut self.index {
+            idx.clear(self.sets.iter().flatten().map(|e| e.key));
+        }
         for set in &mut self.sets {
             set.clear();
         }
-        if let Some(idx) = &mut self.index {
-            idx.clear();
+    }
+}
+
+/// The key→way index of wide sets: an open-addressed table with linear
+/// probing and backward-shift deletion, so it never holds tombstones.
+/// Its size is fixed at construction — a power of two at least
+/// [`INDEX_SLOTS_PER_ENTRY`] times the buffer's capacity — so memory is
+/// bounded for any `u32` key. Each slot packs `key << 32 | way`; a way
+/// of `u32::MAX` (never a real position) marks an empty slot.
+#[derive(Clone, Debug)]
+struct WayIndex {
+    slots: Vec<u64>,
+    /// `64 - log2(slots.len())`: the home slot is the top bits of a
+    /// Fibonacci (multiplicative) hash of the key.
+    shift: u32,
+}
+
+const EMPTY_SLOT: u64 = u64::MAX;
+
+/// Index slots per buffer entry. At a load factor of ≤ ¼ a probe for an
+/// absent key (every SBTB miss) almost always ends at its home slot; at
+/// ½ the longer probe runs made the 256-entry SBTB ~15% slower on the
+/// large-footprint `dispatch`/`router` traces, which evict constantly.
+const INDEX_SLOTS_PER_ENTRY: usize = 4;
+
+impl WayIndex {
+    fn new(capacity: usize) -> Self {
+        let len = (INDEX_SLOTS_PER_ENTRY * capacity).next_power_of_two();
+        WayIndex {
+            slots: vec![EMPTY_SLOT; len],
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    fn home(&self, key: u32) -> usize {
+        (u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Slot holding `key`, or the empty slot that ends its probe run.
+    fn probe(&self, key: u32) -> (usize, bool) {
+        let mask = self.mask();
+        let mut i = self.home(key);
+        for _ in 0..self.slots.len() {
+            let slot = self.slots[i];
+            if slot == EMPTY_SLOT {
+                return (i, false);
+            }
+            if (slot >> 32) as u32 == key {
+                return (i, true);
+            }
+            i = (i + 1) & mask;
+        }
+        unreachable!("way index has no empty slot at quarter load")
+    }
+
+    fn get(&self, key: u32) -> Option<u32> {
+        match self.probe(key) {
+            (i, true) => Some(self.slots[i] as u32),
+            (_, false) => None,
+        }
+    }
+
+    /// Map `key` to `way`, overwriting any previous way.
+    fn insert(&mut self, key: u32, way: u32) {
+        let (i, _) = self.probe(key);
+        self.slots[i] = u64::from(key) << 32 | u64::from(way);
+    }
+
+    fn remove(&mut self, key: u32) {
+        let (mut hole, found) = self.probe(key);
+        if !found {
+            return;
+        }
+        // Backward shift: pull each later entry of the run into the
+        // hole unless its home lies cyclically after the hole (moving
+        // it would put it before its home, out of its probe run).
+        let mask = self.mask();
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let slot = self.slots[j];
+            if slot == EMPTY_SLOT {
+                break;
+            }
+            let home = self.home((slot >> 32) as u32);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = slot;
+                hole = j;
+            }
+        }
+        self.slots[hole] = EMPTY_SLOT;
+    }
+
+    /// Empty the table given every resident key. Each key's slot lies
+    /// in the run of occupied slots starting at its home, and every
+    /// occupied slot belongs to a resident key, so clearing from each
+    /// home to the next empty slot empties the table in O(keys).
+    fn clear(&mut self, keys: impl Iterator<Item = u32>) {
+        let mask = self.mask();
+        for key in keys {
+            let mut i = self.home(key);
+            while self.slots[i] != EMPTY_SLOT {
+                self.slots[i] = EMPTY_SLOT;
+                i = (i + 1) & mask;
+            }
         }
     }
 }

@@ -245,7 +245,7 @@ fn emit_direction_probes<S: TelemetrySink>(
 pub struct LocalHistory<S: TelemetrySink = NoopSink> {
     table: PatternTable,
     targets: TargetMap,
-    histories: HashMap<u32, u32>,
+    histories: HashMap<u32, u32, BuildKeyHasher>,
     history_bits: u32,
     /// See [`Gshare`]: tracks divergence from the fresh [`LaneSpec`].
     dirty: bool,
@@ -275,7 +275,7 @@ impl<S: TelemetrySink> LocalHistory<S> {
         LocalHistory {
             table: PatternTable::new(table_bits),
             targets: TargetMap::default(),
-            histories: HashMap::new(),
+            histories: HashMap::default(),
             history_bits,
             dirty: false,
             sink,

@@ -172,3 +172,129 @@ fn counter_stays_within_range_under_any_pattern() {
         assert!((0.0..=1.0).contains(&a), "seed {seed}: accuracy {a}");
     }
 }
+
+impl RefLru {
+    fn peek(&self, key: u32) -> Option<i32> {
+        self.entries
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
+    }
+}
+
+/// Keys drawn over the whole `u32` range: a pool a little larger than
+/// the buffer (so sets fill, evict and refill), plus the extremes and
+/// keys that differ only in their high bits.
+fn full_range_keys(rng: &mut Rng, capacity: usize) -> Vec<u32> {
+    let mut keys: Vec<u32> = (0..capacity + capacity / 2)
+        .map(|_| rng.next_u64() as u32)
+        .collect();
+    keys.extend([0, 1, u32::MAX, u32::MAX - 1, 1 << 31, (1 << 31) | 1]);
+    keys.extend((1..8u32).map(|i| i << 28));
+    keys
+}
+
+#[test]
+fn wide_indexed_sets_match_reference_lru_over_full_u32_keys() {
+    for seed in 0..64u64 {
+        let mut rng = Rng::seed_from_u64(0x1d3e ^ seed);
+        // Ways above 8 take the indexed path, in one to four sets.
+        let sets = 1usize << rng.gen_range(0..3u32);
+        let ways = rng.gen_range(9..48usize);
+        let keys = full_range_keys(&mut rng, sets * ways);
+        let mut buf = AssocBuffer::new(sets, ways);
+        let mut model: Vec<RefLru> = (0..sets)
+            .map(|_| RefLru {
+                capacity: ways,
+                ..Default::default()
+            })
+            .collect();
+        let set_of = |k: u32| (k as usize) & (sets - 1);
+        for i in 0..rng.gen_range(200..600usize) {
+            let k = keys[rng.gen_range(0..keys.len())];
+            let ctx = format!("seed {seed} ({sets}x{ways}) op {i} key {k:#x}");
+            match rng.gen_range(0..20u32) {
+                0..=6 => {
+                    let v = rng.next_u64() as i32;
+                    buf.insert(k, v);
+                    model[set_of(k)].insert(k, v);
+                }
+                7..=10 => {
+                    assert_eq!(buf.lookup(k).copied(), model[set_of(k)].lookup(k), "{ctx}");
+                }
+                11 => {
+                    assert_eq!(buf.peek(k).copied(), model[set_of(k)].peek(k), "{ctx}");
+                }
+                12..=13 => {
+                    assert_eq!(buf.remove(k), model[set_of(k)].remove(k), "{ctx}");
+                }
+                14..=15 => {
+                    // Remove then reinsert: the key must come back at a
+                    // (possibly different) way and stay findable.
+                    let v = rng.next_u64() as i32;
+                    assert_eq!(buf.remove(k), model[set_of(k)].remove(k), "{ctx}");
+                    buf.insert(k, v);
+                    model[set_of(k)].insert(k, v);
+                }
+                16..=17 => {
+                    let got = buf.lookup_pos(k).map(|(way, v)| (way, *v));
+                    assert_eq!(got.map(|g| g.1), model[set_of(k)].lookup(k), "{ctx}");
+                    if let Some((way, v)) = got {
+                        assert_eq!(buf.remove_at(k, way), Some(v), "{ctx}");
+                        model[set_of(k)].remove(k);
+                    }
+                }
+                18 => {
+                    // A burst of fills from empty right after a flush.
+                    buf.flush();
+                    model.iter_mut().for_each(|m| m.entries.clear());
+                    for &k in keys.iter().take(ways) {
+                        buf.insert(k, 7);
+                        model[set_of(k)].insert(k, 7);
+                    }
+                }
+                _ => {
+                    buf.flush();
+                    model.iter_mut().for_each(|m| m.entries.clear());
+                }
+            }
+            let resident: usize = model.iter().map(|m| m.entries.len()).sum();
+            assert_eq!(buf.len(), resident, "{ctx}");
+            // Every key in the pool resolves exactly as the model says.
+            for &key in &keys {
+                assert_eq!(
+                    buf.peek(key).copied(),
+                    model[set_of(key)].peek(key),
+                    "{ctx}: {key:#x}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn wide_set_flush_empties_after_any_fill() {
+    // Fill to capacity over full-range keys, flush, and check nothing
+    // is found and the buffer refills to capacity with fresh keys.
+    for seed in 0..16u64 {
+        let mut rng = Rng::seed_from_u64(0xf100 ^ seed);
+        let ways = rng.gen_range(9..300usize);
+        let mut buf = AssocBuffer::fully_associative(ways);
+        let old: Vec<u32> = (0..ways).map(|_| rng.next_u64() as u32).collect();
+        for &k in &old {
+            buf.insert(k, k);
+        }
+        buf.flush();
+        assert!(buf.is_empty(), "seed {seed}");
+        for &k in &old {
+            assert_eq!(buf.peek(k), None, "seed {seed}: {k:#x}");
+        }
+        let fresh: Vec<u32> = (0..ways).map(|_| rng.next_u64() as u32).collect();
+        for &k in &fresh {
+            buf.insert(k, !k);
+        }
+        for &k in &fresh {
+            assert_eq!(buf.peek(k), Some(&!k), "seed {seed}: {k:#x}");
+        }
+    }
+}

@@ -28,12 +28,13 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use branchlab_interp::{run, ExecConfig, ExecError};
 use branchlab_ir::{
-    lower_with_plan, Addr, BlockId, FuncId, LayoutPlan, LowerError, Module, Program,
+    lower_with_plan, Addr, BlockId, BranchId, FuncId, Inst, LayoutPlan, LowerError, Module, Program,
 };
-use branchlab_trace::{BranchEvent, ExecHooks, SiteStats};
+use branchlab_trace::{BranchEvent, BranchKind, ExecHooks, SiteCounts, SiteStats};
 
 /// A CFG edge within one function.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -110,11 +111,37 @@ impl Profile {
 
 /// Live profiler: an [`ExecHooks`] sink that maps branch events back to
 /// CFG blocks of the instrumented program it was built for.
+///
+/// Every branch event lands in a dense per-address counter: the
+/// successors of a `Br` or `Jmp` are fixed by the instruction, so its
+/// taken and fall-through counts determine its site counts and both of
+/// its edges. Only jump-table dispatch (whose target varies) keeps a
+/// small map. [`Profiler::into_profile`] resolves the counts to sites
+/// and CFG edges once, at the end.
 #[derive(Clone, Debug)]
 pub struct Profiler {
-    addr_to_block: HashMap<u32, (FuncId, BlockId)>,
-    /// The profile being accumulated.
-    pub profile: Profile,
+    /// `block_at[a]`: the block whose first instruction is at `a`, or
+    /// `None` inside a block.
+    block_at: Vec<Option<(FuncId, BlockId)>>,
+    /// Every `Br` and `Jmp` of the program, in address order.
+    branches: Vec<DirectBranch>,
+    /// `outcomes[pc]`: `[not taken, taken]` executions of the `Br` or
+    /// `Jmp` at `pc`.
+    outcomes: Vec<[u64; 2]>,
+    /// Jump-table transfers: `(pc, next_pc)` → the dispatching block
+    /// and the transfer count.
+    jumps: HashMap<(u32, u32), (BranchId, u64), BuildKeyHasher>,
+    func_entries: Vec<u64>,
+}
+
+/// The static shape of one direct branch.
+#[derive(Copy, Clone, Debug)]
+struct DirectBranch {
+    pc: u32,
+    from: BranchId,
+    cond: bool,
+    target: Addr,
+    fallthrough: Addr,
 }
 
 impl Profiler {
@@ -122,60 +149,147 @@ impl Profiler {
     /// [`LayoutPlan::instrumented`] so all edges are observable).
     #[must_use]
     pub fn new(program: &Program) -> Self {
-        let mut addr_to_block = HashMap::new();
+        let len = program
+            .block_addrs
+            .iter()
+            .flatten()
+            .map(|a| a.0 as usize + 1)
+            .max();
+        let mut block_at = vec![None; len.unwrap_or(0)];
         for (fi, blocks) in program.block_addrs.iter().enumerate() {
             for (bi, addr) in blocks.iter().enumerate() {
-                addr_to_block.insert(addr.0, (FuncId(fi as u32), BlockId(bi as u32)));
+                // If several blocks start at one address, the last
+                // one listed wins.
+                block_at[addr.0 as usize] = Some((FuncId(fi as u32), BlockId(bi as u32)));
             }
         }
-        let profile = Profile {
-            func_entries: vec![0; program.funcs.len()],
-            ..Profile::default()
-        };
+        let branches = program
+            .code
+            .iter()
+            .enumerate()
+            .filter_map(|(pc, inst)| {
+                let (cond, target, slots) = match *inst {
+                    Inst::Br { target, slots, .. } => (true, target, slots),
+                    Inst::Jmp { target, slots } => (false, target, slots),
+                    _ => return None,
+                };
+                let pc = pc as u32;
+                Some(DirectBranch {
+                    pc,
+                    from: program.meta[pc as usize].branch_id(),
+                    cond,
+                    target,
+                    fallthrough: Addr(pc + 1 + u32::from(slots)),
+                })
+            })
+            .collect();
         Profiler {
-            addr_to_block,
-            profile,
+            block_at,
+            branches,
+            outcomes: vec![[0; 2]; program.code.len()],
+            jumps: HashMap::default(),
+            func_entries: vec![0; program.funcs.len()],
         }
     }
 
     /// Record one entry of the program's entry function (call once per
     /// run).
     pub fn record_program_entry(&mut self, entry: FuncId) {
-        self.profile.func_entries[entry.0 as usize] += 1;
+        self.func_entries[entry.0 as usize] += 1;
     }
 
     /// Extract the accumulated profile.
     #[must_use]
     pub fn into_profile(self) -> Profile {
-        self.profile
+        let mut profile = Profile {
+            func_entries: self.func_entries,
+            ..Profile::default()
+        };
+        // A transfer is an edge only when it lands on the first
+        // instruction of a block of the same function: a not-taken
+        // fallthrough onto a trailing `Jmp` of the same block is not a
+        // block boundary (the `Jmp`'s own count records the real edge).
+        let mut add_edge = |from: BranchId, next_pc: Addr, count: u64| {
+            if count == 0 {
+                return;
+            }
+            if let Some(&Some((func, to))) = self.block_at.get(next_pc.0 as usize) {
+                if func == from.func {
+                    let edge = Edge {
+                        func,
+                        from: from.block,
+                        to,
+                    };
+                    *profile.edges.entry(edge).or_insert(0) += count;
+                }
+            }
+        };
+        for b in &self.branches {
+            let [not_taken, taken] = self.outcomes[b.pc as usize];
+            add_edge(b.from, b.target, taken);
+            add_edge(b.from, b.fallthrough, not_taken);
+            // Only conditional branches contribute to per-site bias: a
+            // block may also own a trailing unconditional jump, which
+            // must not skew its likely bit.
+            if b.cond {
+                let total = taken + not_taken;
+                profile.sites.add(b.from, SiteCounts { taken, total });
+            }
+        }
+        for (&(_, next_pc), &(from, count)) in &self.jumps {
+            add_edge(from, Addr(next_pc), count);
+        }
+        profile
     }
 }
 
 impl ExecHooks for Profiler {
     fn branch(&mut self, ev: &BranchEvent) {
-        // Only conditional branches contribute to per-site bias: a block
-        // may also own a trailing unconditional jump, which must not
-        // skew its likely bit.
-        if ev.kind == branchlab_trace::BranchKind::Cond {
-            self.profile.sites.branch(ev);
-        }
-        // Map the successor address to a block. A not-taken fallthrough
-        // that lands on a trailing Jmp of the same block is not a block
-        // boundary; the Jmp's own event records the real edge.
-        if let Some(&(func, to)) = self.addr_to_block.get(&ev.next_pc().0) {
-            if func == ev.branch.func {
-                let edge = Edge {
-                    func,
-                    from: ev.branch.block,
-                    to,
-                };
-                *self.profile.edges.entry(edge).or_insert(0) += 1;
-            }
+        if ev.kind == BranchKind::UncondIndirect {
+            self.jumps
+                .entry((ev.pc.0, ev.target.0))
+                .or_insert((ev.branch, 0))
+                .1 += 1;
+        } else {
+            self.outcomes[ev.pc.0 as usize][usize::from(ev.taken)] += 1;
         }
     }
 
     fn call(&mut self, _from: Addr, callee: FuncId) {
-        self.profile.func_entries[callee.0 as usize] += 1;
+        self.func_entries[callee.0 as usize] += 1;
+    }
+}
+
+/// Multiply-xorshift hasher for the jump-table map's small integer keys
+/// — `SipHash`'s keyed setup costs more than the whole probe.
+#[derive(Clone, Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        let x = (self.0 ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 29);
+    }
+}
+
+#[derive(Clone, Debug, Default)]
+struct BuildKeyHasher;
+
+impl BuildHasher for BuildKeyHasher {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher::default()
     }
 }
 

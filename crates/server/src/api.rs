@@ -138,14 +138,14 @@ pub enum PredictorSpec {
     Gshare {
         /// log2 of the pattern table size.
         table_bits: u32,
-        /// Global history length.
+        /// Global history length (at most `table_bits`).
         history_bits: u32,
     },
     /// Per-branch local-history two-level predictor.
     Local {
         /// log2 of the pattern table size.
         table_bits: u32,
-        /// Local history length.
+        /// Local history length (at most `table_bits`).
         history_bits: u32,
     },
     /// Two-level BTB hierarchy (small L1 backed by a larger L2).
@@ -310,8 +310,8 @@ impl PredictorSpec {
                 if table_bits == 0 || table_bits > 24 {
                     return bad("`table_bits` must be in 1..=24");
                 }
-                if history_bits > 32 {
-                    return bad("`history_bits` must be in 0..=32");
+                if history_bits > table_bits {
+                    return bad("`history_bits` must be in 0..=table_bits");
                 }
             }
             PredictorSpec::Mlbtb {

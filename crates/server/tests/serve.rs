@@ -215,6 +215,36 @@ fn keep_alive_connection_serves_multiple_requests() {
 }
 
 #[test]
+fn history_wider_than_table_is_rejected_with_400() {
+    let mut server = test_server(1, 8);
+    let addr = server.addr().to_string();
+    wait_ready(&addr);
+
+    for kind in ["gshare", "local"] {
+        let body = format!(
+            r#"{{"bench":"wc","predictors":[{{"kind":"{kind}","table_bits":6,"history_bits":12}}]}}"#
+        );
+        let resp = one_shot(&addr, "POST", "/v1/sweep", Some(&body)).unwrap();
+        assert_eq!(resp.status, 400, "{kind}: {}", resp.text());
+        assert!(resp.text().contains("history_bits"), "{}", resp.text());
+    }
+
+    // The rejection happened before any worker ran: none panicked, and
+    // a valid spec at the widest allowed history is still served.
+    let ok = one_shot(
+        &addr,
+        "POST",
+        "/v1/sweep",
+        Some(r#"{"bench":"wc","predictors":[{"kind":"gshare","table_bits":6,"history_bits":6}]}"#),
+    )
+    .unwrap();
+    assert_eq!(ok.status, 200, "{}", ok.text());
+    assert_eq!(server.worker_restarts(), 0);
+
+    server.shutdown_and_join();
+}
+
+#[test]
 fn flood_past_queue_bound_sheds_load_with_503() {
     // One worker, a queue of two: any sustained burst must overflow.
     let mut server = test_server(1, 2);

@@ -256,6 +256,7 @@ impl std::error::Error for JsonError {}
 /// Returns [`JsonError`] on malformed input.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -269,6 +270,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes: every token delimiter is ASCII.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -400,12 +403,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote or escape in one step. Both delimiters are
+                    // ASCII, so the run ends on a char boundary.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -521,5 +527,33 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn multi_megabyte_strings_decode_in_linear_time() {
+        // Plain runs of 1-, 2-, 3- and 4-byte characters between every
+        // kind of escape. A parser that re-validates the rest of the
+        // input per character takes minutes on this; a linear one takes
+        // milliseconds.
+        let mut expected = String::new();
+        let mut encoded = String::from("{\"trace\": \"");
+        let mut i = 0u32;
+        while encoded.len() < 3 << 20 {
+            let plain = format!("span{i} é€😀 ");
+            expected.push_str(&plain);
+            encoded.push_str(&plain);
+            expected.push_str("\"\\/\n\t\u{e9}");
+            encoded.push_str(r#"\"\\\/\n\t\u00e9"#);
+            i += 1;
+        }
+        encoded.push_str("\"}");
+        let start = std::time::Instant::now();
+        let v = parse(&encoded).unwrap();
+        assert_eq!(v.get("trace").and_then(JsonValue::as_str), Some(&*expected));
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(10),
+            "parse took {:?}",
+            start.elapsed()
+        );
     }
 }

@@ -148,12 +148,22 @@ impl SiteStats {
         self.counts.iter().map(|(k, v)| (*k, *v))
     }
 
+    /// Add `counts` to one site's tally — for sinks that count per
+    /// address and fold into sites once. A zero `total` adds nothing:
+    /// only executed sites appear in the table.
+    pub fn add(&mut self, site: BranchId, counts: SiteCounts) {
+        if counts.total == 0 {
+            return;
+        }
+        let e = self.counts.entry(site).or_default();
+        e.taken += counts.taken;
+        e.total += counts.total;
+    }
+
     /// Merge another table into this one (multi-run accumulation).
     pub fn merge(&mut self, other: &SiteStats) {
         for (site, c) in other.iter() {
-            let e = self.counts.entry(site).or_default();
-            e.taken += c.taken;
-            e.total += c.total;
+            self.add(site, c);
         }
     }
 }
@@ -300,6 +310,21 @@ mod tests {
             SiteCounts { taken: 1, total: 2 }
         );
         assert_eq!(a.len(), 2);
+    }
+
+    #[test]
+    fn site_stats_add_accumulates_and_skips_unexecuted_sites() {
+        let site = |block| BranchId {
+            func: FuncId(0),
+            block: BlockId(block),
+        };
+        let mut s = SiteStats::new();
+        s.add(site(1), SiteCounts { taken: 2, total: 3 });
+        s.add(site(1), SiteCounts { taken: 1, total: 1 });
+        s.add(site(2), SiteCounts::default());
+        assert_eq!(s.get(site(1)), Some(SiteCounts { taken: 3, total: 4 }));
+        assert_eq!(s.get(site(2)), None);
+        assert_eq!(s.len(), 1);
     }
 
     #[test]

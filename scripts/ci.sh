@@ -21,6 +21,12 @@ cargo test --workspace -q
 echo "==> cargo test --doc (runnable examples in the API docs)"
 cargo test --workspace --doc -q
 
+# perfbench is a package of its own, outside the workspace: without this
+# stage a change to the public API it calls would break the benchmark
+# unnoticed.
+echo "==> perfbench tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> telemetry smoke: report --scale test --telemetry-out"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
