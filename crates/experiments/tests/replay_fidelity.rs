@@ -19,7 +19,7 @@ use branchlab_predict::{
     AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, BranchPredictor, Cbtb, CbtbConfig,
     Gshare, LikelyBit, LocalHistory, Sbtb,
 };
-use branchlab_trace::{BranchEvent, BranchMix, ExecHooks};
+use branchlab_trace::{hash_bytes, BranchEvent, BranchMix, ExecHooks};
 use branchlab_workloads::{all_benchmarks, benchmark};
 
 /// The fidelity predictor set: both hardware schemes plus the static
@@ -182,7 +182,7 @@ fn exercised_sites(
 /// The generated workloads are deterministic end to end: capturing the
 /// same benchmark twice under the same seed — with the in-memory trace
 /// cache dropped in between — yields byte-identical trace buffers
-/// (`TraceBuf` equality compares the encoded bytes).
+/// (`TraceBuf` equality compares the site tables and word streams).
 #[test]
 fn synthetic_capture_is_byte_identical_across_runs() {
     let cfg = ExperimentConfig::test();
@@ -282,6 +282,30 @@ fn corrupt_and_stale_disk_cache_entries_degrade_to_recapture() {
     let after_stale = eval_predictors(bench, &cfg, preds()).expect("recapture after staleness");
     let delta = TraceStats::snapshot().since(&before);
     assert_eq!(after_stale, reference);
+    assert!(delta.captures >= 1, "no re-capture happened: {delta:?}");
+
+    // An entry in the old varint layout (`BLTRACE1`), intact and written
+    // for the right key, is an invalid entry too: no second decoder.
+    for path in &cached {
+        let current = std::fs::read(path).expect("read re-captured file");
+        let mut old = b"BLTRACE1".to_vec();
+        old.extend_from_slice(&current[8..16]); // the key digest
+        old.extend_from_slice(&1u32.to_le_bytes()); // one run …
+        old.extend_from_slice(&1u64.to_le_bytes()); // … of one event:
+        old.extend_from_slice(&3u64.to_le_bytes());
+        old.extend_from_slice(&[3, 2, 0]); // varint call(Addr(1), FuncId(0))
+        old.extend_from_slice(&hash_bytes(&old).to_le_bytes());
+        std::fs::write(path, &old).expect("write BLTRACE1 entry");
+    }
+    clear_cache();
+    let before = TraceStats::snapshot();
+    let after_old = eval_predictors(bench, &cfg, preds()).expect("recapture after BLTRACE1");
+    let delta = TraceStats::snapshot().since(&before);
+    assert_eq!(after_old, reference);
+    assert!(
+        delta.disk_invalid >= 1,
+        "BLTRACE1 entry not rejected: {delta:?}"
+    );
     assert!(delta.captures >= 1, "no re-capture happened: {delta:?}");
 
     std::fs::remove_dir_all(&dir).ok();

@@ -4,100 +4,171 @@
 //! traced once and every scheme was scored off the recorded branch
 //! stream. [`TraceBuf`] is that recording — one buffer per
 //! (benchmark, layout, run) — storing every [`ExecHooks`] event
-//! (branches, calls, returns) with delta-encoded PCs and LEB128
-//! varint fields, typically 4–8 bytes per event. [`Capture`] adapts a
-//! `TraceBuf` to `ExecHooks` so the interpreter fills it in a single
-//! live pass, and [`replay`] feeds the recorded stream back into any
-//! other `ExecHooks` sink (predictor evaluators, mix collectors, a
-//! return-address stack) without re-interpreting the program.
+//! (branches, calls, returns) as a **site table** plus a **word stream**:
 //!
-//! Replay is bit-exact: the reconstructed [`BranchEvent`]s compare
-//! equal to the live ones field for field, so every statistics
+//! * every static field of an event is fixed by its instruction (a
+//!   branch's pc, kind, fall-through, direct target, branch id, likely
+//!   bit and comparison; a call's `from`/`callee`; a return's `from`),
+//!   so each distinct static record is stored once, as a site;
+//! * each event is one `u32` word, `site << 1 | taken`, followed by one
+//!   extra word for the only dynamic fields — an indirect jump's target
+//!   and a return's `to`.
+//!
+//! That is ~4 bytes per event, and decoding an event is one bounds-checked
+//! table lookup. [`Capture`] adapts a `TraceBuf` to `ExecHooks` so the
+//! interpreter fills it in a single live pass, and [`replay`] feeds the
+//! recorded stream back into any other `ExecHooks` sink (predictor
+//! evaluators, mix collectors, a return-address stack) without
+//! re-interpreting the program.
+//!
+//! Replay is bit-exact for *any* event stream: capture compares each
+//! event's static fields with its site's template and allocates a new
+//! site on any difference, so the reconstructed [`BranchEvent`]s compare
+//! equal to the live ones field for field, and every statistics
 //! collector produces identical results either way (enforced by the
 //! `replay_fidelity` integration tests in `branchlab-experiments`).
 
-use branchlab_ir::{Addr, BlockId, BranchId, Cond, FuncId};
+use branchlab_ir::{Addr, FuncId};
 
+use crate::cache::SITE_BYTES;
 use crate::event::{BranchEvent, BranchKind, ExecHooks};
 
-/// Event tags (first byte of every record).
-const TAG_COND: u8 = 0;
-const TAG_UNCOND_DIRECT: u8 = 1;
-const TAG_UNCOND_INDIRECT: u8 = 2;
-const TAG_CALL: u8 = 3;
-const TAG_RET: u8 = 4;
-
-/// Flags byte layout for conditional branches.
-const FLAG_TAKEN: u8 = 1 << 3;
-const FLAG_LIKELY: u8 = 1 << 4;
-const COND_MASK: u8 = 0b111;
-
-fn cond_index(c: Cond) -> u8 {
-    match c {
-        Cond::Eq => 0,
-        Cond::Ne => 1,
-        Cond::Lt => 2,
-        Cond::Le => 3,
-        Cond::Gt => 4,
-        Cond::Ge => 5,
-    }
-}
-
-fn cond_from_index(i: u8) -> Option<Cond> {
-    Some(match i {
-        0 => Cond::Eq,
-        1 => Cond::Ne,
-        2 => Cond::Lt,
-        3 => Cond::Le,
-        4 => Cond::Gt,
-        5 => Cond::Ge,
-        _ => return None,
-    })
-}
-
-fn push_varint(bytes: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            bytes.push(b);
-            break;
-        }
-        bytes.push(b | 0x80);
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// One run's recorded event stream: delta-encoded PCs, varint fields.
+/// One run's recorded event stream: a site table and one word per
+/// event (two for indirect jumps and returns).
 ///
 /// Append with [`Capture`] (or the `record_*` methods), read back with
 /// [`replay`]. Buffers are deterministic in the event stream, so equal
-/// executions produce byte-identical buffers.
+/// executions produce identical buffers.
 #[derive(Clone, Debug, Default)]
 pub struct TraceBuf {
-    bytes: Vec<u8>,
+    /// Static record of every site, with the dynamic fields (`taken`,
+    /// an indirect target, a return's `to`) zeroed.
+    sites: Vec<TraceEvent>,
+    /// `site << 1 | taken` per event, each indirect jump and return
+    /// followed by its dynamic address.
+    words: Vec<u32>,
     events: u64,
-    last_pc: u32,
+    index: SiteIndex,
 }
 
-/// Two buffers are equal when they decode to the same event stream —
-/// i.e. same encoded bytes and event count; the transient encoder
-/// state (`last_pc`) is excluded so a disk-loaded buffer compares
-/// equal to the freshly captured one.
+/// Two buffers are equal when they hold the same site table, words and
+/// event count; the capture-side pc index is excluded, so a disk-loaded
+/// buffer compares equal to the freshly captured one.
 impl PartialEq for TraceBuf {
     fn eq(&self, other: &Self) -> bool {
-        self.bytes == other.bytes && self.events == other.events
+        self.sites == other.sites && self.words == other.words && self.events == other.events
     }
 }
 
 impl Eq for TraceBuf {}
+
+/// A site's static record packed into three words, so capture compares
+/// an event with its site's template in one branch-free test. Injective:
+/// equal keys mean equal templates.
+type SiteKey = [u64; 3];
+
+/// The packed record of a branch whose template target is `target`.
+#[inline]
+fn branch_key(ev: &BranchEvent, target: u32) -> SiteKey {
+    [
+        u64::from(ev.pc.0) | u64::from(target) << 32,
+        u64::from(ev.fallthrough.0) | u64::from(ev.branch.func.0) << 32,
+        u64::from(ev.branch.block.0)
+            | (ev.kind as u64) << 32
+            | u64::from(ev.likely) << 40
+            | u64::from(ev.cond.map_or(u8::MAX, |c| c as u8)) << 48,
+    ]
+}
+
+fn site_key(site: &TraceEvent) -> SiteKey {
+    match site {
+        TraceEvent::Branch(ev) => branch_key(ev, ev.target.0),
+        TraceEvent::Call { from, callee } => {
+            [u64::from(from.0) | u64::from(callee.0) << 32, 0, 3 << 32]
+        }
+        TraceEvent::Ret { from, .. } => [u64::from(from.0), 0, 4 << 32],
+    }
+}
+
+/// Capture-side index of the sites: a multimap from a pc to the sites
+/// recorded at it (open addressing with linear probing, kept at most
+/// half full), fronted by a guess of the next site from the previous
+/// event. Its size follows the number of sites and never the pc values.
+#[derive(Clone, Debug, Default)]
+struct SiteIndex {
+    /// Packed static record of every site.
+    keys: Vec<SiteKey>,
+    /// `site + 1` per slot, hashed by pc; zero marks an empty slot.
+    slots: Vec<u32>,
+    /// Per event word (`site << 1 | taken`): the site recorded right
+    /// after it last time. Control flow mostly repeats, so this guess,
+    /// checked against `keys`, spares most events the hash probe.
+    next: Vec<u32>,
+    /// The previous event's word.
+    last: u32,
+}
+
+impl SiteIndex {
+    /// The home slot of a site: Fibonacci hashing of its pc (the low
+    /// half of the first key word); the product's high half mixes every
+    /// pc bit.
+    fn home(&self, key: &SiteKey) -> usize {
+        let pc = key[0] & 0xffff_ffff;
+        ((pc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (self.slots.len() - 1)
+    }
+
+    /// The site whose packed record is `key`, if any.
+    fn find(&self, key: &SiteKey) -> Option<u32> {
+        let same = |site: u32| {
+            let k = &self.keys[site as usize];
+            (k[0] ^ key[0]) | (k[1] ^ key[1]) | (k[2] ^ key[2]) == 0
+        };
+        let guess = *self.next.get(self.last as usize)?;
+        if same(guess) {
+            return Some(guess);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let site = self.slots[i].checked_sub(1)?;
+            if same(site) {
+                return Some(site);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Note the event `word` of `site` as the next guess's context.
+    fn follow(&mut self, site: u32, word: u32) {
+        if let Some(next) = self.next.get_mut(self.last as usize) {
+            *next = site;
+        }
+        self.last = word;
+    }
+
+    /// Index a new site; it must be the next site number.
+    fn push(&mut self, key: SiteKey) {
+        self.keys.push(key);
+        self.next.extend([0, 0]);
+        if self.keys.len() * 2 > self.slots.len() {
+            self.slots = vec![0; (self.keys.len() * 2).next_power_of_two().max(16)];
+            for site in 0..self.keys.len() {
+                self.slot(site);
+            }
+        } else {
+            self.slot(self.keys.len() - 1);
+        }
+    }
+
+    fn slot(&mut self, site: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(&self.keys[site]);
+        while self.slots[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = site as u32 + 1;
+    }
+}
 
 impl TraceBuf {
     /// An empty buffer.
@@ -112,85 +183,82 @@ impl TraceBuf {
         self.events
     }
 
-    /// Encoded size in bytes.
+    /// Encoded size in bytes: the site table plus the word stream, as
+    /// stored on disk by [`save_trace`](crate::save_trace).
     #[must_use]
     pub fn byte_len(&self) -> usize {
-        self.bytes.len()
+        self.sites.len() * SITE_BYTES + self.words.len() * 4
     }
 
-    /// The raw encoded stream (for on-disk caching).
-    #[must_use]
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The site table and word stream (for on-disk caching).
+    pub(crate) fn table(&self) -> (&[TraceEvent], &[u32]) {
+        (&self.sites, &self.words)
     }
 
-    /// Rebuild a buffer from a stored byte stream and event count
-    /// (the on-disk cache loader). The bytes are *not* validated here;
+    /// Rebuild a buffer from a stored site table, word stream and event
+    /// count (the on-disk cache loader). The sites must be templates as
+    /// capture builds them; the words are *not* validated here —
     /// [`replay`] reports corruption.
-    #[must_use]
-    pub fn from_parts(bytes: Vec<u8>, events: u64) -> Self {
+    pub(crate) fn from_table(sites: Vec<TraceEvent>, words: Vec<u32>, events: u64) -> Self {
+        let mut index = SiteIndex::default();
+        for site in &sites {
+            index.push(site_key(site));
+        }
         TraceBuf {
-            bytes,
+            sites,
+            words,
             events,
-            last_pc: 0,
+            index,
         }
     }
 
-    fn push_pc(&mut self, pc: Addr) {
-        push_varint(
-            &mut self.bytes,
-            zigzag(i64::from(pc.0) - i64::from(self.last_pc)),
-        );
-        self.last_pc = pc.0;
+    /// Append the word of a `taken` (or not) event whose site's packed
+    /// record is `key`, allocating the site from `template` on first
+    /// sight.
+    #[inline]
+    fn push_word(&mut self, key: SiteKey, template: impl FnOnce() -> TraceEvent, taken: bool) {
+        let site = self.index.find(&key).unwrap_or_else(|| {
+            let site = u32::try_from(self.sites.len())
+                .ok()
+                .filter(|&s| s < 1 << 31)
+                .expect("trace site table full");
+            self.sites.push(template());
+            self.index.push(key);
+            site
+        });
+        let word = site << 1 | u32::from(taken);
+        self.index.follow(site, word);
+        self.words.push(word);
+        self.events += 1;
     }
 
     /// Record one executed branch.
     pub fn record_branch(&mut self, ev: &BranchEvent) {
-        match ev.kind {
-            BranchKind::Cond => {
-                self.bytes.push(TAG_COND);
-                let cond = ev.cond.map_or(COND_MASK, cond_index);
-                let mut flags = cond;
-                if ev.taken {
-                    flags |= FLAG_TAKEN;
-                }
-                if ev.likely {
-                    flags |= FLAG_LIKELY;
-                }
-                self.bytes.push(flags);
-            }
-            BranchKind::UncondDirect => self.bytes.push(TAG_UNCOND_DIRECT),
-            BranchKind::UncondIndirect => self.bytes.push(TAG_UNCOND_INDIRECT),
+        // An indirect jump's target is dynamic: its template holds zero.
+        let indirect = ev.kind == BranchKind::UncondIndirect;
+        let template = BranchEvent {
+            taken: false,
+            target: if indirect { Addr(0) } else { ev.target },
+            ..*ev
+        };
+        let key = branch_key(ev, template.target.0);
+        self.push_word(key, || TraceEvent::Branch(template), ev.taken);
+        if indirect {
+            self.words.push(ev.target.0);
         }
-        self.push_pc(ev.pc);
-        // fallthrough = pc + 1 + slots; slots is tiny, store it raw.
-        push_varint(
-            &mut self.bytes,
-            u64::from(ev.fallthrough.0 - ev.pc.0).saturating_sub(1),
-        );
-        push_varint(
-            &mut self.bytes,
-            zigzag(i64::from(ev.target.0) - i64::from(ev.pc.0)),
-        );
-        push_varint(&mut self.bytes, u64::from(ev.branch.func.0));
-        push_varint(&mut self.bytes, u64::from(ev.branch.block.0));
-        self.events += 1;
     }
 
     /// Record one executed call.
     pub fn record_call(&mut self, from: Addr, callee: FuncId) {
-        self.bytes.push(TAG_CALL);
-        self.push_pc(from);
-        push_varint(&mut self.bytes, u64::from(callee.0));
-        self.events += 1;
+        let site = TraceEvent::Call { from, callee };
+        self.push_word(site_key(&site), || site, false);
     }
 
     /// Record one executed return.
     pub fn record_ret(&mut self, from: Addr, to: Addr) {
-        self.bytes.push(TAG_RET);
-        self.push_pc(from);
-        push_varint(&mut self.bytes, zigzag(i64::from(to.0) - i64::from(from.0)));
-        self.events += 1;
+        let site = TraceEvent::Ret { from, to: Addr(0) };
+        self.push_word(site_key(&site), || site, false);
+        self.words.push(to.0);
     }
 }
 
@@ -230,10 +298,10 @@ impl ExecHooks for Capture {
     }
 }
 
-/// A malformed trace buffer (truncated stream, out-of-range field).
+/// A malformed trace buffer (truncated stream, out-of-range site).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplayError {
-    /// Byte offset of the record that failed to decode.
+    /// Word offset of the record that failed to decode.
     pub offset: usize,
     /// What went wrong.
     pub reason: &'static str,
@@ -241,60 +309,11 @@ pub struct ReplayError {
 
 impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "corrupt trace at byte {}: {}", self.offset, self.reason)
+        write!(f, "corrupt trace at word {}: {}", self.offset, self.reason)
     }
 }
 
 impl std::error::Error for ReplayError {}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn err(&self, reason: &'static str) -> ReplayError {
-        ReplayError {
-            offset: self.pos,
-            reason,
-        }
-    }
-
-    fn byte(&mut self) -> Result<u8, ReplayError> {
-        let b = *self.bytes.get(self.pos).ok_or(ReplayError {
-            offset: self.pos,
-            reason: "truncated record",
-        })?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn varint(&mut self) -> Result<u64, ReplayError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.byte()?;
-            if shift >= 64 {
-                return Err(self.err("varint overflow"));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn svarint(&mut self) -> Result<i64, ReplayError> {
-        Ok(unzigzag(self.varint()?))
-    }
-
-    fn addr_from(&mut self, base: i64, delta: i64) -> Result<Addr, ReplayError> {
-        u32::try_from(base + delta)
-            .map(Addr)
-            .map_err(|_| self.err("address out of range"))
-    }
-}
 
 /// One decoded trace record, as yielded by [`TraceReader`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -325,8 +344,9 @@ pub enum TraceEvent {
 /// buffer is never mutated — which is what the parallel sweep executor
 /// in `branchlab-experiments` relies on.
 pub struct TraceReader<'a> {
-    r: Reader<'a>,
-    last_pc: i64,
+    sites: &'a [TraceEvent],
+    words: &'a [u32],
+    pos: usize,
     delivered: u64,
     expected: u64,
 }
@@ -336,11 +356,9 @@ impl<'a> TraceReader<'a> {
     #[must_use]
     pub fn new(buf: &'a TraceBuf) -> Self {
         TraceReader {
-            r: Reader {
-                bytes: &buf.bytes,
-                pos: 0,
-            },
-            last_pc: 0,
+            sites: &buf.sites,
+            words: &buf.words,
+            pos: 0,
             delivered: 0,
             expected: buf.events,
         }
@@ -352,84 +370,58 @@ impl<'a> TraceReader<'a> {
         self.delivered
     }
 
+    fn err(&self, reason: &'static str) -> ReplayError {
+        ReplayError {
+            offset: self.pos,
+            reason,
+        }
+    }
+
+    /// The dynamic address word following the current event's word.
+    #[inline]
+    fn dynamic(&mut self) -> Result<Addr, ReplayError> {
+        let word = *self
+            .words
+            .get(self.pos)
+            .ok_or_else(|| self.err("truncated dynamic word"))?;
+        self.pos += 1;
+        Ok(Addr(word))
+    }
+
+    #[cold]
+    fn finish(&self) -> Result<Option<TraceEvent>, ReplayError> {
+        if self.delivered == self.expected {
+            Ok(None)
+        } else {
+            Err(self.err("event count mismatch"))
+        }
+    }
+
     /// Decode the next record, or `Ok(None)` at a clean end of stream.
     ///
     /// # Errors
     /// Returns [`ReplayError`] on a truncated or corrupt buffer,
     /// including an event count that does not match the stream.
+    #[inline]
     pub fn next_event(&mut self) -> Result<Option<TraceEvent>, ReplayError> {
-        let r = &mut self.r;
-        if r.pos >= r.bytes.len() {
-            if self.delivered != self.expected {
-                return Err(ReplayError {
-                    offset: r.bytes.len(),
-                    reason: "event count mismatch",
-                });
-            }
-            return Ok(None);
-        }
-        let tag = r.byte()?;
-        let event = match tag {
-            TAG_COND | TAG_UNCOND_DIRECT | TAG_UNCOND_INDIRECT => {
-                let (kind, taken, likely, cond) = if tag == TAG_COND {
-                    let flags = r.byte()?;
-                    let cond = cond_from_index(flags & COND_MASK);
-                    (
-                        BranchKind::Cond,
-                        flags & FLAG_TAKEN != 0,
-                        flags & FLAG_LIKELY != 0,
-                        cond,
-                    )
-                } else if tag == TAG_UNCOND_DIRECT {
-                    (BranchKind::UncondDirect, true, false, None)
-                } else {
-                    (BranchKind::UncondIndirect, true, false, None)
-                };
-                let pc_delta = r.svarint()?;
-                let pc = r.addr_from(self.last_pc, pc_delta)?;
-                self.last_pc = i64::from(pc.0);
-                let slots = r.varint()?;
-                let fallthrough = r.addr_from(i64::from(pc.0) + 1, slots as i64)?;
-                let target_delta = r.svarint()?;
-                let target = r.addr_from(i64::from(pc.0), target_delta)?;
-                let func = u32::try_from(r.varint()?).map_err(|_| r.err("func id out of range"))?;
-                let block =
-                    u32::try_from(r.varint()?).map_err(|_| r.err("block id out of range"))?;
-                TraceEvent::Branch(BranchEvent {
-                    pc,
-                    kind,
-                    taken,
-                    target,
-                    fallthrough,
-                    branch: BranchId {
-                        func: FuncId(func),
-                        block: BlockId(block),
-                    },
-                    likely,
-                    cond,
-                })
-            }
-            TAG_CALL => {
-                let pc_delta = r.svarint()?;
-                let from = r.addr_from(self.last_pc, pc_delta)?;
-                self.last_pc = i64::from(from.0);
-                let callee =
-                    u32::try_from(r.varint()?).map_err(|_| r.err("callee id out of range"))?;
-                TraceEvent::Call {
-                    from,
-                    callee: FuncId(callee),
+        let Some(&word) = self.words.get(self.pos) else {
+            return self.finish();
+        };
+        let Some(&site) = self.sites.get((word >> 1) as usize) else {
+            return Err(self.err("site index out of range"));
+        };
+        self.pos += 1;
+        let mut event = site;
+        match &mut event {
+            TraceEvent::Branch(ev) => {
+                ev.taken = word & 1 != 0;
+                if ev.kind == BranchKind::UncondIndirect {
+                    ev.target = self.dynamic()?;
                 }
             }
-            TAG_RET => {
-                let pc_delta = r.svarint()?;
-                let from = r.addr_from(self.last_pc, pc_delta)?;
-                self.last_pc = i64::from(from.0);
-                let to_delta = r.svarint()?;
-                let to = r.addr_from(i64::from(from.0), to_delta)?;
-                TraceEvent::Ret { from, to }
-            }
-            _ => return Err(r.err("unknown event tag")),
-        };
+            TraceEvent::Ret { to, .. } => *to = self.dynamic()?,
+            TraceEvent::Call { .. } => {}
+        }
         self.delivered += 1;
         Ok(Some(event))
     }
@@ -499,6 +491,7 @@ pub fn replay_traced<H: ExecHooks>(
 mod tests {
     use super::*;
     use crate::TraceRecorder;
+    use branchlab_ir::{BlockId, BranchId, Cond};
 
     fn branch(pc: u32, kind: BranchKind, taken: bool, target: u32, likely: bool) -> BranchEvent {
         BranchEvent {
@@ -517,35 +510,6 @@ mod tests {
             } else {
                 None
             },
-        }
-    }
-
-    #[test]
-    fn varint_roundtrip() {
-        for v in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
-            let mut bytes = Vec::new();
-            push_varint(&mut bytes, v);
-            let mut r = Reader {
-                bytes: &bytes,
-                pos: 0,
-            };
-            assert_eq!(r.varint().unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn zigzag_roundtrip() {
-        for v in [
-            0i64,
-            1,
-            -1,
-            63,
-            -64,
-            i64::from(i32::MAX),
-            i64::MIN,
-            i64::MAX,
-        ] {
-            assert_eq!(unzigzag(zigzag(v)), v);
         }
     }
 
@@ -597,48 +561,105 @@ mod tests {
     #[test]
     fn encoding_is_compact() {
         let mut cap = Capture::new();
-        // A tight loop: same branch taken 1000 times.
+        // A tight loop: same branch taken 1000 times is one site and
+        // one word per event.
         for _ in 0..1000 {
             cap.branch(&branch(64, BranchKind::Cond, true, 60, true));
         }
         let buf = cap.into_buf();
-        // Tag + flags + pc delta (0 after first) + slots + target + ids.
-        assert!(
-            buf.byte_len() <= 8 * 1000,
-            "encoding too large: {} bytes for 1000 events",
-            buf.byte_len()
-        );
+        assert_eq!(buf.byte_len(), SITE_BYTES + 4 * 1000);
+    }
+
+    #[test]
+    fn one_site_per_distinct_static_record() {
+        let mut cap = Capture::new();
+        let base = branch(64, BranchKind::Cond, true, 60, false);
+        for taken in [true, false, true] {
+            cap.branch(&BranchEvent { taken, ..base });
+        }
+        // Same pc, different static fields: each is its own site.
+        cap.branch(&BranchEvent {
+            target: Addr(61),
+            ..base
+        });
+        cap.branch(&BranchEvent {
+            likely: true,
+            ..base
+        });
+        // Indirect targets and return addresses are dynamic: one site.
+        for target in [1, u32::MAX, 7] {
+            cap.branch(&branch(80, BranchKind::UncondIndirect, true, target, false));
+            cap.ret(Addr(90), Addr(target));
+        }
+        // A call at a branch's pc is its own site too.
+        cap.call(Addr(64), FuncId(2));
+        let buf = cap.into_buf();
+        assert_eq!(buf.sites.len(), 6);
+        assert_eq!(buf.events(), 12);
+    }
+
+    #[test]
+    fn appending_to_a_rebuilt_buffer_reuses_its_sites() {
+        let mut cap = Capture::new();
+        cap.branch(&branch(10, BranchKind::Cond, true, 50, false));
+        cap.call(Addr(20), FuncId(1));
+        let buf = cap.into_buf();
+        let mut loaded = TraceBuf::from_table(buf.sites.clone(), buf.words.clone(), buf.events);
+        assert_eq!(loaded, buf);
+        loaded.record_call(Addr(20), FuncId(1));
+        loaded.record_branch(&branch(10, BranchKind::Cond, false, 50, false));
+        assert_eq!(loaded.sites, buf.sites);
+        assert_eq!(replay(&loaded, &mut ()).unwrap(), 4);
     }
 
     #[test]
     fn truncated_buffer_is_reported() {
+        // The dynamic target word of an indirect jump is cut off.
         let mut cap = Capture::new();
-        cap.branch(&branch(10, BranchKind::Cond, true, 50, false));
-        let buf = cap.into_buf();
-        let cut = TraceBuf::from_parts(buf.as_bytes()[..buf.byte_len() - 2].to_vec(), 1);
-        let err = replay(&cut, &mut ()).unwrap_err();
-        assert_eq!(err.reason, "truncated record");
+        cap.branch(&branch(10, BranchKind::UncondIndirect, true, 50, false));
+        let mut buf = cap.into_buf();
+        buf.words.pop();
+        let err = replay(&buf, &mut ()).unwrap_err();
+        assert_eq!(err.reason, "truncated dynamic word");
         assert!(err.to_string().contains("corrupt trace"));
+        // Same for a return's `to`.
+        let mut cap = Capture::new();
+        cap.ret(Addr(10), Addr(20));
+        let mut buf = cap.into_buf();
+        buf.words.pop();
+        assert_eq!(
+            replay(&buf, &mut ()).unwrap_err().reason,
+            "truncated dynamic word"
+        );
     }
 
     #[test]
-    fn unknown_tag_is_reported() {
-        let bad = TraceBuf::from_parts(vec![0xee], 1);
-        assert_eq!(
-            replay(&bad, &mut ()).unwrap_err().reason,
-            "unknown event tag"
-        );
+    fn site_index_out_of_range_is_reported() {
+        let mut cap = Capture::new();
+        cap.call(Addr(1), FuncId(0));
+        let mut buf = cap.into_buf();
+        buf.words[0] = 1 << 1;
+        let err = replay(&buf, &mut ()).unwrap_err();
+        assert_eq!(err.reason, "site index out of range");
+        assert_eq!(err.offset, 0);
     }
 
     #[test]
     fn event_count_mismatch_is_reported() {
         let mut cap = Capture::new();
         cap.call(Addr(1), FuncId(0));
+        cap.ret(Addr(2), Addr(3));
         let buf = cap.into_buf();
-        let lied = TraceBuf::from_parts(buf.as_bytes().to_vec(), 2);
-        assert_eq!(
-            replay(&lied, &mut ()).unwrap_err().reason,
-            "event count mismatch"
-        );
+        for lied in [1, 3] {
+            let bad = TraceBuf {
+                events: lied,
+                ..buf.clone()
+            };
+            assert_eq!(
+                replay(&bad, &mut ()).unwrap_err().reason,
+                "event count mismatch",
+                "recorded count {lied}"
+            );
+        }
     }
 }

@@ -121,6 +121,9 @@ for b in cold["benches"]:
     assert b["stats_match"] is True, b["name"]
 assert warm["stats_match"] is True
 assert warm["trace"]["disk_hits"] >= 1, ("no disk-cache hit on warm run", warm["trace"])
+# Every benchmark must load: a rejected entry would re-capture silently.
+assert warm["trace"]["disk_invalid"] == 0, ("warm run rejected a cache entry", warm["trace"])
+assert warm["trace"]["captures"] == 0, ("warm run re-captured a trace", warm["trace"])
 phases = {p["name"] for p in cold["phases"]}
 assert {"trace_capture", "trace_replay"} <= phases, phases
 print(f"replay smoke OK: {cold['trace']['events_replayed']} events replayed, "
