@@ -13,15 +13,13 @@
 //! `--trace-out FILE` drops the run's capture/replay/scoring phase
 //! timing as Chrome trace-event JSON (open at ui.perfetto.dev).
 use branchlab::experiments::ablation::{self, StudySpec};
-use branchlab::experiments::{SweepStats, TraceStats};
 use branchlab::workloads::benchmark;
+use branchlab_bench::{sweep_phase_spans, trace_phase_spans};
 
 fn main() {
     let options = branchlab_bench::Options::from_args();
     let cfg = &options.config;
     let spec = StudySpec::default();
-    let trace_before = TraceStats::snapshot();
-    let sweep_before = SweepStats::snapshot();
     let mut failed = 0u32;
     let mut benches = Vec::new();
     for name in ["compress", "cccp"] {
@@ -52,11 +50,11 @@ fn main() {
         let groups = vec![
             (
                 "ablation: trace capture/replay".to_string(),
-                TraceStats::snapshot().since(&trace_before).phase_spans(),
+                trace_phase_spans(&cfg.metrics),
             ),
             (
                 "ablation: sweep scoring".to_string(),
-                SweepStats::snapshot().since(&sweep_before).phase_spans(),
+                sweep_phase_spans(&cfg.metrics),
             ),
         ];
         let chrome = branchlab::telemetry::phases_chrome_trace("ablation", &groups);

@@ -43,16 +43,40 @@
 //! (Own argument parser: this binary needs `--out`/`--benches`, which
 //! the shared suite `Options` intentionally does not know about.)
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use branchlab::experiments::ablation::{full_study, StudySpec};
 use branchlab::experiments::trace_replay::captured_runs;
 use branchlab::experiments::{
-    ExperimentConfig, ExperimentError, LaneStats, SweepBatch, SweepStats, Table, TraceStats,
+    ExperimentConfig, ExperimentError, SweepBatch, Table, LANE_COUNTERS, SWEEP_COUNTERS,
+    TRACE_COUNTERS,
 };
 use branchlab::predict::{BranchPredictor, Cbtb, CbtbConfig};
-use branchlab::telemetry::JsonValue;
+use branchlab::telemetry::{JsonValue, MetricsRegistry, PhaseSpan};
 use branchlab::workloads::{benchmark, Scale};
+use branchlab_bench::{counters_json, sweep_phase_spans, trace_phase_spans};
+
+/// `cfg`, counting into a fresh registry of its own, so one measured
+/// run's counters can be read apart from the rest.
+fn counted(cfg: &ExperimentConfig) -> ExperimentConfig {
+    ExperimentConfig {
+        metrics: Arc::new(MetricsRegistry::new()),
+        ..cfg.clone()
+    }
+}
+
+/// Add `from`'s values of the counters `names` into `into` (one
+/// benchmark's run rolled up into its phase total).
+fn add_counters(into: &MetricsRegistry, from: &MetricsRegistry, names: &[&str]) {
+    for name in names {
+        into.counter(name).add(from.counter(name).get());
+    }
+}
+
+fn spans_json(spans: &[PhaseSpan]) -> JsonValue {
+    JsonValue::Arr(spans.iter().map(PhaseSpan::to_json_value).collect())
+}
 
 /// The ablation binary's study set, reproduced point for point.
 fn study_set(
@@ -198,7 +222,7 @@ fn lanes_phase(args: &Args) -> bool {
     let mut total_scalar = 0.0f64;
     let mut total_lane = 0.0f64;
     let mut all_match = true;
-    let run_started = LaneStats::snapshot();
+    let lanes = MetricsRegistry::new();
 
     for name in &args.benches {
         let bench =
@@ -219,15 +243,15 @@ fn lanes_phase(args: &Args) -> bool {
             .unwrap_or_else(|e| panic!("{name}: scalar sweep failed: {e}"));
         let scalar_s = started.elapsed().as_secs_f64();
 
-        let before = LaneStats::snapshot();
+        let bench_cfg = counted(&lane_cfg);
         let started = Instant::now();
-        let mut batch = SweepBatch::new(bench, &lane_cfg);
+        let mut batch = SweepBatch::new(bench, &bench_cfg);
         let lt = batch.eval(build());
         let laned = batch
             .run()
             .unwrap_or_else(|e| panic!("{name}: lane sweep failed: {e}"));
         let lane_s = started.elapsed().as_secs_f64();
-        let delta = LaneStats::snapshot().since(&before);
+        add_counters(&lanes, &bench_cfg.metrics, &LANE_COUNTERS);
 
         let stats_match = laned.stats(lt) == scalar.stats(st);
         all_match &= stats_match;
@@ -251,11 +275,10 @@ fn lanes_phase(args: &Args) -> bool {
             ("lane_s", lane_s.into()),
             ("speedup", speedup.into()),
             ("stats_match", stats_match.into()),
-            ("lanes", delta.to_json_value()),
+            ("lanes", counters_json(&bench_cfg.metrics, &LANE_COUNTERS)),
         ]));
     }
 
-    let lanes = LaneStats::snapshot().since(&run_started);
     let speedup = if total_lane > 0.0 {
         total_scalar / total_lane
     } else {
@@ -281,7 +304,7 @@ fn lanes_phase(args: &Args) -> bool {
         ("lane_s", total_lane.into()),
         ("speedup", speedup.into()),
         ("benches", JsonValue::Arr(per_bench)),
-        ("lanes", lanes.to_json_value()),
+        ("lanes", counters_json(&lanes, &LANE_COUNTERS)),
     ]);
     std::fs::write(&args.lanes_out, report.to_json_pretty() + "\n")
         .unwrap_or_else(|e| panic!("writing {} failed: {e}", args.lanes_out.display()));
@@ -296,9 +319,9 @@ fn lanes_phase(args: &Args) -> bool {
 
 /// Phase two: serial-vs-parallel sweep scoring on warm traces, written
 /// to `--sweep-out`. Returns whether every parallel table matched its
-/// serial twin, plus the phase's sweep-counter delta (for the
-/// `--trace-out` export).
-fn sweep_parallel_phase(args: &Args) -> (bool, SweepStats) {
+/// serial twin, plus the phase's sweep counters (for the `--trace-out`
+/// export).
+fn sweep_parallel_phase(args: &Args) -> (bool, MetricsRegistry) {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -319,7 +342,7 @@ fn sweep_parallel_phase(args: &Args) -> (bool, SweepStats) {
     let mut total_serial = 0.0f64;
     let mut total_parallel = 0.0f64;
     let mut all_match = true;
-    let run_started = SweepStats::snapshot();
+    let sweep = MetricsRegistry::new();
 
     for name in &args.benches {
         let bench =
@@ -332,12 +355,13 @@ fn sweep_parallel_phase(args: &Args) -> (bool, SweepStats) {
             .unwrap_or_else(|e| panic!("{name}: serial sweep failed: {e}"));
         let serial_s = started.elapsed().as_secs_f64();
 
-        let before = SweepStats::snapshot();
+        let bench_cfg = counted(&parallel_cfg);
         let started = Instant::now();
-        let parallel = study_set(bench, &parallel_cfg)
+        let parallel = study_set(bench, &bench_cfg)
             .unwrap_or_else(|e| panic!("{name}: parallel sweep failed: {e}"));
         let parallel_s = started.elapsed().as_secs_f64();
-        let delta = SweepStats::snapshot().since(&before);
+        add_counters(&sweep, &bench_cfg.metrics, &SWEEP_COUNTERS);
+        let count = |name| bench_cfg.metrics.counter(name).get();
 
         let tables_match = tables_csv(&serial) == tables_csv(&parallel);
         all_match &= tables_match;
@@ -351,7 +375,8 @@ fn sweep_parallel_phase(args: &Args) -> (bool, SweepStats) {
         eprintln!(
             "{name}: serial sweep {serial_s:.2}s, {threads}-thread sweep {parallel_s:.2}s \
              ({speedup:.1}x, {} points in {} batches, match: {tables_match})",
-            delta.points, delta.batches,
+            count("suite.sweep.parallel.points"),
+            count("suite.sweep.parallel.batches"),
         );
 
         per_bench.push(JsonValue::obj(vec![
@@ -360,11 +385,10 @@ fn sweep_parallel_phase(args: &Args) -> (bool, SweepStats) {
             ("parallel_s", parallel_s.into()),
             ("speedup", speedup.into()),
             ("tables_match", tables_match.into()),
-            ("sweep", delta.to_json_value()),
+            ("sweep", counters_json(&bench_cfg.metrics, &SWEEP_COUNTERS)),
         ]));
     }
 
-    let sweep = SweepStats::snapshot().since(&run_started);
     let speedup = if total_parallel > 0.0 {
         total_serial / total_parallel
     } else {
@@ -384,17 +408,8 @@ fn sweep_parallel_phase(args: &Args) -> (bool, SweepStats) {
         ("parallel_s", total_parallel.into()),
         ("speedup", speedup.into()),
         ("benches", JsonValue::Arr(per_bench)),
-        ("sweep", sweep.to_json_value()),
-        (
-            "phases",
-            JsonValue::Arr(
-                sweep
-                    .phase_spans()
-                    .iter()
-                    .map(branchlab::telemetry::PhaseSpan::to_json_value)
-                    .collect(),
-            ),
-        ),
+        ("sweep", counters_json(&sweep, &SWEEP_COUNTERS)),
+        ("phases", spans_json(&sweep_phase_spans(&sweep))),
     ]);
     std::fs::write(&args.sweep_out, report.to_json_pretty() + "\n")
         .unwrap_or_else(|e| panic!("writing {} failed: {e}", args.sweep_out.display()));
@@ -419,7 +434,7 @@ fn main() {
     let mut total_reinterpret = 0.0f64;
     let mut total_replay = 0.0f64;
     let mut all_match = true;
-    let run_started = TraceStats::snapshot();
+    let trace = MetricsRegistry::new();
 
     for name in &args.benches {
         let bench =
@@ -435,12 +450,13 @@ fn main() {
             .unwrap_or_else(|e| panic!("{name}: re-interpretation baseline failed: {e}"));
         let reinterpret_s = started.elapsed().as_secs_f64();
 
-        let before = TraceStats::snapshot();
+        let bench_cfg = counted(&args.config);
         let started = Instant::now();
-        let replayed = study_set(bench, &args.config)
+        let replayed = study_set(bench, &bench_cfg)
             .unwrap_or_else(|e| panic!("{name}: replay run failed: {e}"));
         let replay_s = started.elapsed().as_secs_f64();
-        let delta = TraceStats::snapshot().since(&before);
+        add_counters(&trace, &bench_cfg.metrics, &TRACE_COUNTERS);
+        let count = |name| bench_cfg.metrics.counter(name).get();
 
         let stats_match = tables_csv(&baseline) == tables_csv(&replayed);
         all_match &= stats_match;
@@ -454,7 +470,8 @@ fn main() {
         eprintln!(
             "{name}: reinterpret {reinterpret_s:.2}s, capture+replay {replay_s:.2}s \
              ({speedup:.1}x, {} events captured, {} replayed, match: {stats_match})",
-            delta.events_captured, delta.events_replayed,
+            count("suite.trace.events_captured"),
+            count("suite.trace.events_replayed"),
         );
 
         per_bench.push(JsonValue::obj(vec![
@@ -463,11 +480,10 @@ fn main() {
             ("replay_s", replay_s.into()),
             ("speedup", speedup.into()),
             ("stats_match", stats_match.into()),
-            ("trace", delta.to_json_value()),
+            ("trace", counters_json(&bench_cfg.metrics, &TRACE_COUNTERS)),
         ]));
     }
 
-    let trace = TraceStats::snapshot().since(&run_started);
     let speedup = if total_replay > 0.0 {
         total_reinterpret / total_replay
     } else {
@@ -490,17 +506,8 @@ fn main() {
         ("replay_s", total_replay.into()),
         ("speedup", speedup.into()),
         ("benches", JsonValue::Arr(per_bench)),
-        ("trace", trace.to_json_value()),
-        (
-            "phases",
-            JsonValue::Arr(
-                trace
-                    .phase_spans()
-                    .iter()
-                    .map(branchlab::telemetry::PhaseSpan::to_json_value)
-                    .collect(),
-            ),
-        ),
+        ("trace", counters_json(&trace, &TRACE_COUNTERS)),
+        ("phases", spans_json(&trace_phase_spans(&trace))),
     ]);
     std::fs::write(&args.out, report.to_json_pretty() + "\n")
         .unwrap_or_else(|e| panic!("writing {} failed: {e}", args.out.display()));
@@ -515,8 +522,14 @@ fn main() {
         // Phase spans carry durations, not wall timestamps, so the
         // exporter lays each group out sequentially on its own row.
         let groups = vec![
-            ("replay: trace replay".to_string(), trace.phase_spans()),
-            ("replay: parallel sweep".to_string(), sweep.phase_spans()),
+            (
+                "replay: trace replay".to_string(),
+                trace_phase_spans(&trace),
+            ),
+            (
+                "replay: parallel sweep".to_string(),
+                sweep_phase_spans(&sweep),
+            ),
         ];
         let chrome = branchlab::telemetry::phases_chrome_trace("replay_bench", &groups);
         std::fs::write(path, chrome.to_json_pretty())

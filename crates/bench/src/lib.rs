@@ -20,8 +20,8 @@
 //! * `--no-trace-replay` — re-interpret every sweep point instead of
 //!   replaying captured traces (the slow baseline)
 //! * `--sweep-threads N` — score sweep points on N worker threads
-//!   (default: `BRANCHLAB_SWEEP_THREADS`, else the machine's available
-//!   parallelism); results are bit-identical at any thread count
+//!   (default: the machine's available parallelism); results are
+//!   bit-identical at any thread count
 //! * `--trace-out FILE` — write the run's per-benchmark phase
 //!   timelines as Chrome trace-event JSON (open in Perfetto or
 //!   `chrome://tracing`); off by default, so benchmark numbers are
@@ -34,10 +34,11 @@ use std::time::Duration;
 
 use branchlab::experiments::{
     run_suite_supervised, BenchResult, ExperimentConfig, SuiteResult, SupervisorConfig, Table,
+    LANE_COUNTERS, SWEEP_COUNTERS, TRACE_COUNTERS,
 };
 use branchlab::predict::PredStats;
 use branchlab::telemetry::manifest::BenchmarkRecord;
-use branchlab::telemetry::{JsonValue, MetricsRegistry, RunManifest};
+use branchlab::telemetry::{JsonValue, MetricsRegistry, PhaseSpan, RunManifest};
 use branchlab::workloads::Scale;
 
 pub mod timing;
@@ -270,7 +271,8 @@ pub fn artifact_main(tool: &str, emit: impl FnOnce(&Options, &SuiteResult)) {
         eprintln!("telemetry manifest written to {}", path.display());
     }
     if let Some(path) = &options.trace_out {
-        std::fs::write(path, suite_chrome_trace(tool, &suite).to_json_pretty())
+        let chrome = suite_chrome_trace(tool, &suite, &options.config.metrics);
+        std::fs::write(path, chrome.to_json_pretty())
             .unwrap_or_else(|e| panic!("writing Chrome trace to {} failed: {e}", path.display()));
         eprintln!("Chrome trace written to {}", path.display());
     }
@@ -286,24 +288,95 @@ pub fn artifact_main(tool: &str, emit: impl FnOnce(&Options, &SuiteResult)) {
 
 /// Render a suite run as a Chrome trace-event document: one process
 /// row per benchmark (its compile/profile/evaluate phase timeline)
-/// plus rows for the process-wide trace-replay and parallel-sweep
-/// counters. Openable in Perfetto / `chrome://tracing`.
+/// plus rows for the run's trace-replay and parallel-sweep phases,
+/// from the counters in `registry`. Openable in Perfetto /
+/// `chrome://tracing`.
 #[must_use]
-pub fn suite_chrome_trace(tool: &str, suite: &SuiteResult) -> JsonValue {
-    let mut groups: Vec<(String, Vec<branchlab::telemetry::PhaseSpan>)> = suite
+pub fn suite_chrome_trace(
+    tool: &str,
+    suite: &SuiteResult,
+    registry: &MetricsRegistry,
+) -> JsonValue {
+    let mut groups: Vec<(String, Vec<PhaseSpan>)> = suite
         .benches
         .iter()
         .map(|b| (b.name.to_string(), b.phases.clone()))
         .collect();
-    let trace_spans = branchlab::experiments::TraceStats::snapshot().phase_spans();
-    if !trace_spans.is_empty() {
-        groups.push(("suite: trace replay".to_string(), trace_spans));
-    }
-    let sweep_spans = branchlab::experiments::SweepStats::snapshot().phase_spans();
-    if !sweep_spans.is_empty() {
-        groups.push(("suite: parallel sweep".to_string(), sweep_spans));
-    }
+    groups.push((
+        "suite: trace replay".to_string(),
+        trace_phase_spans(registry),
+    ));
+    groups.push((
+        "suite: parallel sweep".to_string(),
+        sweep_phase_spans(registry),
+    ));
     branchlab::telemetry::phases_chrome_trace(tool, &groups)
+}
+
+/// The values of the counters `names` in `registry`, as a JSON object
+/// keyed by each name's last dotted segment
+/// (`suite.trace.captures` → `captures`).
+#[must_use]
+pub fn counters_json(registry: &MetricsRegistry, names: &[&str]) -> JsonValue {
+    JsonValue::Obj(
+        names
+            .iter()
+            .map(|name| {
+                let key = name.rsplit('.').next().unwrap_or(name);
+                (key.to_string(), registry.counter(name).get().into())
+            })
+            .collect(),
+    )
+}
+
+fn counter_span(registry: &MetricsRegistry, name: &str, wall_us: &str, work: &str) -> PhaseSpan {
+    PhaseSpan {
+        name: name.to_string(),
+        wall: Duration::from_micros(registry.counter(wall_us).get()),
+        work: registry.counter(work).get(),
+    }
+}
+
+/// The run's `trace_capture` (work = events captured) and
+/// `trace_replay` (work = events replayed) phases, from its
+/// `suite.trace.*` wall-clock counters.
+#[must_use]
+pub fn trace_phase_spans(registry: &MetricsRegistry) -> Vec<PhaseSpan> {
+    vec![
+        counter_span(
+            registry,
+            "trace_capture",
+            "suite.trace.capture_us",
+            "suite.trace.events_captured",
+        ),
+        counter_span(
+            registry,
+            "trace_replay",
+            "suite.trace.replay_us",
+            "suite.trace.events_replayed",
+        ),
+    ]
+}
+
+/// The run's `sweep_score` (aggregate worker time, work = points
+/// scored) and `sweep_merge` (plan-order merge time, work = batches
+/// merged) phases, from its `suite.sweep.parallel.*` counters.
+#[must_use]
+pub fn sweep_phase_spans(registry: &MetricsRegistry) -> Vec<PhaseSpan> {
+    vec![
+        counter_span(
+            registry,
+            "sweep_score",
+            "suite.sweep.parallel.busy_us",
+            "suite.sweep.parallel.points",
+        ),
+        counter_span(
+            registry,
+            "sweep_merge",
+            "suite.sweep.parallel.merge_us",
+            "suite.sweep.parallel.batches",
+        ),
+    ]
 }
 
 /// Prediction scoring as a JSON object for the manifest.
@@ -369,16 +442,12 @@ pub fn write_telemetry(
     }
     manifest.set_config("max_attempts", u64::from(options.supervisor.max_attempts));
 
-    let registry = MetricsRegistry::new();
+    let registry = &cfg.metrics;
     for (name, value) in suite.supervisor.counters() {
         registry.counter(&format!("suite.{name}")).add(value);
     }
-    let trace = branchlab::experiments::TraceStats::snapshot();
-    trace.export(&registry);
-    manifest.set_section("trace", trace.to_json_value());
-    let sweep = branchlab::experiments::SweepStats::snapshot();
-    sweep.export(&registry);
-    let mut sweep_json = sweep.to_json_value();
+    manifest.set_section("trace", counters_json(registry, &TRACE_COUNTERS));
+    let mut sweep_json = counters_json(registry, &SWEEP_COUNTERS);
     if let JsonValue::Obj(fields) = &mut sweep_json {
         fields.push((
             "configured_threads".to_string(),
@@ -386,14 +455,12 @@ pub fn write_telemetry(
         ));
     }
     manifest.set_section("sweep_parallel", sweep_json);
-    for span in sweep.phase_spans() {
+    for span in sweep_phase_spans(registry) {
         registry
             .counter(&format!("suite.sweep.parallel.phase.{}.wall_us", span.name))
             .add(span.wall.as_micros().min(u128::from(u64::MAX)) as u64);
     }
-    let lanes = branchlab::experiments::LaneStats::snapshot();
-    lanes.export(&registry);
-    manifest.set_section("sweep_lanes", lanes.to_json_value());
+    manifest.set_section("sweep_lanes", counters_json(registry, &LANE_COUNTERS));
     manifest.set_section(
         "supervisor",
         JsonValue::Obj(
@@ -431,7 +498,7 @@ pub fn write_telemetry(
     }
     for b in &suite.benches {
         manifest.push_benchmark(bench_record(b));
-        b.stats.export(&registry, &format!("bench.{}.exec", b.name));
+        b.stats.export(registry, &format!("bench.{}.exec", b.name));
         for (scheme, stats) in [("sbtb", &b.sbtb), ("cbtb", &b.cbtb), ("fs", &b.fs)] {
             let prefix = format!("bench.{}.{scheme}", b.name);
             registry
@@ -560,7 +627,7 @@ mod tests {
         let o = Options::parse(Vec::new());
         assert!(
             o.config.sweep_threads.is_none(),
-            "default defers to env/cores"
+            "default defers to the core count"
         );
         let o = Options::parse(["--sweep-threads", "6"].map(String::from));
         assert_eq!(o.config.sweep_threads, Some(6));
@@ -592,6 +659,80 @@ mod tests {
             o.trace_out.as_deref(),
             Some(std::path::Path::new("/tmp/run.trace.json"))
         );
+    }
+
+    #[test]
+    fn counters_json_keys_by_last_segment() {
+        let reg = MetricsRegistry::new();
+        reg.counter("suite.trace.captures").add(3);
+        let json = counters_json(&reg, &TRACE_COUNTERS);
+        assert_eq!(json.get("captures").and_then(JsonValue::as_int), Some(3));
+        assert_eq!(
+            json.get("profile_hits").and_then(JsonValue::as_int),
+            Some(0)
+        );
+        let JsonValue::Obj(fields) = json else {
+            panic!("not an object")
+        };
+        assert_eq!(fields.len(), TRACE_COUNTERS.len());
+    }
+
+    #[test]
+    fn phase_spans_come_from_the_run_counters() {
+        let reg = MetricsRegistry::new();
+        reg.counter("suite.trace.replay_us").add(15);
+        reg.counter("suite.trace.events_replayed").add(40);
+        reg.counter("suite.sweep.parallel.points").add(72);
+        reg.counter("suite.sweep.parallel.merge_us").add(10);
+        let trace = trace_phase_spans(&reg);
+        assert_eq!(trace[0].name, "trace_capture");
+        assert_eq!(trace[1].name, "trace_replay");
+        assert_eq!(trace[1].wall, Duration::from_micros(15));
+        assert_eq!(trace[1].work, 40);
+        let sweep = sweep_phase_spans(&reg);
+        assert_eq!(sweep[0].name, "sweep_score");
+        assert_eq!(sweep[0].work, 72);
+        assert_eq!(sweep[1].name, "sweep_merge");
+        assert_eq!(sweep[1].wall, Duration::from_micros(10));
+    }
+
+    #[test]
+    fn write_telemetry_reports_the_run_registry() {
+        let options = Options::parse(["--scale", "test", "--sweep-threads", "3"].map(String::from));
+        options
+            .config
+            .metrics
+            .counter("suite.trace.captures")
+            .add(2);
+        options
+            .config
+            .metrics
+            .counter("suite.sweep.lane.families")
+            .add(5);
+        let dir = std::env::temp_dir().join(format!("branchlab-telemetry-{}", std::process::id()));
+        let suite = SuiteResult::from_benches(Vec::new());
+        let path = write_telemetry("test", &options, &suite, &dir).unwrap();
+        let manifest =
+            branchlab::telemetry::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let section = |name: &str, key: &str| {
+            manifest
+                .get(name)
+                .and_then(|s| s.get(key))
+                .and_then(JsonValue::as_int)
+        };
+        assert_eq!(section("trace", "captures"), Some(2));
+        assert_eq!(section("sweep_lanes", "families"), Some(5));
+        assert_eq!(section("sweep_parallel", "sweeps"), Some(0));
+        assert_eq!(section("sweep_parallel", "configured_threads"), Some(3));
+        let jsonl = std::fs::read_to_string(dir.join("metrics.jsonl")).unwrap();
+        for name in TRACE_COUNTERS
+            .iter()
+            .chain(&SWEEP_COUNTERS)
+            .chain(&LANE_COUNTERS)
+        {
+            assert!(jsonl.contains(&format!("\"{name}\"")), "{name} missing");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

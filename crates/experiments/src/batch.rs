@@ -59,9 +59,38 @@ use branchlab_trace::{BlockIter, BranchEvent, CallRet, ExecHooks, TraceBuf};
 use branchlab_workloads::Benchmark;
 
 use crate::harness::{eval_predictors_live, ExperimentConfig, ExperimentError};
-use crate::lane_stats::{note_lanes, LaneStats};
-use crate::sweep_stats::{note_sweep, SweepStats};
-use crate::trace_replay::{captured_runs, note_replay, replay_runs_traced};
+use crate::trace_replay::{captured_runs, micros_since, note_replay, replay_runs_traced};
+
+/// The `suite.sweep.parallel.*` counters the parallel executor bumps in
+/// [`ExperimentConfig::metrics`] on every parallel scoring pass, in
+/// export order: passes run, workers spawned, sweep points and work
+/// batches scored, batches claimed beyond each worker's first (the
+/// dynamic load-balancing traffic), total worker busy time (summed
+/// across concurrent workers, so it can exceed elapsed time) and the
+/// plan-order merge time.
+pub const SWEEP_COUNTERS: [&str; 7] = [
+    "suite.sweep.parallel.sweeps",
+    "suite.sweep.parallel.workers",
+    "suite.sweep.parallel.points",
+    "suite.sweep.parallel.batches",
+    "suite.sweep.parallel.stolen_batches",
+    "suite.sweep.parallel.busy_us",
+    "suite.sweep.parallel.merge_us",
+];
+
+/// The `suite.sweep.lane.*` counters the lane planner bumps in
+/// [`ExperimentConfig::metrics`] once per replay pass, in export
+/// order: passes planned, lane families packed, sweep points scored
+/// as lanes, points left on the scalar path, and branch events walked
+/// by lane kernels (once per family, not once per lane — that
+/// amortization *is* the speedup).
+pub const LANE_COUNTERS: [&str; 5] = [
+    "suite.sweep.lane.passes",
+    "suite.sweep.lane.families",
+    "suite.sweep.lane.lanes",
+    "suite.sweep.lane.scalar_points",
+    "suite.sweep.lane.events",
+];
 
 /// Handle to one enqueued predictor group (one study's sweep points);
 /// redeem with [`SweepResults::stats`].
@@ -191,16 +220,23 @@ impl<'a> SweepBatch<'a> {
         let group_sizes: Vec<usize> = self.groups.iter().map(Vec::len).collect();
         let points: Vec<Box<dyn BranchPredictor>> = self.groups.into_iter().flatten().collect();
         let n_points = points.len();
+        let metrics = &self.config.metrics;
         let (scalars, mut families) = if self.config.use_lane_scoring {
             let (scalars, families) = plan_lanes(points);
-            note_lanes(&LaneStats {
-                passes: 1,
-                families: families.len() as u64,
-                lanes: families.iter().map(|f| f.indices.len() as u64).sum(),
-                scalar_points: scalars.len() as u64,
-                // Every family walks the complete stream exactly once.
-                events: families.len() as u64 * runs.iter().map(TraceBuf::events).sum::<u64>(),
-            });
+            metrics.counter("suite.sweep.lane.passes").inc();
+            metrics
+                .counter("suite.sweep.lane.families")
+                .add(families.len() as u64);
+            metrics
+                .counter("suite.sweep.lane.lanes")
+                .add(families.iter().map(|f| f.indices.len() as u64).sum());
+            metrics
+                .counter("suite.sweep.lane.scalar_points")
+                .add(scalars.len() as u64);
+            // Every family walks the complete stream exactly once.
+            metrics
+                .counter("suite.sweep.lane.events")
+                .add(families.len() as u64 * runs.iter().map(TraceBuf::events).sum::<u64>());
             (scalars, families)
         } else {
             (points.into_iter().enumerate().collect(), Vec::new())
@@ -213,11 +249,11 @@ impl<'a> SweepBatch<'a> {
         let work_items = evals.len() + families.len() + usize::from(!ras.is_empty());
         if threads > 1 && work_items > 1 {
             (evals, families, ras) = score_parallel(
+                self.config,
                 &runs,
                 evals,
                 families,
                 ras,
-                n_points,
                 threads,
                 trace.as_ref(),
             )?;
@@ -234,8 +270,10 @@ impl<'a> SweepBatch<'a> {
                 block: Vec::with_capacity(EVENT_BLOCK),
             };
             let link = span.as_ref().map(branchlab_telemetry::SpanHandle::link);
-            replay_runs_traced(&runs, &mut sink, link.as_ref())?;
+            let started = Instant::now();
+            let events = replay_runs_traced(&runs, &mut sink, link.as_ref())?;
             sink.drain_block();
+            note_replay(self.config, events, started);
         }
         // Merge scalar and lane results back by flattened plan index,
         // so the regrouped tables are independent of how the planner
@@ -476,6 +514,7 @@ enum DoneItem {
 /// complete event stream in capture order, so its statistics are
 /// independent of which worker runs it and when.
 fn score_item(
+    config: &ExperimentConfig,
     runs: &[TraceBuf],
     item: WorkItem,
     trace: Option<&SpanLink>,
@@ -535,10 +574,7 @@ fn score_item(
     if let Some(s) = span.as_mut() {
         s.add_work(iter.delivered());
     }
-    note_replay(
-        iter.delivered(),
-        started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-    );
+    note_replay(config, iter.delivered(), started);
     Ok(done)
 }
 
@@ -553,15 +589,16 @@ fn score_item(
 /// as-is — thread parallelism multiplies lane parallelism.
 #[allow(clippy::type_complexity)]
 fn score_parallel(
+    config: &ExperimentConfig,
     runs: &[TraceBuf],
     evals: BoxedEvals,
     families: Vec<LaneFamilyWork>,
     ras: Vec<ReturnAddressStack>,
-    total_points: usize,
     threads: usize,
     trace: Option<&SpanLink>,
 ) -> Result<(BoxedEvals, Vec<LaneFamilyWork>, Vec<ReturnAddressStack>), ExperimentError> {
     let n_scalar = evals.len();
+    let total_points = n_scalar + families.iter().map(|f| f.indices.len()).sum::<usize>();
     let chunk = n_scalar.div_ceil(threads * 3).max(1);
     let mut queue: Vec<WorkItem> = Vec::new();
     if !ras.is_empty() {
@@ -584,8 +621,7 @@ fn score_parallel(
     let queue = Mutex::new(queue);
     let done: Mutex<Vec<DoneItem>> = Mutex::new(Vec::new());
     let first_error: Mutex<Option<ExperimentError>> = Mutex::new(None);
-    let stolen = std::sync::atomic::AtomicU64::new(0);
-    let busy_us = std::sync::atomic::AtomicU64::new(0);
+    let metrics = &config.metrics;
 
     std::thread::scope(|s| {
         for _ in 0..workers {
@@ -599,7 +635,7 @@ fn score_parallel(
                     let item = queue.lock().ok().and_then(|mut q| q.pop());
                     let Some(item) = item else { break };
                     claims += 1;
-                    match score_item(runs, item, trace) {
+                    match score_item(config, runs, item, trace) {
                         Ok(result) => {
                             if let Ok(mut d) = done.lock() {
                                 d.push(result);
@@ -613,14 +649,12 @@ fn score_parallel(
                         }
                     }
                 }
-                stolen.fetch_add(
-                    claims.saturating_sub(1),
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-                busy_us.fetch_add(
-                    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
+                metrics
+                    .counter("suite.sweep.parallel.stolen_batches")
+                    .add(claims.saturating_sub(1));
+                metrics
+                    .counter("suite.sweep.parallel.busy_us")
+                    .add(micros_since(started));
             });
         }
     });
@@ -659,18 +693,19 @@ fn score_parallel(
         .map(|e| e.expect("every scored work item was merged"))
         .collect();
 
-    note_sweep(&SweepStats {
-        sweeps: 1,
-        workers: workers as u64,
-        points: total_points as u64,
-        batches: n_batches,
-        stolen_batches: stolen.into_inner(),
-        busy_us: busy_us.into_inner(),
-        merge_us: merge_started
-            .elapsed()
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64,
-    });
+    metrics.counter("suite.sweep.parallel.sweeps").inc();
+    metrics
+        .counter("suite.sweep.parallel.workers")
+        .add(workers as u64);
+    metrics
+        .counter("suite.sweep.parallel.points")
+        .add(total_points as u64);
+    metrics
+        .counter("suite.sweep.parallel.batches")
+        .add(n_batches);
+    metrics
+        .counter("suite.sweep.parallel.merge_us")
+        .add(micros_since(merge_started));
     Ok((out_evals, out_families, out_ras))
 }
 
@@ -734,7 +769,6 @@ mod tests {
                 sweep_threads: Some(threads),
                 ..ExperimentConfig::test()
             };
-            let before = SweepStats::snapshot();
             let (batch, pa, pb, pr) = plan(bench, &cfg);
             let parallel = batch.run().unwrap();
             assert_eq!(parallel.stats(pa), serial.stats(sa), "threads={threads}");
@@ -744,10 +778,23 @@ mod tests {
             for (p, s) in par.iter().zip(ser) {
                 assert_eq!((p.returns, p.correct), (s.returns, s.correct));
             }
-            let delta = SweepStats::snapshot().since(&before);
-            assert_eq!(delta.sweeps, 1, "threads={threads}");
-            assert_eq!(delta.points, 4, "threads={threads}");
-            assert!(delta.batches >= 2, "threads={threads} {delta:?}");
+            // The plan is fixed: the two Cbtbs pack into one lane
+            // family, and the Sbtb and AlwaysTaken stay scalar in
+            // one-point chunks, so the queue holds the RAS set, the
+            // family and two scalar chunks.
+            let count = |name| cfg.metrics.counter(name).get();
+            assert_eq!(count("suite.sweep.parallel.sweeps"), 1, "threads={threads}");
+            assert_eq!(count("suite.sweep.parallel.points"), 4, "threads={threads}");
+            assert_eq!(
+                count("suite.sweep.parallel.batches"),
+                4,
+                "threads={threads}"
+            );
+            assert_eq!(
+                count("suite.sweep.parallel.workers"),
+                threads.min(4) as u64,
+                "threads={threads}"
+            );
         }
     }
 
@@ -858,25 +905,28 @@ mod tests {
         let (batch, sa, sb) = lane_plan(bench, &scalar_cfg);
         let scalar = batch.run().unwrap();
         // Serial path here (the parallel × lanes cross product runs in
-        // tests/replay_fidelity.rs, in its own process); counters are
-        // process-wide, so assertions are monotonic-safe `>=`.
+        // tests/replay_fidelity.rs).
         let cfg = ExperimentConfig {
             sweep_threads: Some(1),
             ..ExperimentConfig::test()
         };
-        let before = LaneStats::snapshot();
         let (batch, la, lb) = lane_plan(bench, &cfg);
         let laned = batch.run().unwrap();
         assert_eq!(laned.stats(la), scalar.stats(sa));
         assert_eq!(laned.stats(lb), scalar.stats(sb));
-        let delta = LaneStats::snapshot().since(&before);
-        assert!(delta.passes >= 1);
+        let count = |name| cfg.metrics.counter(name).get();
+        let events: u64 = captured_runs(bench, &cfg)
+            .unwrap()
+            .iter()
+            .map(TraceBuf::events)
+            .sum();
+        assert_eq!(count("suite.sweep.lane.passes"), 1);
         // One CBTB family (3 paper-geometry lanes), one gshare pair,
         // one local pair; the Sbtb and the 7-bit counter stay scalar.
-        assert!(delta.families >= 3, "{delta:?}");
-        assert!(delta.lanes >= 7, "{delta:?}");
-        assert!(delta.scalar_points >= 2, "{delta:?}");
-        assert!(delta.events > 0, "{delta:?}");
+        assert_eq!(count("suite.sweep.lane.families"), 3);
+        assert_eq!(count("suite.sweep.lane.lanes"), 7);
+        assert_eq!(count("suite.sweep.lane.scalar_points"), 2);
+        assert_eq!(count("suite.sweep.lane.events"), 3 * events);
     }
 
     #[test]

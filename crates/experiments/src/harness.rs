@@ -8,6 +8,8 @@
 //! the SBTB/CBTB additionally tally per-branch-site hit/miss/evict/
 //! alias/mispredict counters through a [`SiteProbe`].
 
+use std::sync::Arc;
+
 use branchlab_fsem::{code_expansion, fs_program, ExpansionPoint, FsConfig};
 use branchlab_interp::{run, ErrorClass, ExecConfig, ExecError, ExecStats};
 use branchlab_ir::{lower, LowerError, Program};
@@ -17,7 +19,7 @@ use branchlab_predict::{
     LikelyBit, PredStats, Sbtb,
 };
 use branchlab_profile::{profile_module_with, Profile, ProfileError};
-use branchlab_telemetry::{PhaseSpan, SiteProbe, Timeline};
+use branchlab_telemetry::{MetricsRegistry, PhaseSpan, SiteProbe, Timeline};
 use branchlab_trace::{BranchEvent, BranchMix, ExecHooks};
 use branchlab_workloads::{Benchmark, Scale};
 
@@ -86,9 +88,8 @@ pub struct ExperimentConfig {
     /// [`SweepBatch`]: crate::batch::SweepBatch
     pub sweep_per_point: bool,
     /// Worker threads for parallel sweep scoring in [`SweepBatch`]-driven
-    /// studies (`--sweep-threads N`). `None` consults the
-    /// `BRANCHLAB_SWEEP_THREADS` environment variable, then falls back
-    /// to `available_parallelism`; an explicit value may exceed the core
+    /// studies (`--sweep-threads N`). `None` uses
+    /// `available_parallelism`; an explicit value may exceed the core
     /// count (useful for scheduling experiments). Results are
     /// bit-identical at every thread count — each sweep point consumes
     /// the complete event stream in capture order regardless of which
@@ -103,6 +104,13 @@ pub struct ExperimentConfig {
     /// so turning it off only serves as the scalar baseline for
     /// `replay_bench`'s lane phase.
     pub use_lane_scoring: bool,
+    /// The run's registry: trace capture/replay, parallel-sweep and
+    /// lane-planner counters (`suite.trace.*`, `suite.sweep.parallel.*`,
+    /// `suite.sweep.lane.*`) accumulate here. Clones share it, so a
+    /// run and every config derived from it count into one place; a
+    /// default config gets a fresh, empty registry. It records what
+    /// the run did and never changes what it does.
+    pub metrics: Arc<MetricsRegistry>,
 }
 
 impl Default for ExperimentConfig {
@@ -124,6 +132,7 @@ impl Default for ExperimentConfig {
             sweep_per_point: false,
             sweep_threads: None,
             use_lane_scoring: true,
+            metrics: Arc::new(MetricsRegistry::new()),
         }
     }
 }
@@ -139,19 +148,12 @@ impl ExperimentConfig {
     }
 
     /// The effective sweep worker count: [`ExperimentConfig::sweep_threads`]
-    /// if set, else the `BRANCHLAB_SWEEP_THREADS` environment variable,
-    /// else `available_parallelism`. Always at least 1. Only the
+    /// if set, else `available_parallelism`. Always at least 1. Only the
     /// automatic fallback is capped by the machine's core count; an
     /// explicit request is honored as given.
     #[must_use]
     pub fn resolved_sweep_threads(&self) -> usize {
         if let Some(n) = self.sweep_threads {
-            return n.max(1);
-        }
-        if let Some(n) = std::env::var("BRANCHLAB_SWEEP_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
             return n.max(1);
         }
         std::thread::available_parallelism()
@@ -615,7 +617,9 @@ pub fn eval_predictors(
     let mut many = Many {
         evals: predictors.into_iter().map(Evaluator::new).collect(),
     };
-    crate::trace_replay::replay_runs(&runs, &mut many)?;
+    let started = std::time::Instant::now();
+    let events = crate::trace_replay::replay_runs(&runs, &mut many)?;
+    crate::trace_replay::note_replay(config, events, started);
     Ok(many.evals.into_iter().map(|e| e.stats).collect())
 }
 
@@ -718,6 +722,42 @@ mod tests {
         assert!((s - 1.0).abs() < 1e-12);
         assert_eq!(mean_std(&[]), (0.0, 0.0));
         assert_eq!(mean_std(&[5.0]), (5.0, 0.0));
+    }
+
+    #[test]
+    fn config_clones_share_one_registry_and_defaults_get_fresh_ones() {
+        let run = ExperimentConfig::test();
+        let derived = ExperimentConfig {
+            seed: 7,
+            ..run.clone()
+        };
+        derived.metrics.counter("suite.trace.replays").inc();
+        assert_eq!(run.metrics.counter("suite.trace.replays").get(), 1);
+        let other = ExperimentConfig::test();
+        assert_eq!(other.metrics.counter("suite.trace.replays").get(), 0);
+    }
+
+    #[test]
+    fn eval_predictors_counts_its_replay_in_the_run_registry() {
+        let bench = benchmark("wc").unwrap();
+        let cfg = ExperimentConfig::test();
+        eval_predictors(bench, &cfg, vec![Box::new(Sbtb::paper())]).unwrap();
+        let events: u64 = crate::trace_replay::captured_runs(bench, &cfg)
+            .unwrap()
+            .iter()
+            .map(branchlab_trace::TraceBuf::events)
+            .sum();
+        let count = |name| cfg.metrics.counter(name).get();
+        assert_eq!(count("suite.trace.replays"), 1);
+        assert_eq!(count("suite.trace.events_replayed"), events);
+
+        // The live path replays nothing.
+        let live = ExperimentConfig {
+            use_trace_replay: false,
+            ..ExperimentConfig::test()
+        };
+        eval_predictors(bench, &live, vec![Box::new(Sbtb::paper())]).unwrap();
+        assert_eq!(live.metrics.counter("suite.trace.replays").get(), 0);
     }
 
     #[test]

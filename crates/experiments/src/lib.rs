@@ -45,24 +45,20 @@ pub mod checkpoint;
 pub mod fault;
 pub mod figures;
 mod harness;
-mod lane_stats;
 mod render;
 pub mod supervisor;
-mod sweep_stats;
 pub mod tables;
 pub mod trace_replay;
 
-pub use batch::{PredTicket, RasTicket, SweepBatch, SweepResults};
+pub use batch::{PredTicket, RasTicket, SweepBatch, SweepResults, LANE_COUNTERS, SWEEP_COUNTERS};
 pub use branchlab_interp::ErrorClass;
 pub use fault::{FaultConfig, FaultInjector};
 pub use harness::{
     eval_predictors, eval_predictors_live, mean_std, run_benchmark, run_benchmark_attempt,
     run_suite, BenchResult, ExperimentConfig, ExperimentError, SuiteResult, PHASES,
 };
-pub use lane_stats::LaneStats;
 pub use render::{f2, mcount, pct, rho, Align, Table};
 pub use supervisor::{
     run_suite_supervised, supervise, AttemptFn, BenchFailure, SupervisorConfig, SupervisorStats,
 };
-pub use sweep_stats::SweepStats;
-pub use trace_replay::TraceStats;
+pub use trace_replay::TRACE_COUNTERS;

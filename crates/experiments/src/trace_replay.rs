@@ -18,20 +18,17 @@
 //!   run by run, exactly as the live interpreter would have.
 //! * [`cached_profile`]: the profiling pass, computed once per key and
 //!   shared by the studies that need branch-site statistics.
-//! * [`TraceStats`]: process-wide counters (`suite.trace.*` in the
-//!   metrics registry) recording cache traffic and capture/replay
-//!   wall-clock, from which the bench binaries synthesize `Timeline`
-//!   spans.
+//! * [`TRACE_COUNTERS`]: the `suite.trace.*` counters recording cache
+//!   traffic and capture/replay wall-clock in the run's registry
+//!   ([`ExperimentConfig::metrics`]).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use branchlab_interp::run;
 use branchlab_ir::lower;
 use branchlab_profile::{profile_module_with, Profile};
-use branchlab_telemetry::{JsonValue, MetricsRegistry, PhaseSpan};
 use branchlab_trace::{
     hash_bytes, load_trace, replay_traced, save_trace, Capture, ExecHooks, TraceBuf, TraceKey,
 };
@@ -75,106 +72,30 @@ fn profile_map() -> &'static ProfileMap {
     MAP.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-macro_rules! counters {
-    ($($name:ident),* $(,)?) => {
-        // Cell names intentionally mirror the snake_case field/metric
-        // names they back.
-        #[allow(non_upper_case_globals)]
-        mod counter_cells {
-            use super::AtomicU64;
-            $(pub static $name: AtomicU64 = AtomicU64::new(0);)*
-        }
+/// The `suite.trace.*` counters that [`captured_runs`],
+/// [`cached_profile`] and the sweep paths bump in
+/// [`ExperimentConfig::metrics`], in export order.
+pub const TRACE_COUNTERS: [&str; 11] = [
+    "suite.trace.captures",
+    "suite.trace.memory_hits",
+    "suite.trace.disk_hits",
+    "suite.trace.disk_invalid",
+    "suite.trace.replays",
+    "suite.trace.events_captured",
+    "suite.trace.events_replayed",
+    "suite.trace.capture_us",
+    "suite.trace.replay_us",
+    "suite.trace.profile_computes",
+    "suite.trace.profile_hits",
+];
 
-        /// A snapshot of the process-wide trace-engine counters.
-        #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-        #[allow(missing_docs)] // field names mirror the metric names below
-        pub struct TraceStats {
-            $(pub $name: u64,)*
-        }
-
-        impl TraceStats {
-            /// Current counter values.
-            #[must_use]
-            pub fn snapshot() -> TraceStats {
-                TraceStats {
-                    $($name: counter_cells::$name.load(Ordering::Relaxed),)*
-                }
-            }
-
-            /// The counters as `(name, value)` pairs, for metrics
-            /// export under a `suite.trace.` prefix.
-            #[must_use]
-            pub fn counters(&self) -> Vec<(&'static str, u64)> {
-                vec![$((stringify!($name), self.$name),)*]
-            }
-
-            /// Counter deltas since `earlier` (per-phase accounting
-            /// for one sweep or one bench run).
-            #[must_use]
-            pub fn since(&self, earlier: &TraceStats) -> TraceStats {
-                TraceStats {
-                    $($name: self.$name.saturating_sub(earlier.$name),)*
-                }
-            }
-        }
-    };
+fn bump(config: &ExperimentConfig, name: &str, by: u64) {
+    config.metrics.counter(name).add(by);
 }
 
-counters!(
-    captures,
-    memory_hits,
-    disk_hits,
-    disk_invalid,
-    replays,
-    events_captured,
-    events_replayed,
-    capture_us,
-    replay_us,
-    profile_computes,
-    profile_hits,
-);
-
-fn bump(cell: &AtomicU64, by: u64) {
-    cell.fetch_add(by, Ordering::Relaxed);
-}
-
-impl TraceStats {
-    /// Export every counter as `suite.trace.<name>` into a metrics
-    /// registry.
-    pub fn export(&self, registry: &MetricsRegistry) {
-        for (name, value) in self.counters() {
-            registry.counter(&format!("suite.trace.{name}")).add(value);
-        }
-    }
-
-    /// JSON object form for run manifests.
-    #[must_use]
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::Obj(
-            self.counters()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), JsonValue::from(v)))
-                .collect(),
-        )
-    }
-
-    /// Synthesize `Timeline`-style capture/replay spans from the
-    /// accumulated wall-clock counters.
-    #[must_use]
-    pub fn phase_spans(&self) -> Vec<PhaseSpan> {
-        vec![
-            PhaseSpan {
-                name: "trace_capture".to_string(),
-                wall: std::time::Duration::from_micros(self.capture_us),
-                work: self.events_captured,
-            },
-            PhaseSpan {
-                name: "trace_replay".to_string(),
-                wall: std::time::Duration::from_micros(self.replay_us),
-                work: self.events_replayed,
-            },
-        ]
-    }
+/// Wall-clock since `started`, in whole microseconds.
+pub(crate) fn micros_since(started: Instant) -> u64 {
+    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// Drop every in-memory cached trace and profile (tests use this to
@@ -201,12 +122,9 @@ fn capture(bench: &Benchmark, config: &ExperimentConfig) -> Result<Vec<TraceBuf>
         events += buf.events();
         bufs.push(buf);
     }
-    bump(&counter_cells::captures, 1);
-    bump(&counter_cells::events_captured, events);
-    bump(
-        &counter_cells::capture_us,
-        started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-    );
+    bump(config, "suite.trace.captures", 1);
+    bump(config, "suite.trace.events_captured", events);
+    bump(config, "suite.trace.capture_us", micros_since(started));
     Ok(bufs)
 }
 
@@ -228,7 +146,7 @@ pub fn captured_runs(
 ) -> Result<Arc<Vec<TraceBuf>>, ExperimentError> {
     let key = trace_key(bench, config);
     if let Some(hit) = trace_map().lock().expect("trace cache lock").get(&key) {
-        bump(&counter_cells::memory_hits, 1);
+        bump(config, "suite.trace.memory_hits", 1);
         return Ok(Arc::clone(hit));
     }
 
@@ -239,7 +157,7 @@ pub fn captured_runs(
     if let Some(path) = &disk_path {
         match load_trace(path, &key) {
             Ok(Some(runs)) => {
-                bump(&counter_cells::disk_hits, 1);
+                bump(config, "suite.trace.disk_hits", 1);
                 let runs = Arc::new(runs);
                 trace_map()
                     .lock()
@@ -248,7 +166,7 @@ pub fn captured_runs(
                 return Ok(runs);
             }
             Ok(None) => {}
-            Err(_) => bump(&counter_cells::disk_invalid, 1),
+            Err(_) => bump(config, "suite.trace.disk_invalid", 1),
         }
     }
 
@@ -266,6 +184,9 @@ pub fn captured_runs(
 /// Replay every run's buffer into `hooks`, in run order, with no state
 /// reset between runs — exactly the event sequence the live
 /// interpreter would have delivered. Returns the total event count.
+/// Counts nothing: [`eval_predictors`](crate::eval_predictors) and
+/// [`SweepBatch`](crate::SweepBatch) credit their replays to the run's
+/// registry.
 ///
 /// # Errors
 /// Returns [`ExperimentError::Trace`] on a malformed buffer (impossible
@@ -286,30 +207,20 @@ pub fn replay_runs_traced<H: ExecHooks>(
     hooks: &mut H,
     parent: Option<&branchlab_telemetry::SpanLink>,
 ) -> Result<u64, ExperimentError> {
-    let started = Instant::now();
     let mut events = 0u64;
     for buf in runs {
         events +=
             replay_traced(buf, hooks, parent).map_err(|e| ExperimentError::Trace(e.to_string()))?;
     }
-    bump(&counter_cells::replays, 1);
-    bump(&counter_cells::events_replayed, events);
-    bump(
-        &counter_cells::replay_us,
-        started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-    );
     Ok(events)
 }
 
-/// Credit the trace counters for a replay pass performed outside
-/// [`replay_runs`] — the parallel sweep executor decodes the shared
-/// buffers itself (one streaming decode per work batch) and reports
-/// its decode traffic here so `suite.trace.*` stays an honest account
-/// of replay work.
-pub(crate) fn note_replay(events: u64, wall_us: u64) {
-    bump(&counter_cells::replays, 1);
-    bump(&counter_cells::events_replayed, events);
-    bump(&counter_cells::replay_us, wall_us);
+/// Credit one replay pass of `events` events, begun at `started`, to
+/// the run's `suite.trace.*` counters.
+pub(crate) fn note_replay(config: &ExperimentConfig, events: u64, started: Instant) {
+    bump(config, "suite.trace.replays", 1);
+    bump(config, "suite.trace.events_replayed", events);
+    bump(config, "suite.trace.replay_us", micros_since(started));
 }
 
 /// The benchmark's profiling pass (instrumented layout), computed once
@@ -325,7 +236,7 @@ pub fn cached_profile(
 ) -> Result<Arc<Profile>, ExperimentError> {
     let key = trace_key(bench, config);
     if let Some(hit) = profile_map().lock().expect("profile cache lock").get(&key) {
-        bump(&counter_cells::profile_hits, 1);
+        bump(config, "suite.trace.profile_hits", 1);
         return Ok(Arc::clone(hit));
     }
     let module = bench.compile()?;
@@ -334,7 +245,7 @@ pub fn cached_profile(
         &bench.runs(config.scale, config.seed),
         &config.exec_config(),
     )?);
-    bump(&counter_cells::profile_computes, 1);
+    bump(config, "suite.trace.profile_computes", 1);
     profile_map()
         .lock()
         .expect("profile cache lock")
@@ -355,14 +266,29 @@ mod tests {
             ..ExperimentConfig::test()
         };
         let bench = benchmark("wc").unwrap();
-        let before = TraceStats::snapshot();
         let first = captured_runs(bench, &config).unwrap();
         let second = captured_runs(bench, &config).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
-        let delta = TraceStats::snapshot().since(&before);
-        assert_eq!(delta.captures, 1, "{delta:?}");
-        assert!(delta.memory_hits >= 1, "{delta:?}");
-        assert!(delta.events_captured > 0);
+        let count = |name| config.metrics.counter(name).get();
+        assert_eq!(count("suite.trace.captures"), 1);
+        assert_eq!(count("suite.trace.memory_hits"), 1);
+        let events: u64 = first.iter().map(TraceBuf::events).sum();
+        assert_eq!(count("suite.trace.events_captured"), events);
+    }
+
+    #[test]
+    fn cached_profile_computes_once_per_key() {
+        let config = ExperimentConfig {
+            seed: 0xBEEF02, // private key: avoid cross-test interference
+            ..ExperimentConfig::test()
+        };
+        let bench = benchmark("wc").unwrap();
+        let first = cached_profile(bench, &config).unwrap();
+        let second = cached_profile(bench, &config).unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        let count = |name| config.metrics.counter(name).get();
+        assert_eq!(count("suite.trace.profile_computes"), 1);
+        assert_eq!(count("suite.trace.profile_hits"), 1);
     }
 
     #[test]
@@ -391,27 +317,5 @@ mod tests {
             ..ExperimentConfig::test()
         };
         assert_ne!(wc, trace_key(benchmark("wc").unwrap(), &other_seed));
-    }
-
-    #[test]
-    fn stats_snapshot_since_and_json_are_consistent() {
-        let a = TraceStats {
-            captures: 2,
-            replay_us: 10,
-            ..TraceStats::default()
-        };
-        let b = TraceStats {
-            captures: 5,
-            replay_us: 25,
-            ..TraceStats::default()
-        };
-        let d = b.since(&a);
-        assert_eq!(d.captures, 3);
-        assert_eq!(d.replay_us, 15);
-        let json = d.to_json_value();
-        assert_eq!(json.get("captures").and_then(JsonValue::as_int), Some(3));
-        let spans = d.phase_spans();
-        assert_eq!(spans[1].name, "trace_replay");
-        assert_eq!(spans[1].wall, std::time::Duration::from_micros(15));
     }
 }

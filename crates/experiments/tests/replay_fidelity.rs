@@ -10,16 +10,14 @@
 use std::collections::BTreeSet;
 
 use branchlab_experiments::trace_replay::{captured_runs, clear_cache, replay_runs};
-use branchlab_experiments::{
-    eval_predictors, eval_predictors_live, ExperimentConfig, LaneStats, SweepBatch, TraceStats,
-};
+use branchlab_experiments::{eval_predictors, eval_predictors_live, ExperimentConfig, SweepBatch};
 use branchlab_interp::{run, ExecConfig};
 use branchlab_ir::lower;
 use branchlab_predict::{
     AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, BranchPredictor, Cbtb, CbtbConfig,
     Gshare, LikelyBit, LocalHistory, Sbtb,
 };
-use branchlab_trace::{hash_bytes, BranchEvent, BranchMix, ExecHooks};
+use branchlab_trace::{hash_bytes, BranchEvent, BranchMix, ExecHooks, TraceBuf};
 use branchlab_workloads::{all_benchmarks, benchmark};
 
 /// The fidelity predictor set: both hardware schemes plus the static
@@ -91,7 +89,11 @@ fn lane_sweep() -> Vec<Box<dyn BranchPredictor>> {
 
 #[test]
 fn lane_scoring_is_bit_identical_to_scalar_for_every_benchmark() {
-    let before = LaneStats::snapshot();
+    // Every lane-planned config below derives from `laned_base`, so
+    // they all count into its registry.
+    let laned_base = ExperimentConfig::test();
+    let mut passes = 0u64;
+    let mut events = 0u64;
     for bench in all_benchmarks() {
         let scalar_cfg = ExperimentConfig {
             use_lane_scoring: false,
@@ -109,7 +111,7 @@ fn lane_scoring_is_bit_identical_to_scalar_for_every_benchmark() {
         for threads in [1usize, 3] {
             let cfg = ExperimentConfig {
                 sweep_threads: Some(threads),
-                ..ExperimentConfig::test()
+                ..laned_base.clone()
             };
             let mut batch = SweepBatch::new(bench, &cfg);
             let lt = batch.eval(lane_sweep());
@@ -122,16 +124,21 @@ fn lane_scoring_is_bit_identical_to_scalar_for_every_benchmark() {
                 "{}: lane-scored PredStats differ from scalar (threads={threads})",
                 bench.name
             );
+            passes += 1;
         }
+        let runs = captured_runs(bench, &laned_base).expect("capture");
+        events += runs.iter().map(TraceBuf::events).sum::<u64>();
     }
-    let delta = LaneStats::snapshot().since(&before);
+    let count = |name| laned_base.metrics.counter(name).get();
     // Per pass: the paper-geometry counter family (10 lanes), the
     // 64-entry pair is split by geometry (ways 1 vs 4 → scalar), one
     // gshare pair, one local pair.
-    assert!(delta.families >= 3, "{delta:?}");
-    assert!(delta.lanes >= 14, "{delta:?}");
-    assert!(delta.scalar_points >= 4, "{delta:?}");
-    assert!(delta.events > 0, "{delta:?}");
+    assert_eq!(count("suite.sweep.lane.passes"), passes);
+    assert_eq!(count("suite.sweep.lane.families"), 3 * passes);
+    assert_eq!(count("suite.sweep.lane.lanes"), 14 * passes);
+    assert_eq!(count("suite.sweep.lane.scalar_points"), 4 * passes);
+    // Each benchmark is laned twice (1 and 3 threads), 3 families each.
+    assert_eq!(count("suite.sweep.lane.events"), 2 * 3 * events);
 }
 
 #[test]
@@ -231,14 +238,33 @@ fn corrupt_and_stale_disk_cache_entries_degrade_to_recapture() {
         std::env::temp_dir().join(format!("branchlab-replay-fidelity-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create cache dir");
     let bench = benchmark("wc").expect("wc in suite");
-    let cfg = ExperimentConfig {
+    // A private seed gives this test a trace key no concurrent test
+    // captures, so only its own steps fill or read the memory cache.
+    // Each step gets a fresh config, and so a fresh registry, so its
+    // counts are that step's alone.
+    let cfg = || ExperimentConfig {
+        seed: 0xD15C,
         trace_cache_dir: Some(dir.clone()),
         ..ExperimentConfig::test()
+    };
+    let counts = |cfg: &ExperimentConfig| {
+        let count = |name| cfg.metrics.counter(name).get();
+        (
+            count("suite.trace.disk_hits"),
+            count("suite.trace.disk_invalid"),
+            count("suite.trace.captures"),
+        )
     };
 
     // First evaluation captures live and populates the disk cache.
     clear_cache();
-    let reference = eval_predictors(bench, &cfg, preds()).expect("populate cache");
+    let step = cfg();
+    let reference = eval_predictors(bench, &step, preds()).expect("populate cache");
+    assert_eq!(
+        counts(&step),
+        (0, 0, 1),
+        "(disk_hits, disk_invalid, captures)"
+    );
     let cached: Vec<_> = std::fs::read_dir(&dir)
         .expect("read cache dir")
         .map(|e| e.expect("dir entry").path())
@@ -248,11 +274,10 @@ fn corrupt_and_stale_disk_cache_entries_degrade_to_recapture() {
 
     // A warm disk cache loads cleanly after the in-memory cache drops.
     clear_cache();
-    let before = TraceStats::snapshot();
-    let warm = eval_predictors(bench, &cfg, preds()).expect("disk cache load");
-    let delta = TraceStats::snapshot().since(&before);
+    let step = cfg();
+    let warm = eval_predictors(bench, &step, preds()).expect("disk cache load");
     assert_eq!(warm, reference);
-    assert!(delta.disk_hits >= 1, "expected a disk-cache hit: {delta:?}");
+    assert_eq!(counts(&step), (1, 0, 0), "expected a disk-cache hit");
 
     // Corrupt every cached file (flip payload bytes → checksum fails):
     // the engine must fall back to re-capture and still be identical.
@@ -260,15 +285,10 @@ fn corrupt_and_stale_disk_cache_entries_degrade_to_recapture() {
         std::fs::write(path, b"not a trace file").expect("corrupt cache file");
     }
     clear_cache();
-    let before = TraceStats::snapshot();
-    let after_corrupt = eval_predictors(bench, &cfg, preds()).expect("recapture after corruption");
-    let delta = TraceStats::snapshot().since(&before);
+    let step = cfg();
+    let after_corrupt = eval_predictors(bench, &step, preds()).expect("recapture after corruption");
     assert_eq!(after_corrupt, reference);
-    assert!(
-        delta.disk_invalid >= 1,
-        "corrupt entry not detected: {delta:?}"
-    );
-    assert!(delta.captures >= 1, "no re-capture happened: {delta:?}");
+    assert_eq!(counts(&step), (0, 1, 1), "corrupt entry not re-captured");
 
     // Stale entry: valid container written under a *different* key
     // (digest mismatch) — here simulated by truncating to a plausible
@@ -278,11 +298,10 @@ fn corrupt_and_stale_disk_cache_entries_degrade_to_recapture() {
         std::fs::write(path, &bytes[..bytes.len() / 2]).expect("truncate cache file");
     }
     clear_cache();
-    let before = TraceStats::snapshot();
-    let after_stale = eval_predictors(bench, &cfg, preds()).expect("recapture after staleness");
-    let delta = TraceStats::snapshot().since(&before);
+    let step = cfg();
+    let after_stale = eval_predictors(bench, &step, preds()).expect("recapture after staleness");
     assert_eq!(after_stale, reference);
-    assert!(delta.captures >= 1, "no re-capture happened: {delta:?}");
+    assert_eq!(counts(&step), (0, 1, 1), "stale entry not re-captured");
 
     // An entry in the old varint layout (`BLTRACE1`), intact and written
     // for the right key, is an invalid entry too: no second decoder.
@@ -298,15 +317,10 @@ fn corrupt_and_stale_disk_cache_entries_degrade_to_recapture() {
         std::fs::write(path, &old).expect("write BLTRACE1 entry");
     }
     clear_cache();
-    let before = TraceStats::snapshot();
-    let after_old = eval_predictors(bench, &cfg, preds()).expect("recapture after BLTRACE1");
-    let delta = TraceStats::snapshot().since(&before);
+    let step = cfg();
+    let after_old = eval_predictors(bench, &step, preds()).expect("recapture after BLTRACE1");
     assert_eq!(after_old, reference);
-    assert!(
-        delta.disk_invalid >= 1,
-        "BLTRACE1 entry not rejected: {delta:?}"
-    );
-    assert!(delta.captures >= 1, "no re-capture happened: {delta:?}");
+    assert_eq!(counts(&step), (0, 1, 1), "BLTRACE1 entry not rejected");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,7 +9,7 @@
 //! statistic.
 
 use branchlab_experiments::ablation::{full_study, StudySpec};
-use branchlab_experiments::{ExperimentConfig, SweepStats};
+use branchlab_experiments::ExperimentConfig;
 use branchlab_workloads::{Scale, SUITE};
 
 fn config(threads: usize) -> ExperimentConfig {
@@ -39,25 +39,43 @@ fn tables_are_byte_identical_across_thread_counts() {
         .unwrap_or(1)
         .max(4)
         + 3;
-    let before = SweepStats::snapshot();
+    // One config (and so one registry) per parallel thread count.
+    let parallel = [config(2), config(many)];
     for bench in SUITE {
         let serial = rendered(&full_study(bench, &config(1), &spec).unwrap());
-        for threads in [2, many] {
-            let parallel = rendered(&full_study(bench, &config(threads), &spec).unwrap());
+        for cfg in &parallel {
             assert_eq!(
-                parallel, serial,
-                "{} diverged at sweep_threads={threads}",
-                bench.name
+                rendered(&full_study(bench, cfg, &spec).unwrap()),
+                serial,
+                "{} diverged at sweep_threads={:?}",
+                bench.name,
+                cfg.sweep_threads
             );
         }
     }
-    let delta = SweepStats::snapshot().since(&before);
-    // Two parallel passes per suite benchmark actually took the
-    // parallel path and scored every predictor point there.
-    assert_eq!(delta.sweeps, 2 * SUITE.len() as u64, "{delta:?}");
-    assert!(
-        delta.points > 0 && delta.batches >= delta.sweeps,
-        "{delta:?}"
-    );
-    assert!(delta.workers >= 2 * delta.sweeps, "{delta:?}");
+    for cfg in &parallel {
+        let count = |name| cfg.metrics.counter(name).get();
+        let threads = cfg.resolved_sweep_threads() as u64;
+        // One parallel pass per suite benchmark, each scoring every
+        // planned point on the parallel path.
+        let sweeps = SUITE.len() as u64;
+        assert_eq!(count("suite.sweep.parallel.sweeps"), sweeps);
+        assert_eq!(count("suite.sweep.lane.passes"), sweeps);
+        assert_eq!(
+            count("suite.sweep.parallel.points"),
+            count("suite.sweep.lane.lanes") + count("suite.sweep.lane.scalar_points")
+        );
+        // Every benchmark plans the same points, so each pass queues
+        // the RAS set, its lane families and its scalar points in
+        // chunks of ceil(scalars / 3·threads).
+        let families = count("suite.sweep.lane.families") / sweeps;
+        let scalars = count("suite.sweep.lane.scalar_points") / sweeps;
+        let chunk = scalars.div_ceil(threads * 3).max(1);
+        let batches = 1 + families + scalars.div_ceil(chunk);
+        assert_eq!(count("suite.sweep.parallel.batches"), sweeps * batches);
+        assert_eq!(
+            count("suite.sweep.parallel.workers"),
+            sweeps * threads.min(batches)
+        );
+    }
 }

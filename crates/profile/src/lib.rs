@@ -386,7 +386,7 @@ mod tests {
         // Entry block of main runs exactly once.
         assert_eq!(w[0][0], 1);
         // Some block (the loop body) runs 10 times.
-        assert!(w[0].iter().any(|&x| x == 10), "{w:?}");
+        assert!(w[0].contains(&10), "{w:?}");
     }
 
     #[test]
@@ -439,8 +439,8 @@ mod tests {
         let m = compile(src).unwrap();
         let run_a = vec![b"hello".to_vec()];
         let run_b = vec![b"world!".to_vec()];
-        let mut separate = profile_module(&m, &[run_a.clone()]).unwrap();
-        separate.merge(&profile_module(&m, &[run_b.clone()]).unwrap());
+        let mut separate = profile_module(&m, std::slice::from_ref(&run_a)).unwrap();
+        separate.merge(&profile_module(&m, std::slice::from_ref(&run_b)).unwrap());
         let joint = profile_module(&m, &[run_a, run_b]).unwrap();
         let sum = |p: &Profile| -> (u64, u64) {
             p.sites

@@ -94,8 +94,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use branchlab_experiments::trace_replay::{captured_runs, TraceStats};
-use branchlab_experiments::{ExperimentConfig, LaneStats, SweepStats};
+use branchlab_experiments::trace_replay::captured_runs;
+use branchlab_experiments::ExperimentConfig;
 use branchlab_telemetry::{
     FlightRecorder, JsonValue, MetricsRegistry, SpanHandle, SpanLink, TraceContext, TraceId,
 };
@@ -326,7 +326,10 @@ impl Server {
                 .unwrap_or(false);
         }
 
+        // One registry holds the daemon's own metrics and every
+        // sweep's trace/sweep/lane counters: `/metrics` renders it as is.
         let registry = Arc::new(MetricsRegistry::new());
+        config.experiment.metrics = Arc::clone(&registry);
         let metrics = ServerMetrics::new(registry);
         let pool = WorkerPool::new(
             config.workers,
@@ -1147,20 +1150,9 @@ fn scale_field(state: &Arc<State>) -> JsonValue {
     branchlab_experiments::trace_replay::scale_name(state.config.experiment.scale).into()
 }
 
-/// `GET /metrics`: the server registry merged with a fresh export of
-/// the process-wide trace/sweep counters, as Prometheus text.
-///
-/// The trace and sweep stats are cumulative process counters, so they
-/// are exported into a throwaway registry each scrape instead of being
-/// re-added to the long-lived one (which would double-count).
+/// `GET /metrics`: the server registry as Prometheus text.
 fn render_metrics(state: &Arc<State>) -> String {
-    let scratch = MetricsRegistry::new();
-    TraceStats::snapshot().export(&scratch);
-    SweepStats::snapshot().export(&scratch);
-    LaneStats::snapshot().export(&scratch);
-    let mut snap = state.metrics.registry.snapshot();
-    snap.merge(&scratch.snapshot());
-    snap.to_prometheus()
+    state.metrics.registry.snapshot().to_prometheus()
 }
 
 /// Convenience: run one request against a batch directly, bypassing

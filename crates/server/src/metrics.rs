@@ -1,11 +1,12 @@
 //! The daemon's metric handles, registered once in a
 //! [`MetricsRegistry`] and shared across connection handlers and pool
-//! workers. `GET /metrics` renders the registry (merged with the
-//! process-wide `suite.trace.*` / `suite.sweep.parallel.*` counters
-//! from `crates/experiments`) as Prometheus exposition text.
+//! workers. The daemon's experiment config counts its sweeps'
+//! `suite.trace.*` / `suite.sweep.*` counters into the same registry,
+//! and `GET /metrics` renders it as Prometheus exposition text.
 
 use std::sync::Arc;
 
+use branchlab_experiments::{LANE_COUNTERS, SWEEP_COUNTERS, TRACE_COUNTERS};
 use branchlab_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
 /// Latency histogram upper bounds in microseconds, from 100µs to 10s.
@@ -84,9 +85,18 @@ pub struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    /// Register every server metric in `registry`.
+    /// Register every server metric in `registry`, plus the sweep
+    /// engine's counters so `/metrics` lists them before the first
+    /// sweep.
     #[must_use]
     pub fn new(registry: Arc<MetricsRegistry>) -> Self {
+        for name in TRACE_COUNTERS
+            .iter()
+            .chain(&SWEEP_COUNTERS)
+            .chain(&LANE_COUNTERS)
+        {
+            let _ = registry.counter(name);
+        }
         ServerMetrics {
             requests: registry.counter("server.requests"),
             sweep_requests: registry.counter("server.sweep.requests"),
@@ -128,6 +138,29 @@ impl ServerMetrics {
             200..=299 => self.responses_2xx.inc(),
             400..=499 => self.responses_4xx.inc(),
             _ => self.responses_5xx.inc(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_sweep_counter_is_exposed_before_the_first_sweep() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let metrics = ServerMetrics::new(Arc::clone(&registry));
+        let text = metrics.registry.snapshot().to_prometheus();
+        for name in TRACE_COUNTERS
+            .iter()
+            .chain(&SWEEP_COUNTERS)
+            .chain(&LANE_COUNTERS)
+        {
+            let prom = branchlab_telemetry::prometheus_name(name);
+            assert!(
+                text.contains(&format!("\n{prom} 0\n")),
+                "{prom} missing:\n{text}"
+            );
         }
     }
 }

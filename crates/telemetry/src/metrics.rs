@@ -4,8 +4,7 @@
 //! relaxed atomic RMW per increment and never takes the registry lock;
 //! the lock is only held while registering a metric or taking a
 //! [`Snapshot`]. Snapshots render to fixed-width text, JSON lines, and
-//! Prometheus exposition text, and merge across runs (counters and
-//! histograms add, gauges keep the merged-in value).
+//! Prometheus exposition text.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -267,54 +266,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Merge another snapshot into this one: counters and histogram
-    /// buckets add; a merged-in gauge replaces the existing value;
-    /// unknown names are appended (keeping the sorted order).
-    ///
-    /// # Panics
-    /// Panics if a name exists in both snapshots with different kinds,
-    /// or as histograms with different bounds.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for sample in &other.samples {
-            match self.samples.binary_search_by(|s| s.name.cmp(&sample.name)) {
-                Err(at) => self.samples.insert(at, sample.clone()),
-                Ok(at) => {
-                    let mine = &mut self.samples[at].value;
-                    match (mine, &sample.value) {
-                        (SampleValue::Counter(a), SampleValue::Counter(b)) => *a += b,
-                        (SampleValue::Gauge(a), SampleValue::Gauge(b)) => *a = *b,
-                        (
-                            SampleValue::Histogram {
-                                bounds,
-                                buckets,
-                                sum,
-                                count,
-                            },
-                            SampleValue::Histogram {
-                                bounds: ob,
-                                buckets: obk,
-                                sum: os,
-                                count: oc,
-                            },
-                        ) => {
-                            assert_eq!(
-                                bounds, ob,
-                                "histogram `{}` merged with different bounds",
-                                sample.name
-                            );
-                            for (b, o) in buckets.iter_mut().zip(obk) {
-                                *b += o;
-                            }
-                            *sum += os;
-                            *count += oc;
-                        }
-                        _ => panic!("metric `{}` merged across kinds", sample.name),
-                    }
-                }
-            }
-        }
-    }
-
     /// Fixed-width `name value` text.
     #[must_use]
     pub fn to_text(&self) -> String {
@@ -727,45 +678,6 @@ mod tests {
         let empty = MetricsRegistry::new();
         let _ = empty.histogram("lat", &[10]);
         assert!(empty.snapshot().histogram_quantile("lat", 0.5).is_none());
-    }
-
-    #[test]
-    fn merge_adds_counters_and_histograms_replaces_gauges() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c").add(3);
-        reg.gauge("g").set(1);
-        reg.histogram("h", &[5]).observe(2);
-        let mut a = reg.snapshot();
-        reg.counter("c").add(4);
-        reg.gauge("g").set(9);
-        reg.histogram("h", &[5]).observe(100);
-        reg.counter("only_b").add(1);
-        let b = reg.snapshot();
-        a.merge(&b);
-        let get = |name: &str| {
-            a.samples
-                .iter()
-                .find(|s| s.name == name)
-                .map(|s| s.value.clone())
-                .unwrap()
-        };
-        assert_eq!(get("c"), SampleValue::Counter(3 + 7));
-        assert_eq!(get("g"), SampleValue::Gauge(9));
-        assert_eq!(get("only_b"), SampleValue::Counter(1));
-        match get("h") {
-            SampleValue::Histogram {
-                buckets,
-                count,
-                sum,
-                ..
-            } => {
-                assert_eq!(buckets, vec![2, 1]);
-                assert_eq!(count, 3);
-                assert_eq!(sum, 104);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(a.samples.windows(2).all(|w| w[0].name < w[1].name));
     }
 
     #[test]

@@ -419,7 +419,7 @@ mod tests {
     fn text_has_lines_and_words() {
         let t = text(&mut rng(1), 100);
         assert_eq!(t.iter().filter(|&&c| c == b'\n').count(), 100);
-        assert!(t.iter().any(|&c| c == b' '));
+        assert!(t.contains(&b' '));
         assert!(t.iter().all(|&c| c == b'\n' || (32..127).contains(&c)));
     }
 

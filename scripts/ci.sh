@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (telemetry + server + bench, warnings are errors)"
-cargo clippy -p branchlab-telemetry -p branchlab-server -p branchlab-bench --all-targets -- -D warnings
+echo "==> cargo clippy (workspace, warnings are errors)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (workspace, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
@@ -311,7 +311,7 @@ EOF
 # mlbtb smoke: a multi-level BTB sweep over a generated
 # large-footprint workload must compute end to end — hierarchy specs
 # parse and canonicalize, the synthetic benchmark resolves, and the
-# sweep lands in the process-wide suite.sweep.* counters.
+# sweep lands in the daemon registry's suite.sweep.* counters.
 python3 - "$serve_addr" <<'EOF'
 import http.client, json, sys
 conn = http.client.HTTPConnection(sys.argv[1], timeout=120)
