@@ -1,38 +1,7 @@
 //! Regenerate every table and figure in one run (the source of
 //! EXPERIMENTS.md's measured columns).
-use branchlab::experiments::figures::{ascii_plot, figure3, figure4, SchemeAccuracies};
-use branchlab::experiments::tables;
 fn main() {
     branchlab_bench::artifact_main("report", |options, suite| {
-        for t in [
-            tables::table1(suite),
-            tables::table2(suite),
-            tables::table3(suite),
-            tables::table4(suite),
-            tables::table5(suite),
-        ] {
-            println!("{}", options.render(&t));
-        }
-        let (s, c, f) = tables::cost_growth(suite);
-        println!(
-            "Cost growth k+l 2->3: SBTB {s:.1}%  CBTB {c:.1}%  FS {f:.1}%  (paper: 7.7/6.9/5.3)"
-        );
-        println!();
-        let acc = SchemeAccuracies::from_suite(suite);
-        println!(
-            "Average accuracies: SBTB {:.1}%  CBTB {:.1}%  FS {:.1}%  (paper: 91.5/92.4/93.5)",
-            acc.sbtb * 100.0,
-            acc.cbtb * 100.0,
-            acc.fs * 100.0
-        );
-        println!();
-        for (panel, k) in figure3(&acc).iter().zip([1u32, 2]) {
-            println!("{}", options.render(panel));
-            println!("{}", ascii_plot(&acc, k, 12));
-        }
-        for (panel, k) in figure4(&acc).iter().zip([4u32, 8]) {
-            println!("{}", options.render(panel));
-            println!("{}", ascii_plot(&acc, k, 12));
-        }
+        print!("{}", branchlab_bench::render_report(options, suite));
     });
 }

@@ -32,9 +32,10 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use branchlab::experiments::figures::{ascii_plot, figure3, figure4, SchemeAccuracies};
 use branchlab::experiments::{
-    run_suite_supervised, BenchResult, ExperimentConfig, SuiteResult, SupervisorConfig, Table,
-    LANE_COUNTERS, SWEEP_COUNTERS, TRACE_COUNTERS,
+    run_suite_supervised, tables, BenchResult, ExperimentConfig, SuiteResult, SupervisorConfig,
+    Table, LANE_COUNTERS, SWEEP_COUNTERS, TRACE_COUNTERS,
 };
 use branchlab::predict::PredStats;
 use branchlab::telemetry::manifest::BenchmarkRecord;
@@ -284,6 +285,47 @@ pub fn artifact_main(tool: &str, emit: impl FnOnce(&Options, &SuiteResult)) {
         );
         std::process::exit(EXIT_PARTIAL);
     }
+}
+
+/// Everything `report` prints: Tables 1–5, the cost-growth and
+/// average-accuracy lines, and Figures 3–4 with their ASCII plots.
+#[must_use]
+pub fn render_report(options: &Options, suite: &SuiteResult) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for t in [
+        tables::table1(suite),
+        tables::table2(suite),
+        tables::table3(suite),
+        tables::table4(suite),
+        tables::table5(suite),
+    ] {
+        writeln!(out, "{}", options.render(&t)).expect("writing to a String");
+    }
+    let (s, c, f) = tables::cost_growth(suite);
+    writeln!(
+        out,
+        "Cost growth k+l 2->3: SBTB {s:.1}%  CBTB {c:.1}%  FS {f:.1}%  (paper: 7.7/6.9/5.3)\n"
+    )
+    .expect("writing to a String");
+    let acc = SchemeAccuracies::from_suite(suite);
+    writeln!(
+        out,
+        "Average accuracies: SBTB {:.1}%  CBTB {:.1}%  FS {:.1}%  (paper: 91.5/92.4/93.5)\n",
+        acc.sbtb * 100.0,
+        acc.cbtb * 100.0,
+        acc.fs * 100.0
+    )
+    .expect("writing to a String");
+    for (panel, k) in figure3(&acc)
+        .iter()
+        .chain(&figure4(&acc))
+        .zip([1u32, 2, 4, 8])
+    {
+        writeln!(out, "{}", options.render(panel)).expect("writing to a String");
+        writeln!(out, "{}", ascii_plot(&acc, k, 12)).expect("writing to a String");
+    }
+    out
 }
 
 /// Render a suite run as a Chrome trace-event document: one process

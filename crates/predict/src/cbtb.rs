@@ -10,9 +10,11 @@
 //! The paper's text says "predicted taken when C > T", which with the
 //! stated T = 2 would make a just-inserted taken branch predict
 //! *not-taken* — contradicting both the cited Smith scheme and the
-//! initialization rule. We read it as `C ≥ T` (see DESIGN.md);
-//! [`CbtbConfig::strict_greater`] restores the literal reading for
-//! sensitivity experiments.
+//! initialization rule. [`CbtbConfig::paper()`] therefore reads it as
+//! `C ≥ T`, the Smith-style rule; [`CbtbConfig::strict_greater`]
+//! selects the literal `C > T`. The experiment harness runs the
+//! literal reading for the suite's Table 3 (its `cbtb_strict` knob,
+//! on by default; see DESIGN.md for the evidence).
 
 use branchlab_ir::Addr;
 use branchlab_telemetry::{NoopSink, ProbeEvent, ProbeKind, TelemetrySink};
@@ -52,8 +54,42 @@ impl CbtbConfig {
         }
     }
 
-    fn counter_max(&self) -> u8 {
+    pub(crate) fn counter_max(&self) -> u8 {
         ((1u16 << self.counter_bits) - 1) as u8
+    }
+
+    /// Whether a resident entry with `counter` predicts taken, under
+    /// the configured threshold reading.
+    #[inline]
+    pub(crate) fn predicts_taken(&self, counter: u8) -> bool {
+        if self.strict_greater {
+            counter > self.threshold
+        } else {
+            counter >= self.threshold
+        }
+    }
+
+    /// The counter a missing branch is filled with: `T` on a taken
+    /// fill, `T − 1` on a not-taken one.
+    #[inline]
+    pub(crate) fn fill_counter(&self, taken: bool) -> u8 {
+        if taken {
+            self.threshold
+        } else {
+            self.threshold - 1
+        }
+    }
+
+    /// Check the counter parameters (geometry is the buffer's concern).
+    pub(crate) fn assert_valid_counters(&self) {
+        assert!(
+            (1..=7).contains(&self.counter_bits),
+            "counter bits must be in 1..=7"
+        );
+        assert!(
+            self.threshold >= 1 && self.threshold <= self.counter_max(),
+            "threshold must be in 1..=counter max"
+        );
     }
 }
 
@@ -65,9 +101,9 @@ impl Default for CbtbConfig {
 
 /// One CBTB entry.
 #[derive(Copy, Clone, Debug)]
-struct CbtbEntry {
-    counter: u8,
-    target: Addr,
+pub(crate) struct CbtbEntry {
+    pub(crate) counter: u8,
+    pub(crate) target: Addr,
 }
 
 /// The Counter-based Branch Target Buffer.
@@ -137,14 +173,7 @@ impl<S: TelemetrySink> Cbtb<S> {
             config.ways > 0 && config.entries.is_multiple_of(config.ways),
             "entries must be a multiple of ways"
         );
-        assert!(
-            (1..=7).contains(&config.counter_bits),
-            "counter bits must be in 1..=7"
-        );
-        assert!(
-            config.threshold >= 1 && config.threshold <= config.counter_max(),
-            "threshold must be in 1..=counter max"
-        );
+        config.assert_valid_counters();
         Cbtb {
             buf: AssocBuffer::new(config.entries / config.ways, config.ways),
             config,
@@ -169,14 +198,6 @@ impl<S: TelemetrySink> Cbtb<S> {
     #[must_use]
     pub fn sink(&self) -> &S {
         &self.sink
-    }
-
-    fn predicts_taken(&self, counter: u8) -> bool {
-        if self.config.strict_greater {
-            counter > self.config.threshold
-        } else {
-            counter >= self.config.threshold
-        }
     }
 
     #[inline]
@@ -207,7 +228,7 @@ impl<S: TelemetrySink> BranchPredictor for Cbtb<S> {
             Some((_, entry)) => {
                 self.probe(ev.pc.0, ProbeKind::Hit);
                 Prediction {
-                    taken: self.predicts_taken(entry.counter),
+                    taken: self.config.predicts_taken(entry.counter),
                     target: TargetInfo::Addr(entry.target),
                     hit: Some(true),
                 }
@@ -263,15 +284,10 @@ impl<S: TelemetrySink> BranchPredictor for Cbtb<S> {
                 entry.target = ev.target;
             }
         } else {
-            let counter = if ev.taken {
-                self.config.threshold
-            } else {
-                self.config.threshold - 1
-            };
             if let Some((victim, _)) = self.buf.insert(
                 ev.pc.0,
                 CbtbEntry {
-                    counter,
+                    counter: self.config.fill_counter(ev.taken),
                     target: ev.target,
                 },
             ) {

@@ -17,6 +17,11 @@
 //!   static baselines from the paper's related work.
 //! * [`Evaluator`] — scores any [`BranchPredictor`] over a branch-event
 //!   stream, producing the accuracy `A` and miss ratio `ρ` of Table 3.
+//! * [`NaturalPass`] and [`SiteOutcomes`] — the experiment's per-binary
+//!   passes: per-pc outcome counts from which the static schemes and
+//!   the Table 2 mix are derived, plus the paper's fully-associative
+//!   SBTB and CBTB as pc-indexed LRU tables, equal in every statistic
+//!   and site counter to the [`Sbtb`]/[`Cbtb`] engines.
 //! * [`LaneFamily`] — bit-parallel SoA scoring of up to 32 compatible
 //!   sweep configurations per event in packed `u64` lanes, bit-identical
 //!   to per-configuration [`Evaluator`] runs.
@@ -45,6 +50,7 @@ mod assoc;
 mod cbtb;
 mod lanes;
 mod mlbtb;
+mod natural;
 mod predictor;
 mod ras;
 mod sbtb;
@@ -57,6 +63,7 @@ pub use lanes::{
     CbtbLanes, GshareLanes, LaneFamily, LaneFamilyKey, LaneSpec, LocalLanes, MAX_LANES,
 };
 pub use mlbtb::{FillPolicy, LevelStats, MlBtb, MlBtbConfig, MlBtbLevel, MlBtbStats};
+pub use natural::{NaturalPass, SiteOutcomes};
 pub use predictor::{
     BranchPredictor, ContextSwitched, Evaluator, PredStats, Prediction, TargetInfo,
 };

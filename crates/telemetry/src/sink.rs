@@ -214,6 +214,18 @@ impl SiteProbe {
     }
 }
 
+/// An enabled probe holding the given per-site tallies — how a scorer
+/// that counts per site itself (rather than emitting one event at a
+/// time) publishes the same view.
+impl FromIterator<(u32, SiteCounters)> for SiteProbe {
+    fn from_iter<I: IntoIterator<Item = (u32, SiteCounters)>>(iter: I) -> Self {
+        SiteProbe {
+            enabled: true,
+            sites: iter.into_iter().collect(),
+        }
+    }
+}
+
 impl TelemetrySink for SiteProbe {
     #[inline]
     fn enabled(&self) -> bool {
@@ -262,6 +274,23 @@ mod tests {
             kind: ProbeKind::Hit,
         });
         assert!(probe.sites().is_empty());
+    }
+
+    #[test]
+    fn collected_probe_is_enabled_and_keeps_its_tallies() {
+        let site = SiteCounters {
+            hits: 3,
+            taken: 3,
+            ..SiteCounters::default()
+        };
+        let mut probe: SiteProbe = [(7, site)].into_iter().collect();
+        assert!(probe.enabled());
+        assert_eq!(probe.sites()[&7], site);
+        probe.emit(ProbeEvent {
+            site: 7,
+            kind: ProbeKind::Miss,
+        });
+        assert_eq!(probe.sites()[&7].misses, 1);
     }
 
     #[test]
