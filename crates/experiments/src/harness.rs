@@ -1,5 +1,6 @@
-//! The end-to-end experiment pipeline: compile → profile → transform →
-//! evaluate all three schemes (plus static baselines) over every
+//! The end-to-end experiment pipeline: compile → lower → evaluate the
+//! conventional binary → derive the profile from that same pass →
+//! transform → evaluate the Forward Semantic binary, over every
 //! benchmark, in a single interpreter pass per run per layout.
 //!
 //! Every stage of [`run_benchmark`] runs inside a telemetry span, so
@@ -17,7 +18,7 @@ use branchlab_minic::CompileError;
 use branchlab_predict::{
     BranchPredictor, CbtbConfig, Evaluator, NaturalPass, PredStats, SbtbConfig, SiteOutcomes,
 };
-use branchlab_profile::{profile_module_with, Profile, ProfileError};
+use branchlab_profile::{Profile, ProfileError};
 use branchlab_telemetry::{MetricsRegistry, PhaseSpan, SiteProbe, Timeline};
 use branchlab_trace::{BranchEvent, BranchMix, ExecHooks};
 use branchlab_workloads::{Benchmark, Scale};
@@ -28,10 +29,10 @@ use crate::supervisor::{run_suite_supervised, BenchFailure, SupervisorConfig, Su
 /// The phases every [`BenchResult`] reports, in pipeline order.
 pub const PHASES: [&str; 7] = [
     "compile",
-    "profile",
     "lower",
-    "fs_build",
     "natural_eval",
+    "profile",
+    "fs_build",
     "fs_eval",
     "expansion",
 ];
@@ -362,27 +363,17 @@ pub fn run_benchmark_attempt(
         .collect();
     let exec_cfg = config.exec_config();
 
-    // 1. Profiling pass (instrumented layout, the paper's probe build).
-    let profile: Profile = {
-        let _span = timeline.span("profile");
-        injector.trip("profile")?;
-        profile_module_with(&module, &runs, &exec_cfg)?
-    };
-
-    // 2. The two binaries under study.
+    // 1. The conventional binary.
     let natural: Program = {
         let _span = timeline.span("lower");
         lower(&module)?
     };
-    let fs_bin: Program = {
-        let _span = timeline.span("fs_build");
-        fs_program(&module, &profile, FsConfig::with_slots(config.fs_slots))?
-    };
 
-    // 3. One pass per run over the conventional binary scores the
-    //    SBTB, the CBTB and the static baselines at once. Each input
-    //    run is a separate program invocation: hardware buffers start
-    //    cold (the compiler schemes keep their bits, of course).
+    // 2. One pass per run over the conventional binary scores the
+    //    SBTB, the CBTB and the static baselines at once, and counts
+    //    what the profile is derived from. Each input run is a separate
+    //    program invocation: hardware buffers start cold (the compiler
+    //    schemes keep their bits, of course).
     let mut natural_pass = NaturalPass::new(
         &natural.code,
         SbtbConfig::paper(),
@@ -397,13 +388,26 @@ pub fn run_benchmark_attempt(
         let mut span = timeline.span("natural_eval");
         injector.trip("natural_eval")?;
         for refs in &run_slices {
-            natural_pass.flush();
+            natural_pass.start_run();
             let out = run(&natural, &exec_cfg, refs, &mut natural_pass)?;
             stats.merge(&out.stats);
             natural_outcomes.push((out.exit_value, out.outputs));
         }
         span.add_work(stats.insts);
     }
+
+    // 3. The profile, derived from the natural pass's counts (the
+    //    paper's probe build, without a probe run), and the FS binary
+    //    built from it.
+    let profile: Profile = {
+        let _span = timeline.span("profile");
+        injector.trip("profile")?;
+        Profile::from_natural(&module, &natural, natural_pass.outcomes().counts())?
+    };
+    let fs_bin: Program = {
+        let _span = timeline.span("fs_build");
+        fs_program(&module, &profile, FsConfig::with_slots(config.fs_slots))?
+    };
 
     // 4. The FS binary runs with its likely bits steering prediction.
     let mut fs_outcomes = SiteOutcomes::new(&fs_bin.code);
@@ -640,6 +644,9 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing phase {phase}"));
             assert_eq!(span.name, phase);
         }
+        // The spans come in pipeline order.
+        let names: Vec<&str> = r.phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, PHASES);
         // The evaluation spans carry instruction counts as work.
         assert_eq!(r.phase("natural_eval").unwrap().work, r.stats.insts);
         assert!(r.phase("fs_eval").unwrap().work > 0);

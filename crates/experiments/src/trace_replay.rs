@@ -16,8 +16,9 @@
 //!   change can never serve a stale trace.
 //! * [`replay_runs`]: drive any [`ExecHooks`] sink from the buffers,
 //!   run by run, exactly as the live interpreter would have.
-//! * [`cached_profile`]: the profiling pass, computed once per key and
-//!   shared by the studies that need branch-site statistics.
+//! * [`cached_profile`]: the benchmark's profile, derived once per key
+//!   from its captured trace and shared by the studies that need
+//!   branch-site statistics.
 //! * [`TRACE_COUNTERS`]: the `suite.trace.*` counters recording cache
 //!   traffic and capture/replay wall-clock in the run's registry
 //!   ([`ExperimentConfig::metrics`]).
@@ -28,9 +29,10 @@ use std::time::Instant;
 
 use branchlab_interp::run;
 use branchlab_ir::lower;
-use branchlab_profile::{profile_module_with, Profile};
+use branchlab_profile::Profile;
 use branchlab_trace::{
-    hash_bytes, load_trace, replay_traced, save_trace, Capture, ExecHooks, TraceBuf, TraceKey,
+    hash_bytes, load_trace, replay_traced, save_trace, Capture, ExecHooks, PcCounts, TraceBuf,
+    TraceKey,
 };
 use branchlab_workloads::{Benchmark, Scale};
 
@@ -223,13 +225,17 @@ pub(crate) fn note_replay(config: &ExperimentConfig, events: u64, started: Insta
     bump(config, "suite.trace.replay_us", micros_since(started));
 }
 
-/// The benchmark's profiling pass (instrumented layout), computed once
-/// per [`TraceKey`] and shared — `context_switch_study` and
-/// `delay_slot_study` both need it, and under replay neither should
-/// pay for it twice.
+/// The benchmark's profile, computed once per [`TraceKey`] and shared —
+/// `context_switch_study` and `delay_slot_study` both need it, and
+/// under replay neither should pay for it twice. It is derived
+/// ([`Profile::from_natural`]) from the trace [`captured_runs`] holds,
+/// replayed run by run into a [`PcCounts`] (the trace records calls
+/// and returns as well as branches), so it never interprets the
+/// benchmark beyond that one capture.
 ///
 /// # Errors
-/// Returns [`ExperimentError`] when compiling or profiling fails.
+/// Returns [`ExperimentError`] when compiling, capturing, replaying or
+/// deriving fails.
 pub fn cached_profile(
     bench: &Benchmark,
     config: &ExperimentConfig,
@@ -239,12 +245,15 @@ pub fn cached_profile(
         bump(config, "suite.trace.profile_hits", 1);
         return Ok(Arc::clone(hit));
     }
+    let runs = captured_runs(bench, config)?;
     let module = bench.compile()?;
-    let profile = Arc::new(profile_module_with(
-        &module,
-        &bench.runs(config.scale, config.seed),
-        &config.exec_config(),
-    )?);
+    let natural = lower(&module)?;
+    let mut counts = PcCounts::new(natural.code.len());
+    for buf in runs.iter() {
+        counts.start_run();
+        replay_runs(std::slice::from_ref(buf), &mut counts)?;
+    }
+    let profile = Arc::new(Profile::from_natural(&module, &natural, &counts)?);
     bump(config, "suite.trace.profile_computes", 1);
     profile_map()
         .lock()
@@ -256,6 +265,7 @@ pub fn cached_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use branchlab_profile::profile_module_with;
     use branchlab_trace::BranchMix;
     use branchlab_workloads::benchmark;
 
@@ -289,6 +299,27 @@ mod tests {
         let count = |name| config.metrics.counter(name).get();
         assert_eq!(count("suite.trace.profile_computes"), 1);
         assert_eq!(count("suite.trace.profile_hits"), 1);
+    }
+
+    #[test]
+    fn cached_profile_derives_from_the_captured_trace_without_interpreting() {
+        // dispatch's handlers sit behind a jump table.
+        for name in ["wc", "compress", "dispatch"] {
+            let config = ExperimentConfig {
+                seed: 0xBEEF03, // private key: avoid cross-test interference
+                ..ExperimentConfig::test()
+            };
+            let bench = benchmark(name).unwrap();
+            captured_runs(bench, &config).unwrap();
+            let profile = cached_profile(bench, &config).unwrap();
+            let count = |name| config.metrics.counter(name).get();
+            assert_eq!(count("suite.trace.captures"), 1, "{name}");
+            assert_eq!(count("suite.trace.profile_computes"), 1, "{name}");
+            let module = bench.compile().unwrap();
+            let runs = bench.runs(config.scale, config.seed);
+            let direct = profile_module_with(&module, &runs, &config.exec_config()).unwrap();
+            assert_eq!(*profile, direct, "{name}");
+        }
     }
 
     #[test]

@@ -29,9 +29,11 @@ pub struct LayoutPlan {
     /// (they are "predicted taken" trivially).
     pub slot_jumps: bool,
     /// Whether unconditional jumps to the adjacent block are elided
-    /// (normal codegen). Profiling builds set this to `false` so every
-    /// CFG edge produces a branch event — the analogue of the paper's
-    /// basic-block probes.
+    /// (normal codegen). With `false` every CFG edge produces a branch
+    /// event — the analogue of the paper's basic-block probes. No
+    /// pipeline builds that: the profile is derived from the natural
+    /// binary, and the probe build survives only as the test oracle that
+    /// derivation must match (`crates/profile/tests/dense_oracle.rs`).
     pub elide_jumps: bool,
     /// Per-function, per-block "hot" flags: only jumps in hot (profiled
     /// as executed) blocks receive forward slots — cold code is never
@@ -63,16 +65,6 @@ impl LayoutPlan {
                 .iter()
                 .map(|f| vec![true; f.blocks.len()])
                 .collect(),
-        }
-    }
-
-    /// A profiling layout: natural order, but with no jump elision so
-    /// that every control-flow edge is observable as a branch event.
-    #[must_use]
-    pub fn instrumented(module: &Module) -> Self {
-        LayoutPlan {
-            elide_jumps: false,
-            ..Self::natural(module)
         }
     }
 

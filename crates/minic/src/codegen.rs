@@ -466,8 +466,19 @@ impl FuncCx<'_> {
         let scrut = self.to_reg(scrut);
         let end = self.fb.new_block();
 
-        // One block per arm, in source order (for fall-through).
-        let arm_blocks: Vec<BlockId> = arms.iter().map(|_| self.fb.new_block()).collect();
+        // One block per arm, in source order (for fall-through). An arm
+        // whose body is empty gets none: it falls straight through, so
+        // its labels go to the next arm's block (or `end`). Left as an
+        // empty block it would share the next arm's address, and a jump
+        // table's transfers to the two could not be told apart.
+        let own_blocks: Vec<Option<BlockId>> = arms
+            .iter()
+            .map(|arm| (!arm.stmts.iter().all(is_empty_block)).then(|| self.fb.new_block()))
+            .collect();
+        let mut arm_blocks = vec![end; arms.len() + 1];
+        for i in (0..arms.len()).rev() {
+            arm_blocks[i] = own_blocks[i].unwrap_or(arm_blocks[i + 1]);
+        }
 
         let mut cases: Vec<(i64, BlockId)> = Vec::new();
         let mut default_block: Option<BlockId> = None;
@@ -555,11 +566,11 @@ impl FuncCx<'_> {
 
         // Arms with C fall-through; `break` exits to `end`.
         self.breaks.push(end);
-        for (i, arm) in arms.iter().enumerate() {
-            self.fb.switch_to(arm_blocks[i]);
+        for (i, (arm, own)) in arms.iter().zip(&own_blocks).enumerate() {
+            let Some(bb) = *own else { continue };
+            self.fb.switch_to(bb);
             self.gen_scoped(&arm.stmts)?;
-            let next = arm_blocks.get(i + 1).copied().unwrap_or(end);
-            self.fb.jump_if_open(next);
+            self.fb.jump_if_open(arm_blocks[i + 1]);
         }
         self.breaks.pop();
         self.fb.switch_to(end);
@@ -889,6 +900,11 @@ impl FuncCx<'_> {
             }
         }
     }
+}
+
+/// `{ }`, `{ { } }`, …: a statement that generates no code.
+fn is_empty_block(s: &Stmt) -> bool {
+    matches!(&s.kind, StmtKind::Block(stmts) if stmts.iter().all(is_empty_block))
 }
 
 /// Should this case set use a jump table (vs a compare chain)?

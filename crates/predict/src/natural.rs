@@ -4,11 +4,13 @@
 //! every per-site quantity the paper's tables need fits in an array
 //! indexed by instruction address:
 //!
-//! * [`SiteOutcomes`] counts each pc's `[not taken, taken]` outcomes.
-//!   The static schemes predict from the instruction alone, so their
-//!   [`PredStats`] — always-taken, always-not-taken, BTFN and the
-//!   Forward Semantic's likely bit — and the Table 2 [`BranchMix`] are
-//!   derived from those counts once, at the end.
+//! * [`SiteOutcomes`] counts each pc's `[not taken, taken]` outcomes
+//!   in a [`PcCounts`]. The static schemes predict from the instruction
+//!   alone, so their [`PredStats`] — always-taken, always-not-taken,
+//!   BTFN and the Forward Semantic's likely bit — and the Table 2
+//!   [`BranchMix`] are derived from those counts once, at the end. The
+//!   same table also counts calls, returns and jump-table targets,
+//!   which is all the Forward Semantic profile needs.
 //! * [`NaturalPass`] adds the paper's fully-associative SBTB and CBTB
 //!   as true-LRU tables indexed by pc, stepped together in one fused
 //!   per-event body, with per-pc tallies that double as the
@@ -18,9 +20,9 @@
 //! engines (any geometry, any event source); they are the oracle these
 //! passes must match exactly (`tests/natural_prop.rs`).
 
-use branchlab_ir::{Addr, Inst};
+use branchlab_ir::{Addr, FuncId, Inst};
 use branchlab_telemetry::{SiteCounters, SiteProbe};
-use branchlab_trace::{BranchEvent, BranchKind, BranchMix, ExecHooks};
+use branchlab_trace::{BranchEvent, BranchKind, BranchMix, ExecHooks, PcCounts};
 
 use crate::cbtb::{CbtbConfig, CbtbEntry};
 use crate::lanes::saturating_step;
@@ -68,7 +70,10 @@ fn guess(taken: bool) -> [bool; 2] {
 }
 
 /// Per-pc `[not taken, taken]` outcome counts over one binary, and the
-/// static schemes scored from them.
+/// static schemes scored from them. The counts are a [`PcCounts`], so a
+/// sink that also sees calls and returns (as a run of the interpreter
+/// delivers them) holds everything `branchlab-profile` derives a
+/// profile from.
 ///
 /// ```
 /// use branchlab_predict::SiteOutcomes;
@@ -87,7 +92,7 @@ fn guess(taken: bool) -> [bool; 2] {
 #[derive(Clone, Debug)]
 pub struct SiteOutcomes {
     sites: Vec<Site>,
-    counts: Vec<[u64; 2]>,
+    counts: PcCounts,
 }
 
 impl SiteOutcomes {
@@ -100,25 +105,21 @@ impl SiteOutcomes {
                 .enumerate()
                 .map(|(pc, i)| Site::of(pc, i))
                 .collect(),
-            counts: vec![[0; 2]; code.len()],
+            counts: PcCounts::new(code.len()),
         }
     }
 
-    /// Count one resolved branch at `pc`.
-    #[inline]
-    fn record(&mut self, pc: u32, taken: bool) {
-        debug_assert!(
-            self.sites[pc as usize].kind.is_some(),
-            "pc {pc} is not a branch"
-        );
-        self.counts[pc as usize][usize::from(taken)] += 1;
+    /// The underlying per-pc counts.
+    #[must_use]
+    pub fn counts(&self) -> &PcCounts {
+        &self.counts
     }
 
     /// Every branch site, executed or not: `(pc, kind, [not taken, taken])`.
     fn branch_sites(&self) -> impl Iterator<Item = (usize, BranchKind, [u64; 2])> + '_ {
         self.sites
             .iter()
-            .zip(&self.counts)
+            .zip(self.counts.counts())
             .enumerate()
             .filter_map(|(pc, (site, &counts))| site.kind.map(|kind| (pc, kind, counts)))
     }
@@ -200,7 +201,20 @@ impl SiteOutcomes {
 impl ExecHooks for SiteOutcomes {
     #[inline]
     fn branch(&mut self, ev: &BranchEvent) {
-        self.record(ev.pc.0, ev.taken);
+        debug_assert!(
+            self.sites[ev.pc.0 as usize].kind.is_some(),
+            "pc {} is not a branch",
+            ev.pc.0
+        );
+        self.counts.branch(ev);
+    }
+
+    fn call(&mut self, from: Addr, callee: FuncId) {
+        self.counts.call(from, callee);
+    }
+
+    fn ret(&mut self, from: Addr, to: Addr) {
+        self.counts.ret(from, to);
     }
 }
 
@@ -367,13 +381,20 @@ impl NaturalPass {
         self.cbtb.flush();
     }
 
-    /// Score one resolved branch at `pc`.
+    /// Begin one program invocation: the buffers start cold
+    /// ([`NaturalPass::flush`]) and the counts note the run.
+    pub fn start_run(&mut self) {
+        self.flush();
+        self.outcomes.counts.start_run();
+    }
+
+    /// Score one resolved branch at `pc` in both buffers (the caller
+    /// counts its outcome).
     #[inline]
     fn step(&mut self, pc: u32, taken: bool, target: Addr) {
         let p = pc as usize;
         self.tick += 1;
         let tick = self.tick;
-        self.outcomes.record(pc, taken);
 
         // SBTB: a hit predicts taken to the buffered target, a miss
         // predicts not taken; only taken branches are filled, and a hit
@@ -436,7 +457,8 @@ impl NaturalPass {
         }
     }
 
-    /// The per-pc outcome counts (and the static schemes they score).
+    /// The per-pc outcome counts (the static schemes they score, and the
+    /// counts a profile is derived from).
     #[must_use]
     pub fn outcomes(&self) -> &SiteOutcomes {
         &self.outcomes
@@ -510,7 +532,16 @@ impl NaturalPass {
 impl ExecHooks for NaturalPass {
     #[inline]
     fn branch(&mut self, ev: &BranchEvent) {
+        self.outcomes.branch(ev);
         self.step(ev.pc.0, ev.taken, ev.target);
+    }
+
+    fn call(&mut self, from: Addr, callee: FuncId) {
+        self.outcomes.call(from, callee);
+    }
+
+    fn ret(&mut self, from: Addr, to: Addr) {
+        self.outcomes.ret(from, to);
     }
 }
 
@@ -589,10 +620,10 @@ mod tests {
             ways: 2,
         };
         let mut pass = NaturalPass::new(&code(), tiny, CbtbConfig::paper());
-        pass.step(1, true, Addr(0));
-        pass.step(2, true, Addr(9));
-        pass.step(1, true, Addr(0)); // pc 2 is now the LRU entry
-        pass.step(3, true, Addr(1)); // evicts pc 2
+        pass.branch(&cond_to(1, true, 0));
+        pass.branch(&cond_to(2, true, 9));
+        pass.branch(&cond_to(1, true, 0)); // pc 2 is now the LRU entry
+        pass.branch(&jmp(3, 1)); // evicts pc 2
         assert_eq!(pass.sbtb.way(2), None);
         assert!(pass.sbtb.way(1).is_some() && pass.sbtb.way(3).is_some());
         assert_eq!(pass.sbtb_sites().sites()[&2].evicts, 1);

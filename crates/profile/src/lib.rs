@@ -1,12 +1,16 @@
 //! # branchlab-profile
 //!
 //! Profiling infrastructure: the software half of the paper's Forward
-//! Semantic pipeline. A module is lowered with an *instrumented* layout
-//! (no jump elision — the analogue of the paper's basic-block probes),
-//! executed over one or more representative inputs, and the resulting
-//! [`Profile`] records per-site taken/total counts, CFG edge weights,
-//! and function entry counts. Trace selection (`branchlab-fsem`) and
-//! likely-bit derivation both consume this.
+//! Semantic pipeline. The paper's profiling compiler plants a probe in
+//! every basic block; here the profile comes from the conventional
+//! (natural) binary itself. Its per-pc branch, call and return counts
+//! ([`PcCounts`], which the experiment's natural pass keeps anyway)
+//! observe every CFG edge except the jumps the lowering elided, and
+//! [`Profile::from_natural`] recovers those by flow conservation. The
+//! resulting [`Profile`] records per-site taken/total counts, CFG edge
+//! weights, and function entry counts — exactly what a probe build
+//! records (`tests/dense_oracle.rs`). Trace selection
+//! (`branchlab-fsem`) and likely-bit derivation both consume this.
 //!
 //! ```
 //! use branchlab_profile::profile_module;
@@ -28,13 +32,12 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 
 use branchlab_interp::{run, ExecConfig, ExecError};
 use branchlab_ir::{
-    lower_with_plan, Addr, BlockId, BranchId, FuncId, Inst, LayoutPlan, LowerError, Module, Program,
+    lower, Addr, BlockId, BranchId, FuncId, Inst, LowerError, Module, Op, Program, Term,
 };
-use branchlab_trace::{BranchEvent, BranchKind, ExecHooks, SiteCounts, SiteStats};
+use branchlab_trace::{PcCounts, SiteCounts, SiteStats};
 
 /// A CFG edge within one function.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -48,7 +51,7 @@ pub struct Edge {
 }
 
 /// Aggregated profile data over one or more runs.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Profile {
     /// Per-branch-site taken/total counts.
     pub sites: SiteStats,
@@ -107,199 +110,175 @@ impl Profile {
             self.func_entries[i] += c;
         }
     }
-}
 
-/// Live profiler: an [`ExecHooks`] sink that maps branch events back to
-/// CFG blocks of the instrumented program it was built for.
-///
-/// Every branch event lands in a dense per-address counter: the
-/// successors of a `Br` or `Jmp` are fixed by the instruction, so its
-/// taken and fall-through counts determine its site counts and both of
-/// its edges. Only jump-table dispatch (whose target varies) keeps a
-/// small map. [`Profiler::into_profile`] resolves the counts to sites
-/// and CFG edges once, at the end.
-#[derive(Clone, Debug)]
-pub struct Profiler {
-    /// `block_at[a]`: the block whose first instruction is at `a`, or
-    /// `None` inside a block.
-    block_at: Vec<Option<(FuncId, BlockId)>>,
-    /// Every `Br` and `Jmp` of the program, in address order.
-    branches: Vec<DirectBranch>,
-    /// `outcomes[pc]`: `[not taken, taken]` executions of the `Br` or
-    /// `Jmp` at `pc`.
-    outcomes: Vec<[u64; 2]>,
-    /// Jump-table transfers: `(pc, next_pc)` → the dispatching block
-    /// and the transfer count.
-    jumps: HashMap<(u32, u32), (BranchId, u64), BuildKeyHasher>,
-    func_entries: Vec<u64>,
-}
-
-/// The static shape of one direct branch.
-#[derive(Copy, Clone, Debug)]
-struct DirectBranch {
-    pc: u32,
-    from: BranchId,
-    cond: bool,
-    target: Addr,
-    fallthrough: Addr,
-}
-
-impl Profiler {
-    /// Create a profiler for `program` (which should be lowered with
-    /// [`LayoutPlan::instrumented`] so all edges are observable).
-    #[must_use]
-    pub fn new(program: &Program) -> Self {
-        let len = program
-            .block_addrs
-            .iter()
-            .flatten()
-            .map(|a| a.0 as usize + 1)
-            .max();
-        let mut block_at = vec![None; len.unwrap_or(0)];
-        for (fi, blocks) in program.block_addrs.iter().enumerate() {
-            for (bi, addr) in blocks.iter().enumerate() {
-                // If several blocks start at one address, the last
-                // one listed wins.
-                block_at[addr.0 as usize] = Some((FuncId(fi as u32), BlockId(bi as u32)));
-            }
-        }
-        let branches = program
-            .code
-            .iter()
-            .enumerate()
-            .filter_map(|(pc, inst)| {
-                let (cond, target, slots) = match *inst {
-                    Inst::Br { target, slots, .. } => (true, target, slots),
-                    Inst::Jmp { target, slots } => (false, target, slots),
-                    _ => return None,
-                };
-                let pc = pc as u32;
-                Some(DirectBranch {
-                    pc,
-                    from: program.meta[pc as usize].branch_id(),
-                    cond,
-                    target,
-                    fallthrough: Addr(pc + 1 + u32::from(slots)),
-                })
-            })
-            .collect();
-        Profiler {
-            block_at,
-            branches,
-            outcomes: vec![[0; 2]; program.code.len()],
-            jumps: HashMap::default(),
-            func_entries: vec![0; program.funcs.len()],
-        }
-    }
-
-    /// Record one entry of the program's entry function (call once per
-    /// run).
-    pub fn record_program_entry(&mut self, entry: FuncId) {
-        self.func_entries[entry.0 as usize] += 1;
-    }
-
-    /// Extract the accumulated profile.
-    #[must_use]
-    pub fn into_profile(self) -> Profile {
+    /// Derive the profile of `module` from counts taken over its natural
+    /// binary `natural` (`lower(module)`), with [`PcCounts::start_run`]
+    /// called once per run.
+    ///
+    /// Every CFG edge is resolved through its block's terminator, never
+    /// through addresses (an empty block shares its address with the
+    /// next one). A `Br`, a `Jmp` to a block other than the layout-next
+    /// one, and a jump table each execute as a branch, so their counts
+    /// are the edge weights; which `Br` successor is the taken one
+    /// follows the lowering's rule (`else_` next: `then_` is taken;
+    /// `then_` next: `else_` is taken; neither: `then_` is taken and a
+    /// trailing `Jmp` goes to `else_`). The jumps the lowering elided
+    /// each go to the layout-next block, so they form forward chains,
+    /// and one sweep in layout order weighs them by flow conservation:
+    /// a block's weight is its entries plus its observed in-edges plus
+    /// the elided edge from its predecessor, and an elided jump carries
+    /// that weight on, less the frames a `Halt` inside a callee left
+    /// open in the block.
+    ///
+    /// # Errors
+    /// [`ProfileError::AmbiguousJumpTarget`] when a jump-table transfer
+    /// lands on an address that two of that table's targets share.
+    ///
+    /// # Panics
+    /// Panics if `counts` was not taken over `natural`, or `natural` is
+    /// not `module`'s natural lowering.
+    pub fn from_natural(
+        module: &Module,
+        natural: &Program,
+        counts: &PcCounts,
+    ) -> Result<Profile, ProfileError> {
+        let pc_counts = counts.counts();
+        // A call site's counts give its callee's entries, and the frames
+        // still open in the calling block when the program halted.
         let mut profile = Profile {
-            func_entries: self.func_entries,
+            func_entries: vec![0; module.funcs.len()],
             ..Profile::default()
         };
-        // A transfer is an edge only when it lands on the first
-        // instruction of a block of the same function: a not-taken
-        // fallthrough onto a trailing `Jmp` of the same block is not a
-        // block boundary (the `Jmp`'s own count records the real edge).
-        let mut add_edge = |from: BranchId, next_pc: Addr, count: u64| {
-            if count == 0 {
-                return;
-            }
-            if let Some(&Some((func, to))) = self.block_at.get(next_pc.0 as usize) {
-                if func == from.func {
-                    let edge = Edge {
-                        func,
-                        from: from.block,
-                        to,
-                    };
-                    *profile.edges.entry(edge).or_insert(0) += count;
+        profile.func_entries[module.entry.0 as usize] = counts.runs();
+        let mut open: Vec<Vec<u64>> = Vec::with_capacity(module.funcs.len());
+        for f in &module.funcs {
+            let addrs = &natural.block_addrs[f.id.0 as usize];
+            let open_in = f.blocks.iter().zip(addrs).map(|(block, addr)| {
+                let mut frames = 0;
+                for (k, op) in block.ops.iter().enumerate() {
+                    if let Op::Call { func, .. } = op {
+                        let [returned, called] = pc_counts[addr.0 as usize + k];
+                        profile.func_entries[func.0 as usize] += called;
+                        frames += called - returned;
+                    }
+                }
+                frames
+            });
+            open.push(open_in.collect());
+        }
+        let mut jumps: HashMap<u32, Vec<(Addr, u64)>> = HashMap::new();
+        for (pc, target, n) in counts.jumps() {
+            jumps.entry(pc.0).or_default().push((target, n));
+        }
+
+        for f in &module.funcs {
+            let func = f.id;
+            let addrs = &natural.block_addrs[func.0 as usize];
+            let mut inflow = vec![0u64; f.blocks.len()];
+            let mut add_edge = |profile: &mut Profile, from: BlockId, to: BlockId, n: u64| {
+                if n > 0 {
+                    inflow[to.0 as usize] += n;
+                    *profile.edges.entry(Edge { func, from, to }).or_insert(0) += n;
+                }
+            };
+            // The natural layout emits blocks in index order.
+            let mut elided = vec![false; f.blocks.len()];
+            for (i, block) in f.blocks.iter().enumerate() {
+                let from = block.id;
+                let next = (i + 1 < f.blocks.len()).then(|| BlockId(i as u32 + 1));
+                let pc = addrs[i].0 as usize + block.ops.len();
+                match &block.term {
+                    &Term::Br { then_, else_, .. } => {
+                        assert!(matches!(natural.code[pc], Inst::Br { .. }), "no Br at {pc}");
+                        let [not_taken, taken] = pc_counts[pc];
+                        let site = BranchId { func, block: from };
+                        let total = taken + not_taken;
+                        profile.sites.add(site, SiteCounts { taken, total });
+                        if Some(else_) == next {
+                            add_edge(&mut profile, from, then_, taken);
+                            add_edge(&mut profile, from, else_, not_taken);
+                        } else if Some(then_) == next {
+                            add_edge(&mut profile, from, else_, taken);
+                            add_edge(&mut profile, from, then_, not_taken);
+                        } else {
+                            add_edge(&mut profile, from, then_, taken);
+                            add_edge(&mut profile, from, else_, pc_counts[pc + 1][1]);
+                        }
+                    }
+                    &Term::Jmp(to) if Some(to) == next => elided[i] = true,
+                    &Term::Jmp(to) => {
+                        assert!(
+                            matches!(natural.code[pc], Inst::Jmp { .. }),
+                            "no Jmp at {pc}"
+                        );
+                        add_edge(&mut profile, from, to, pc_counts[pc][1]);
+                    }
+                    Term::Switch {
+                        targets, default, ..
+                    } => {
+                        assert!(
+                            matches!(natural.code[pc], Inst::JmpTable { .. }),
+                            "no JmpTable at {pc}"
+                        );
+                        for &(addr, n) in jumps.get(&(pc as u32)).into_iter().flatten() {
+                            let mut hits = targets
+                                .iter()
+                                .chain([default])
+                                .filter(|b| addrs[b.0 as usize] == addr);
+                            let to = *hits.next().expect("a transfer lands on a table target");
+                            if hits.any(|&b| b != to) {
+                                return Err(ProfileError::AmbiguousJumpTarget {
+                                    func,
+                                    pc: Addr(pc as u32),
+                                });
+                            }
+                            add_edge(&mut profile, from, to, n);
+                        }
+                    }
+                    Term::Ret(_) | Term::Halt => {}
                 }
             }
-        };
-        for b in &self.branches {
-            let [not_taken, taken] = self.outcomes[b.pc as usize];
-            add_edge(b.from, b.target, taken);
-            add_edge(b.from, b.fallthrough, not_taken);
-            // Only conditional branches contribute to per-site bias: a
-            // block may also own a trailing unconditional jump, which
-            // must not skew its likely bit.
-            if b.cond {
-                let total = taken + not_taken;
-                profile.sites.add(b.from, SiteCounts { taken, total });
+
+            let mut carried = 0;
+            for (i, block) in f.blocks.iter().enumerate() {
+                let entries = if i == 0 { profile.func_entry(func) } else { 0 };
+                let weight = entries + inflow[i] + carried;
+                carried = 0;
+                if elided[i] {
+                    carried = weight - open[func.0 as usize][i];
+                    if carried > 0 {
+                        let edge = Edge {
+                            func,
+                            from: block.id,
+                            to: BlockId(i as u32 + 1),
+                        };
+                        profile.edges.insert(edge, carried);
+                    }
+                }
             }
         }
-        for (&(_, next_pc), &(from, count)) in &self.jumps {
-            add_edge(from, Addr(next_pc), count);
-        }
-        profile
-    }
-}
-
-impl ExecHooks for Profiler {
-    fn branch(&mut self, ev: &BranchEvent) {
-        if ev.kind == BranchKind::UncondIndirect {
-            self.jumps
-                .entry((ev.pc.0, ev.target.0))
-                .or_insert((ev.branch, 0))
-                .1 += 1;
-        } else {
-            self.outcomes[ev.pc.0 as usize][usize::from(ev.taken)] += 1;
-        }
-    }
-
-    fn call(&mut self, _from: Addr, callee: FuncId) {
-        self.func_entries[callee.0 as usize] += 1;
-    }
-}
-
-/// Multiply-xorshift hasher for the jump-table map's small integer keys
-/// — `SipHash`'s keyed setup costs more than the whole probe.
-#[derive(Clone, Debug, Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(u32::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        let x = (self.0 ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = x ^ (x >> 29);
-    }
-}
-
-#[derive(Clone, Debug, Default)]
-struct BuildKeyHasher;
-
-impl BuildHasher for BuildKeyHasher {
-    type Hasher = KeyHasher;
-
-    fn build_hasher(&self) -> KeyHasher {
-        KeyHasher::default()
+        Ok(profile)
     }
 }
 
 /// Errors from end-to-end profiling.
 #[derive(Debug)]
 pub enum ProfileError {
-    /// Lowering the instrumented layout failed.
+    /// Lowering the natural layout failed.
     Lower(LowerError),
     /// A profiling run failed.
     Exec(ExecError),
+    /// A jump-table transfer landed on an address that several of the
+    /// table's targets share (empty blocks take the address of the
+    /// block after them), so the natural binary cannot tell which edge
+    /// ran. MiniC folds empty switch arms away, so only hand-built IR
+    /// gets here.
+    AmbiguousJumpTarget {
+        /// Function holding the table.
+        func: FuncId,
+        /// Address of the `JmpTable`.
+        pc: Addr,
+    },
 }
 
 impl std::fmt::Display for ProfileError {
@@ -307,6 +286,10 @@ impl std::fmt::Display for ProfileError {
         match self {
             ProfileError::Lower(e) => write!(f, "profiling lower failed: {e}"),
             ProfileError::Exec(e) => write!(f, "profiling run failed: {e}"),
+            ProfileError::AmbiguousJumpTarget { func, pc } => write!(
+                f,
+                "jump table at {pc} in {func} has several targets at one address"
+            ),
         }
     }
 }
@@ -334,23 +317,26 @@ pub fn profile_module(module: &Module, runs: &[Vec<Vec<u8>>]) -> Result<Profile,
     profile_module_with(module, runs, &ExecConfig::default())
 }
 
-/// Profile a module over several runs with explicit execution limits.
+/// Profile a module over several runs with explicit execution limits:
+/// run its natural binary once per run into a [`PcCounts`] and derive
+/// the profile ([`Profile::from_natural`]).
 ///
 /// # Errors
-/// Returns [`ProfileError`] if lowering or any run fails.
+/// Returns [`ProfileError`] if lowering, any run, or the derivation
+/// fails.
 pub fn profile_module_with(
     module: &Module,
     runs: &[Vec<Vec<u8>>],
     config: &ExecConfig,
 ) -> Result<Profile, ProfileError> {
-    let program = lower_with_plan(module, &LayoutPlan::instrumented(module))?;
-    let mut profiler = Profiler::new(&program);
+    let natural = lower(module)?;
+    let mut counts = PcCounts::new(natural.code.len());
     for streams in runs {
-        profiler.record_program_entry(module.entry);
+        counts.start_run();
         let stream_refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
-        run(&program, config, &stream_refs, &mut profiler)?;
+        run(&natural, config, &stream_refs, &mut counts)?;
     }
-    Ok(profiler.into_profile())
+    Profile::from_natural(module, &natural, &counts)
 }
 
 #[cfg(test)]

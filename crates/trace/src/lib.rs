@@ -12,6 +12,9 @@
 //! * [`BranchMix`]: Table 2 percentages.
 //! * [`SiteStats`]: per-site taken/total counts — the raw material for
 //!   profile-guided (Forward Semantic) prediction.
+//! * [`PcCounts`]: dense per-pc branch, call and return counts over one
+//!   binary — what the natural pass scores the static schemes from and
+//!   derives the profile from.
 //! * [`TraceRecorder`]: bounded event recording for tests.
 //! * [`TraceBuf`]/[`Capture`]/[`replay`]: compact capture of the full
 //!   dynamic event stream and memory-speed replay into any sink —
@@ -26,12 +29,14 @@
 
 mod blocks;
 mod cache;
+mod counts;
 mod event;
 mod replay;
 mod stats;
 
 pub use blocks::{BlockIter, CallRet, EventBlock, DEFAULT_BLOCK_EVENTS};
 pub use cache::{hash_bytes, load_trace, save_trace, TraceKey};
+pub use counts::PcCounts;
 pub use event::{BranchEvent, BranchKind, ExecHooks};
 pub use replay::{replay, replay_traced, Capture, ReplayError, TraceBuf, TraceEvent, TraceReader};
 pub use stats::{BranchMix, SiteCounts, SiteStats, TraceRecorder};

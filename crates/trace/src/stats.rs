@@ -89,7 +89,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 
 /// Per-branch-site execution counts, keyed by the layout-stable
 /// [`BranchId`]. This is the raw material of profile-guided prediction.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SiteStats {
     counts: HashMap<BranchId, SiteCounts>,
 }
