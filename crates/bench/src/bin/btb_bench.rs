@@ -26,8 +26,8 @@
 //! `btb_bench [--scale test|small|paper] [--seed N] [--out FILE]
 //! [--trace-cache DIR] [--benches A,B,...]`
 //!
-//! (Own argument parser, like `replay_bench`: `--out`/`--benches` are
-//! not part of the shared suite `Options`.)
+//! (Own argument parser: `--out`/`--benches` are not part of the
+//! shared suite `Options`.)
 
 use branchlab::experiments::trace_replay::{cached_profile, captured_runs, replay_runs};
 use branchlab::experiments::{eval_predictors, eval_predictors_live, ExperimentConfig};

@@ -3,9 +3,7 @@
 //! The benchmark harness: one binary per paper artifact —
 //! `table1` … `table5`, `fig3`, `fig4`, an `ablation` binary for the
 //! extension studies, and a `report` binary that regenerates everything
-//! in one run (used to produce EXPERIMENTS.md). Std-only timing benches
-//! (under `benches/`) cover the interpreter, the predictors, and the
-//! Forward Semantic transform.
+//! in one run (used to produce EXPERIMENTS.md).
 //!
 //! Every binary accepts:
 //!
@@ -17,8 +15,6 @@
 //!   per-benchmark phase timings and per-site predictor counters
 //! * `--trace-cache DIR` — persist captured branch traces on disk
 //!   (hash-validated; stale or corrupt entries degrade to re-capture)
-//! * `--no-trace-replay` — re-interpret every sweep point instead of
-//!   replaying captured traces (the slow baseline)
 //! * `--sweep-threads N` — score sweep points on N worker threads
 //!   (default: the machine's available parallelism); results are
 //!   bit-identical at any thread count
@@ -41,8 +37,6 @@ use branchlab::predict::PredStats;
 use branchlab::telemetry::manifest::BenchmarkRecord;
 use branchlab::telemetry::{JsonValue, MetricsRegistry, PhaseSpan, RunManifest};
 use branchlab::workloads::Scale;
-
-pub mod timing;
 
 /// Sites listed in the manifest's per-predictor top-mispredicted table.
 pub const MANIFEST_TOP_K_SITES: usize = 10;
@@ -77,7 +71,7 @@ pub struct Options {
 
 const USAGE: &str =
     "usage: [--scale test|small|paper] [--seed N] [--markdown|--csv] [--no-verify] \
-[--telemetry-out DIR] [--trace-out FILE] [--trace-cache DIR] [--no-trace-replay] \
+[--telemetry-out DIR] [--trace-out FILE] [--trace-cache DIR] \
 [--sweep-threads N] \
 [--max-attempts N] \
 [--backoff-ms N] [--watchdog-ms N] [--checkpoint FILE] [--resume] [--fault-exec-rate R] \
@@ -148,7 +142,6 @@ impl Options {
                     let dir = args.next().expect("--trace-cache needs a directory");
                     config.trace_cache_dir = Some(PathBuf::from(dir));
                 }
-                "--no-trace-replay" => config.use_trace_replay = false,
                 "--sweep-threads" => {
                     config.sweep_threads =
                         Some((next_u64(&mut args, "--sweep-threads") as usize).max(1));
@@ -359,7 +352,7 @@ pub fn suite_chrome_trace(
 /// keyed by each name's last dotted segment
 /// (`suite.trace.captures` → `captures`).
 #[must_use]
-pub fn counters_json(registry: &MetricsRegistry, names: &[&str]) -> JsonValue {
+fn counters_json(registry: &MetricsRegistry, names: &[&str]) -> JsonValue {
     JsonValue::Obj(
         names
             .iter()
@@ -683,9 +676,7 @@ mod tests {
         let o = Options::parse(Vec::new());
         assert!(o.config.use_trace_replay, "replay is the default");
         assert!(o.config.trace_cache_dir.is_none());
-        let o =
-            Options::parse(["--trace-cache", "/tmp/traces", "--no-trace-replay"].map(String::from));
-        assert!(!o.config.use_trace_replay);
+        let o = Options::parse(["--trace-cache", "/tmp/traces"].map(String::from));
         assert_eq!(
             o.config.trace_cache_dir.as_deref(),
             Some(std::path::Path::new("/tmp/traces"))

@@ -1,0 +1,162 @@
+//! The artifact binaries as a user runs them: the telemetry artifacts
+//! a clean `report` run writes, how a run degrades when injected faults
+//! kill one benchmark on every attempt, and the Chrome trace `ablation`
+//! exports of its trace-replay and parallel-sweep phases.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+use branchlab::experiments::PHASES;
+use branchlab::telemetry::{json, validate_chrome_trace, JsonValue};
+use branchlab_bench::EXIT_PARTIAL;
+
+/// A fresh scratch directory for one test.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("branchlab-report-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Run `bin --scale test` with `args` appended, check its exit code,
+/// and return its stdout.
+fn run(bin: &str, args: &[&str], code: i32) -> String {
+    let out = Command::new(bin)
+        .args(["--scale", "test"])
+        .args(args)
+        .output()
+        .expect("run the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{stderr}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+fn read_json(path: &Path) -> JsonValue {
+    let text = std::fs::read_to_string(path).expect("artifact written");
+    json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+fn at<'a>(v: &'a JsonValue, path: &[&str]) -> &'a JsonValue {
+    path.iter()
+        .try_fold(v, |v, key| v.get(key))
+        .unwrap_or_else(|| panic!("nothing at {path:?}"))
+}
+
+fn int(v: &JsonValue, path: &[&str]) -> i64 {
+    at(v, path).as_int().expect("an integer")
+}
+
+fn text<'a>(v: &'a JsonValue, path: &[&str]) -> &'a str {
+    at(v, path).as_str().expect("a string")
+}
+
+fn arr<'a>(v: &'a JsonValue, path: &[&str]) -> &'a [JsonValue] {
+    at(v, path).as_arr().expect("an array")
+}
+
+/// A counter's value in `metrics.jsonl`.
+fn jsonl_counter(dir: &Path, name: &str) -> i64 {
+    let text = std::fs::read_to_string(dir.join("metrics.jsonl")).unwrap();
+    text.lines()
+        .map(|line| json::parse(line).unwrap())
+        .find(|rec| rec.get("name").and_then(JsonValue::as_str) == Some(name))
+        .map(|rec| int(&rec, &["value"]))
+        .unwrap_or_else(|| panic!("no counter {name} in metrics.jsonl"))
+}
+
+#[test]
+fn telemetry_run_writes_a_complete_manifest() {
+    let dir = scratch("telemetry");
+    let report = env!("CARGO_BIN_EXE_report");
+    run(report, &["--telemetry-out", dir.to_str().unwrap()], 0);
+    for f in ["manifest.json", "metrics.jsonl", "metrics.prom"] {
+        let len = std::fs::metadata(dir.join(f)).map_or(0, |m| m.len());
+        assert!(len > 0, "missing or empty telemetry artifact {f}");
+    }
+
+    let m = read_json(&dir.join("manifest.json"));
+    assert_eq!(text(&m, &["tool"]), "report");
+    assert!(!text(&m, &["git_describe"]).is_empty());
+    assert_eq!(text(&m, &["config", "scale"]), "test");
+    assert_eq!(int(&m, &["config", "seed"]), 1989);
+    let benches = arr(&m, &["benchmarks"]);
+    assert_eq!(benches.len(), 12);
+    for b in benches {
+        let name = text(b, &["name"]);
+        let phases: Vec<&str> = arr(b, &["phases"])
+            .iter()
+            .map(|p| text(p, &["name"]))
+            .collect();
+        for phase in PHASES {
+            assert!(phases.contains(&phase), "{name}: no {phase} in {phases:?}");
+        }
+        let sbtb = at(b, &["predictors", "sbtb"]);
+        assert!(
+            int(sbtb, &["stats", "events"]) > 0,
+            "{name}: no sbtb events"
+        );
+        assert!(
+            int(sbtb, &["sites", "sites"]) > 0,
+            "{name}: no site telemetry"
+        );
+    }
+    assert_eq!(int(&m, &["supervisor", "benches_completed"]), 12);
+    assert_eq!(jsonl_counter(&dir, "suite.benches_completed"), 12);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn certain_fault_on_one_benchmark_degrades_to_partial_results() {
+    let dir = scratch("fault");
+    let args = [
+        "--fault-exec-rate",
+        "1.0",
+        "--fault-benches",
+        "wc",
+        "--max-attempts",
+        "2",
+        "--telemetry-out",
+        dir.to_str().unwrap(),
+    ];
+    let stdout = run(env!("CARGO_BIN_EXE_report"), &args, EXIT_PARTIAL);
+    assert!(stdout.contains("FAILED(transient"), "no FAILED annotation");
+
+    let m = read_json(&dir.join("manifest.json"));
+    assert_eq!(arr(&m, &["benchmarks"]).len(), 11);
+    assert_eq!(int(&m, &["supervisor", "benches_completed"]), 11);
+    assert_eq!(int(&m, &["supervisor", "benches_failed"]), 1);
+    assert_eq!(int(&m, &["supervisor", "retries"]), 1);
+    let failures = arr(&m, &["failures"]);
+    assert_eq!(failures.len(), 1);
+    assert_eq!(text(&failures[0], &["bench"]), "wc");
+    assert_eq!(text(&failures[0], &["class"]), "transient");
+    assert_eq!(int(&failures[0], &["attempts"]), 2);
+    assert_eq!(jsonl_counter(&dir, "suite.benches_completed"), 11);
+    assert_eq!(jsonl_counter(&dir, "suite.benches_failed"), 1);
+    assert_eq!(jsonl_counter(&dir, "suite.retries"), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn ablation_trace_export_times_replay_and_sweep_phases() {
+    let dir = scratch("ablation");
+    let trace = dir.join("ablation.trace.json");
+    let ablation = env!("CARGO_BIN_EXE_ablation");
+    run(ablation, &["--trace-out", trace.to_str().unwrap()], 0);
+    let chrome = std::fs::read_to_string(&trace).expect("--trace-out written");
+    validate_chrome_trace(&chrome).expect("exported trace must validate");
+    // The studies replay captured traces through parallel sweeps, so
+    // both suite phases carry work.
+    let doc = json::parse(&chrome).unwrap();
+    for phase in ["trace_replay", "sweep_score"] {
+        let span = arr(&doc, &["traceEvents"])
+            .iter()
+            .find(|e| e.get("name").and_then(JsonValue::as_str) == Some(phase))
+            .unwrap_or_else(|| panic!("no `{phase}` span in the export"));
+        assert!(
+            int(span, &["args", "work"]) > 0,
+            "`{phase}` recorded no work"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -28,9 +28,9 @@ use crate::render::{pct, rho, Table};
 use crate::trace_replay::cached_profile;
 
 /// The profiling pass for a study: shared via the trace-replay cache
-/// by default, recomputed from scratch in baseline
-/// (`use_trace_replay = false`) mode so the re-interpretation baseline
-/// keeps its original cost profile.
+/// by default, recomputed from scratch in live
+/// (`use_trace_replay = false`) mode so the live reference path shares
+/// nothing with the replay path it checks.
 fn study_profile(
     bench: &Benchmark,
     config: &ExperimentConfig,
@@ -500,7 +500,7 @@ pub fn full_study(
 /// attribution identical to the sequential path. Tables are
 /// bit-identical to calling [`full_study`] per benchmark in order.
 ///
-/// In baseline (`use_trace_replay = false`) mode there is no trace to
+/// In live (`use_trace_replay = false`) mode there is no trace to
 /// prefetch and the suite degrades to the plain sequential loop.
 pub fn full_study_suite(
     benches: &[&Benchmark],

@@ -6,12 +6,9 @@
 //!
 //! With [`ExperimentConfig::use_trace_replay`] set, the pass replays
 //! the cached trace, so a whole ablation study set costs one capture
-//! plus one decode per benchmark. In baseline mode each enqueued group
-//! keeps its own live interpreter pass (the pre-replay cost shape), and
-//! [`ExperimentConfig::sweep_per_point`] degrades that further to one
-//! full compile→profile→interpret pipeline per configuration point —
-//! the O(points × interpret) re-interpretation baseline that
-//! `replay_bench` measures trace replay against.
+//! plus one decode per benchmark. With it off, each enqueued group
+//! keeps its own live interpreter pass: the reference path that tests
+//! hold replay to.
 //!
 //! ## Parallel scoring
 //!
@@ -53,7 +50,6 @@ use branchlab_predict::{
     BranchPredictor, Evaluator, LaneFamily, LaneFamilyKey, LaneSpec, PredStats, ReturnAddressStack,
     MAX_LANES,
 };
-use branchlab_profile::profile_module_with;
 use branchlab_telemetry::SpanLink;
 use branchlab_trace::{BlockIter, BranchEvent, CallRet, ExecHooks, TraceBuf};
 use branchlab_workloads::Benchmark;
@@ -298,33 +294,11 @@ impl<'a> SweepBatch<'a> {
         Ok(SweepResults { groups, ras })
     }
 
-    /// The re-interpretation baseline: one live pass per group (the
-    /// pre-replay cost shape), or one full pipeline per predictor when
-    /// [`ExperimentConfig::sweep_per_point`] is set.
+    /// The live reference path: one interpreter pass per group.
     fn run_live(self) -> Result<SweepResults, ExperimentError> {
         let mut groups = Vec::with_capacity(self.groups.len());
         for preds in self.groups {
-            if self.config.sweep_per_point {
-                let mut stats = Vec::with_capacity(preds.len());
-                for p in preds {
-                    // The pre-replay methodology, reconstructed point
-                    // for point: every sweep configuration re-runs the
-                    // full compile→profile→interpret pipeline (the
-                    // profile feeds the point's predictor construction
-                    // in that methodology; here the batch already built
-                    // its predictors, so only the cost shape matters).
-                    let module = self.bench.compile()?;
-                    let _profile = profile_module_with(
-                        &module,
-                        &self.bench.runs(self.config.scale, self.config.seed),
-                        &self.config.exec_config(),
-                    )?;
-                    stats.extend(eval_predictors_live(self.bench, self.config, vec![p])?);
-                }
-                groups.push(stats);
-            } else {
-                groups.push(eval_predictors_live(self.bench, self.config, preds)?);
-            }
+            groups.push(eval_predictors_live(self.bench, self.config, preds)?);
         }
         let mut ras = self.ras;
         if !ras.is_empty() {
@@ -983,20 +957,13 @@ mod tests {
         let t = batch.eval(build());
         let replayed = batch.run().unwrap();
 
-        for sweep_per_point in [false, true] {
-            let live_cfg = ExperimentConfig {
-                use_trace_replay: false,
-                sweep_per_point,
-                ..ExperimentConfig::test()
-            };
-            let mut batch = SweepBatch::new(bench, &live_cfg);
-            let lt = batch.eval(build());
-            let live = batch.run().unwrap();
-            assert_eq!(
-                live.stats(lt),
-                replayed.stats(t),
-                "sweep_per_point={sweep_per_point}"
-            );
-        }
+        let live_cfg = ExperimentConfig {
+            use_trace_replay: false,
+            ..ExperimentConfig::test()
+        };
+        let mut batch = SweepBatch::new(bench, &live_cfg);
+        let lt = batch.eval(build());
+        let live = batch.run().unwrap();
+        assert_eq!(live.stats(lt), replayed.stats(t));
     }
 }

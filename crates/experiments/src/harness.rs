@@ -76,22 +76,12 @@ pub struct ExperimentConfig {
     /// Feed sweep-style evaluations ([`eval_predictors`] and the
     /// ablation studies) from captured traces instead of
     /// re-interpreting every configuration point. Replay is
-    /// bit-identical to live interpretation (enforced by test); turn
-    /// off only to measure the re-interpretation baseline.
+    /// bit-identical to live interpretation; tests turn it off to
+    /// select the live reference path they compare replay against.
     pub use_trace_replay: bool,
     /// Directory for the on-disk trace cache (`--trace-cache DIR`);
     /// `None` keeps traces in memory only.
     pub trace_cache_dir: Option<std::path::PathBuf>,
-    /// With `use_trace_replay` off, run one full compile→profile→interpret
-    /// pipeline per sweep configuration point in [`SweepBatch`]-driven
-    /// studies, instead of amortizing a study's points into one live
-    /// pass. This is the O(points × interpret) re-interpretation
-    /// methodology that trace-driven replay replaces; `replay_bench`
-    /// uses it as the measured baseline. No effect on results — every
-    /// evaluation mode is bit-identical.
-    ///
-    /// [`SweepBatch`]: crate::batch::SweepBatch
-    pub sweep_per_point: bool,
     /// Worker threads for parallel sweep scoring in [`SweepBatch`]-driven
     /// studies (`--sweep-threads N`). `None` uses
     /// `available_parallelism`; an explicit value may exceed the core
@@ -106,8 +96,7 @@ pub struct ExperimentConfig {
     /// points into bit-parallel lane families
     /// ([`LaneFamily`](branchlab_predict::LaneFamily)) during replay
     /// scoring. On by default; results are bit-identical either way,
-    /// so turning it off only serves as the scalar baseline for
-    /// `replay_bench`'s lane phase.
+    /// and tests turn it off to select the scalar reference path.
     pub use_lane_scoring: bool,
     /// The run's registry: trace capture/replay, parallel-sweep and
     /// lane-planner counters (`suite.trace.*`, `suite.sweep.parallel.*`,
@@ -134,7 +123,6 @@ impl Default for ExperimentConfig {
             fault: FaultConfig::default(),
             use_trace_replay: true,
             trace_cache_dir: None,
-            sweep_per_point: false,
             sweep_threads: None,
             use_lane_scoring: true,
             metrics: Arc::new(MetricsRegistry::new()),
@@ -593,8 +581,7 @@ pub fn eval_predictors(
 }
 
 /// [`eval_predictors`] by direct interpretation, one interpreter pass
-/// per run — the re-interpretation baseline that trace replay is
-/// measured against (and the fidelity oracle in tests).
+/// per run — the fidelity oracle that tests hold trace replay to.
 ///
 /// # Errors
 /// Returns [`ExperimentError`] on compile/lower/run failure.

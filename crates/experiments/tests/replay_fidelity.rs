@@ -1,7 +1,8 @@
 //! Replay-fidelity acceptance tests: trace replay must be
 //! *bit-identical* to live interpretation — same `PredStats` for every
 //! predictor, same `BranchMix` — for every benchmark (the 1989 suite
-//! plus the generated large-footprint synthetics); lane-packed scoring
+//! plus the generated large-footprint synthetics), and same rendered
+//! tables for whole ablation study sets; lane-packed scoring
 //! must be bit-identical to the scalar path for every benchmark at
 //! every thread count; capture itself must be deterministic in the
 //! seed; and a corrupt or stale on-disk cache entry must degrade to a
@@ -9,6 +10,7 @@
 
 use std::collections::BTreeSet;
 
+use branchlab_experiments::ablation::{full_study, StudySpec};
 use branchlab_experiments::trace_replay::{captured_runs, clear_cache, replay_runs};
 use branchlab_experiments::{eval_predictors, eval_predictors_live, ExperimentConfig, SweepBatch};
 use branchlab_interp::{run, ExecConfig};
@@ -55,6 +57,44 @@ fn replayed_pred_stats_are_bit_identical_to_live_for_every_benchmark() {
             "{}: replayed PredStats differ from live interpretation",
             bench.name
         );
+    }
+}
+
+/// Whole study sets, not only single evaluations: every table
+/// `full_study` renders (BTB size, associativity, counters, context
+/// switches, RAS, delay slots, two-level, opcode bias) must come out
+/// the same from replayed traces as from live interpretation.
+#[test]
+fn replayed_study_tables_are_byte_identical_to_live() {
+    let spec = StudySpec::default();
+    let csv = |cfg: &ExperimentConfig, name: &str| {
+        let bench = benchmark(name).expect("suite benchmark");
+        full_study(bench, cfg, &spec)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .iter()
+            .map(branchlab_experiments::Table::to_csv)
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    for name in ["compress", "cccp"] {
+        let replay_cfg = ExperimentConfig::test();
+        let live_cfg = ExperimentConfig {
+            use_trace_replay: false,
+            ..ExperimentConfig::test()
+        };
+        let replayed = csv(&replay_cfg, name);
+        let live = csv(&live_cfg, name);
+        assert_eq!(
+            replayed, live,
+            "{name}: replayed study tables differ from live"
+        );
+        // Each path really ran: the default replays, the live one never does.
+        let replays = |cfg: &ExperimentConfig| cfg.metrics.counter("suite.trace.replays").get();
+        assert!(
+            replays(&replay_cfg) > 0,
+            "{name}: default path replayed nothing"
+        );
+        assert_eq!(replays(&live_cfg), 0, "{name}: live path replayed a trace");
     }
 }
 

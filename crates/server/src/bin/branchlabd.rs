@@ -27,8 +27,7 @@
 //! and the next boot restores whatever validates. The `--chaos-*`
 //! rates arm deterministic server-side fault injection — worker
 //! panics, slow computes, cache-read corruption, spill-write failure
-//! — for drills and the CI chaos smoke; see
-//! `branchlab_server::chaos`.
+//! — for drills; see `branchlab_server::chaos`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;

@@ -16,8 +16,8 @@
 //! Decisions are pure hashes of `(seed, site, sequence number, lane)`
 //! via [`FaultInjector::draw`], so a chaos run at a fixed seed injects
 //! the same fault pattern every time requests arrive in the same
-//! order — which is how `tests/chaos.rs` and the CI chaos smoke can
-//! assert exact recovery behavior. Responses stay byte-identical to a
+//! order — which is how `tests/chaos.rs` can assert exact recovery
+//! behavior. Responses stay byte-identical to a
 //! fault-free run no matter what fires: every class either delays,
 //! is detected and recomputed, or costs one request a `500` that a
 //! retry serves correctly.

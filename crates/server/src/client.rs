@@ -1,10 +1,9 @@
 //! A tiny `std`-only HTTP/1.1 client for talking to `branchlabd`.
 //!
-//! Shared by the integration tests, the CI smoke check, and the
-//! `serve_bench` load generator, so none of them need an external
-//! HTTP dependency. Supports exactly what the daemon speaks: one
-//! request/response at a time over a keep-alive connection, with
-//! `Content-Length` bodies.
+//! Shared by the integration tests and perfbench's `serve` workload,
+//! so neither needs an external HTTP dependency. Supports exactly what
+//! the daemon speaks: one request/response at a time over a keep-alive
+//! connection, with `Content-Length` bodies.
 //!
 //! For crash-only serving the client carries the other half of the
 //! contract: [`one_shot_with_retry`] retries transport failures and

@@ -156,33 +156,61 @@ fn sweep_responses_are_byte_identical_to_direct_evaluation() {
     let addr = server.addr().to_string();
     wait_ready(&addr);
 
-    let body = r#"{"bench": "wc",
-                   "predictors": [{"kind": "cbtb"},
-                                  {"kind": "sbtb", "entries": 128},
-                                  {"kind": "gshare", "table_bits": 10},
-                                  {"kind": "btfn"}],
-                   "ras": [2, 16]}"#;
-
-    let resp = one_shot(&addr, "POST", "/v1/sweep", Some(body)).unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.text());
-    assert_eq!(resp.header("x-branchlab-source"), Some("computed"));
-
-    // The reference: the same request evaluated directly through
-    // SweepBatch, bypassing HTTP entirely.
+    // Each body with the points the lane planner leaves scalar: lone
+    // lane-eligible points (one CBTB, one gshare geometry) and every
+    // point with no lane form (sbtb, btfn, mlbtb).
+    let bodies = [
+        (
+            4.0,
+            r#"{"bench": "wc",
+            "predictors": [{"kind": "cbtb"},
+                           {"kind": "sbtb", "entries": 128},
+                           {"kind": "gshare", "table_bits": 10},
+                           {"kind": "btfn"}],
+            "ras": [2, 16]}"#,
+        ),
+        // BTB hierarchies on a large-footprint synthetic: the mlbtb
+        // specs parse and canonicalize, `dispatch` resolves by name
+        // and seed, and the points compute end to end.
+        (
+            3.0,
+            r#"{"bench": "dispatch", "seed": 31337,
+            "predictors": [{"kind": "mlbtb"},
+                           {"kind": "mlbtb", "policy": "staged",
+                            "l1_entries": 32, "l1_ways": 4,
+                            "l2_entries": 1024, "l2_ways": 8,
+                            "l2_latency": 3},
+                           {"kind": "cbtb", "entries": 64, "ways": 4}]}"#,
+        ),
+    ];
     let base = ServerConfig::default().experiment;
-    let req = SweepRequest::parse(body.as_bytes(), &base).unwrap();
-    let direct = branchlab_server::evaluate_direct(&req, &base).unwrap();
-    assert_eq!(
-        resp.text(),
-        &*direct,
-        "served bytes must match direct SweepBatch evaluation"
-    );
+    let scalar_points = || {
+        let metrics = one_shot(&addr, "GET", "/metrics", None).unwrap().text();
+        metric_value(&metrics, "suite_sweep_lane_scalar_points").unwrap_or(0.0)
+    };
+    for (scalars, body) in bodies {
+        let before = scalar_points();
+        let resp = one_shot(&addr, "POST", "/v1/sweep", Some(body)).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        assert_eq!(resp.header("x-branchlab-source"), Some("computed"));
 
-    // A repeat is served from the cache — and is still byte-identical.
-    let again = one_shot(&addr, "POST", "/v1/sweep", Some(body)).unwrap();
-    assert_eq!(again.status, 200);
-    assert_eq!(again.header("x-branchlab-source"), Some("cache"));
-    assert_eq!(again.text(), resp.text());
+        // The reference: the same request evaluated directly through
+        // SweepBatch, bypassing HTTP entirely.
+        let req = SweepRequest::parse(body.as_bytes(), &base).unwrap();
+        let direct = branchlab_server::evaluate_direct(&req, &base).unwrap();
+        assert_eq!(
+            resp.text(),
+            &*direct,
+            "served bytes must match direct SweepBatch evaluation"
+        );
+        assert_eq!(scalar_points() - before, scalars, "{body}");
+
+        // A repeat is served from the cache — and is still byte-identical.
+        let again = one_shot(&addr, "POST", "/v1/sweep", Some(body)).unwrap();
+        assert_eq!(again.status, 200);
+        assert_eq!(again.header("x-branchlab-source"), Some("cache"));
+        assert_eq!(again.text(), resp.text());
+    }
 
     server.shutdown_and_join();
 }

@@ -642,8 +642,8 @@ pub fn phases_chrome_trace(tool: &str, groups: &[(String, Vec<PhaseSpan>)]) -> J
 /// Validate that `text` parses as a Chrome trace-event document:
 /// a `traceEvents` array whose entries all carry `name`/`ph`/`pid`,
 /// with `ts`+`dur` on every complete (`X`) event. Returns the event
-/// names seen. Used by the test suite and the CI smoke on every
-/// exported `.trace.json`.
+/// names seen. The test suite runs it on every exported
+/// `.trace.json`.
 ///
 /// # Errors
 /// A human-readable description of the first structural problem.
@@ -857,7 +857,7 @@ mod tests {
                 work: 2,
             },
         ];
-        let doc = phases_chrome_trace("replay_bench", &[("wc".to_string(), phases)]);
+        let doc = phases_chrome_trace("report", &[("wc".to_string(), phases)]);
         validate_chrome_trace(&doc.to_json()).unwrap();
         let events = doc.get("traceEvents").and_then(JsonValue::as_arr).unwrap();
         let ts = |name: &str| {
