@@ -46,8 +46,12 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    const USAGE: &str = "usage: btb_bench [--scale test|small|paper] [--seed N] \
+    const USAGE: &str = "usage: btb_bench [-h|--help] [--scale test|small|paper] [--seed N] \
 [--out FILE] [--trace-cache DIR] [--benches A,B,...]";
+    if std::env::args().skip(1).any(|a| a == "-h" || a == "--help") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
     let mut config = ExperimentConfig::default();
     let mut out = std::path::PathBuf::from("BENCH_btb.json");
     let mut benches: Vec<String> = vec!["dispatch".into(), "router".into()];

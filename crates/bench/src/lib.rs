@@ -7,6 +7,7 @@
 //!
 //! Every binary accepts:
 //!
+//! * `-h` / `--help` — print the usage line and exit
 //! * `--scale test|small|paper` (default `small`)
 //! * `--seed N` (default 1989)
 //! * `--markdown` / `--csv` output formats (default fixed-width text)
@@ -69,8 +70,10 @@ pub struct Options {
     pub trace_out: Option<PathBuf>,
 }
 
-const USAGE: &str =
-    "usage: [--scale test|small|paper] [--seed N] [--markdown|--csv] [--no-verify] \
+/// The command line every bench binary but `btb_bench` accepts; `-h` or
+/// `--help` prints it.
+pub const USAGE: &str =
+    "usage: [-h|--help] [--scale test|small|paper] [--seed N] [--markdown|--csv] [--no-verify] \
 [--telemetry-out DIR] [--trace-out FILE] [--trace-cache DIR] \
 [--sweep-threads N] \
 [--max-attempts N] \
@@ -79,13 +82,19 @@ const USAGE: &str =
 [--fault-benches A,B,...]";
 
 impl Options {
-    /// Parse `std::env::args`.
+    /// Parse `std::env::args`. With `-h` or `--help` among them, print
+    /// the usage line to stdout and exit 0 before parsing anything.
     ///
     /// # Panics
     /// Panics with a usage message on unknown arguments.
     #[must_use]
     pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1))
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "-h" || a == "--help") {
+            println!("{USAGE}");
+            std::process::exit(0);
+        }
+        Self::parse(args)
     }
 
     /// Parse an explicit argument list (everything after the binary
@@ -324,27 +333,35 @@ pub fn render_report(options: &Options, suite: &SuiteResult) -> String {
 /// Render a suite run as a Chrome trace-event document: one process
 /// row per benchmark (its compile/profile/evaluate phase timeline)
 /// plus rows for the run's trace-replay and parallel-sweep phases,
-/// from the counters in `registry`. Openable in Perfetto /
-/// `chrome://tracing`.
+/// from the counters in `registry`. A span that took no time and did
+/// no work is left out, and so is a row left with no span — the paper
+/// suite neither replays nor sweeps, so its exports have no suite
+/// rows. Openable in Perfetto / `chrome://tracing`.
 #[must_use]
 pub fn suite_chrome_trace(
     tool: &str,
     suite: &SuiteResult,
     registry: &MetricsRegistry,
 ) -> JsonValue {
-    let mut groups: Vec<(String, Vec<PhaseSpan>)> = suite
+    let groups: Vec<(String, Vec<PhaseSpan>)> = suite
         .benches
         .iter()
         .map(|b| (b.name.to_string(), b.phases.clone()))
+        .chain([
+            (
+                "suite: trace replay".to_string(),
+                trace_phase_spans(registry),
+            ),
+            (
+                "suite: parallel sweep".to_string(),
+                sweep_phase_spans(registry),
+            ),
+        ])
+        .filter_map(|(name, mut spans)| {
+            spans.retain(|s| !s.wall.is_zero() || s.work > 0);
+            (!spans.is_empty()).then_some((name, spans))
+        })
         .collect();
-    groups.push((
-        "suite: trace replay".to_string(),
-        trace_phase_spans(registry),
-    ));
-    groups.push((
-        "suite: parallel sweep".to_string(),
-        sweep_phase_spans(registry),
-    ));
     branchlab::telemetry::phases_chrome_trace(tool, &groups)
 }
 

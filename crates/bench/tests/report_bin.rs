@@ -1,14 +1,15 @@
 //! The artifact binaries as a user runs them: the telemetry artifacts
 //! a clean `report` run writes, how a run degrades when injected faults
-//! kill one benchmark on every attempt, and the Chrome trace `ablation`
-//! exports of its trace-replay and parallel-sweep phases.
+//! kill one benchmark on every attempt, the Chrome traces `report` and
+//! `ablation` export, and `--help`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use branchlab::experiments::PHASES;
+use branchlab::experiments::{PHASES, RUNS_HELPED, RUNS_INTERPRETED};
 use branchlab::telemetry::{json, validate_chrome_trace, JsonValue};
-use branchlab_bench::EXIT_PARTIAL;
+use branchlab::workloads::{Scale, SUITE};
+use branchlab_bench::{EXIT_PARTIAL, USAGE};
 
 /// A fresh scratch directory for one test.
 fn scratch(tag: &str) -> PathBuf {
@@ -102,7 +103,78 @@ fn telemetry_run_writes_a_complete_manifest() {
     }
     assert_eq!(int(&m, &["supervisor", "benches_completed"]), 12);
     assert_eq!(jsonl_counter(&dir, "suite.benches_completed"), 12);
+
+    // Every benchmark's runs (Table 1's *Runs*), once per layout,
+    // whichever thread interpreted them.
+    let runs: usize = SUITE.iter().map(|b| b.runs(Scale::Test, 1989).len()).sum();
+    let interpreted = jsonl_counter(&dir, RUNS_INTERPRETED);
+    assert_eq!(interpreted, 2 * runs as i64);
+    assert!(jsonl_counter(&dir, RUNS_HELPED) <= interpreted);
+    let prom = std::fs::read_to_string(dir.join("metrics.prom")).unwrap();
+    let prom_name = RUNS_INTERPRETED.replace('.', "_");
+    assert!(
+        prom.lines()
+            .any(|l| l.starts_with(&prom_name) && l.ends_with(&format!(" {interpreted}"))),
+        "no {prom_name} {interpreted} in metrics.prom"
+    );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn paper_trace_export_has_only_benchmark_rows_and_no_empty_spans() {
+    let dir = scratch("trace");
+    let trace = dir.join("report.trace.json");
+    run(
+        env!("CARGO_BIN_EXE_report"),
+        &["--trace-out", trace.to_str().unwrap()],
+        0,
+    );
+    let chrome = std::fs::read_to_string(&trace).expect("--trace-out written");
+    validate_chrome_trace(&chrome).expect("exported trace must validate");
+    let doc = json::parse(&chrome).unwrap();
+    let events = arr(&doc, &["traceEvents"]);
+    // The paper suite neither replays traces nor sweeps, so those rows
+    // and their spans are gone; every row left is a benchmark's.
+    let rows: Vec<&str> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("M"))
+        .map(|e| text(e, &["args", "name"]))
+        .collect();
+    assert_eq!(rows.len(), SUITE.len(), "{rows:?}");
+    for (row, bench) in rows.iter().zip(SUITE) {
+        assert_eq!(*row, format!("report: {}", bench.name));
+    }
+    for e in events
+        .iter()
+        .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
+    {
+        let name = text(e, &["name"]);
+        assert!(PHASES.contains(&name), "unexpected span {name}");
+        assert!(
+            int(e, &["dur"]) > 0 || int(e, &["args", "work"]) > 0,
+            "empty span {name}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    for flag in ["--help", "-h"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_report"))
+            .args(["--seed", "7", flag])
+            .output()
+            .expect("run report");
+        assert_eq!(out.status.code(), Some(0), "report {flag}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), format!("{USAGE}\n"));
+        assert!(out.stderr.is_empty(), "report {flag} wrote to stderr");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_btb_bench"))
+        .arg("--help")
+        .output()
+        .expect("run btb_bench");
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: btb_bench"));
 }
 
 #[test]

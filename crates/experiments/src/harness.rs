@@ -23,8 +23,11 @@ use branchlab_telemetry::{MetricsRegistry, PhaseSpan, SiteProbe, Timeline};
 use branchlab_trace::{BranchEvent, BranchMix, ExecHooks};
 use branchlab_workloads::{Benchmark, Scale};
 
+use crate::budget::{share_runs, CoreBudget};
 use crate::fault::{FaultConfig, FaultInjector};
-use crate::supervisor::{run_suite_supervised, BenchFailure, SupervisorConfig, SupervisorStats};
+use crate::supervisor::{
+    run_suite_supervised, BenchFailure, SupervisorConfig, SupervisorStats, SUPERVISED_THREAD_PREFIX,
+};
 
 /// The phases every [`BenchResult`] reports, in pipeline order.
 pub const PHASES: [&str; 7] = [
@@ -334,8 +337,29 @@ pub fn run_benchmark_attempt(
     config: &ExperimentConfig,
     attempt: u32,
 ) -> Result<BenchResult, ExperimentError> {
+    run_benchmark_with_budget(bench, config, attempt, &CoreBudget::new(0))
+}
+
+/// [`run_benchmark_attempt`] whose evaluation phases share their input
+/// runs with helper threads that `budget`'s free permits pay for
+/// ([`CoreBudget`]). Runs are independent — each starts with cold
+/// buffers — and their counts add, so the result is the same at every
+/// budget, and with no free permit every run is interpreted on the
+/// calling thread. The supervisor passes the suite's budget, so cores
+/// its finished workers give back help the benchmarks still running.
+///
+/// # Errors
+/// As [`run_benchmark_attempt`]; when several runs fail, the
+/// lowest-index run's error, as a serial loop over the runs returns it.
+pub fn run_benchmark_with_budget(
+    bench: &'static Benchmark,
+    config: &ExperimentConfig,
+    attempt: u32,
+    budget: &CoreBudget,
+) -> Result<BenchResult, ExperimentError> {
     let timeline = Timeline::new();
     let injector = FaultInjector::new(&config.fault, bench.name, attempt);
+    let helper_name = format!("{SUPERVISED_THREAD_PREFIX}{}:run-helper", bench.name);
 
     let module = {
         let _span = timeline.span("compile");
@@ -343,12 +367,16 @@ pub fn run_benchmark_attempt(
         bench.compile()?
     };
     let runs = bench.runs(config.scale, config.seed);
-    // One slice table per benchmark, shared by the natural and FS
-    // evaluation loops below (previously rebuilt inside each loop).
+    // One slice table per benchmark, shared by both evaluation phases.
     let run_slices: Vec<Vec<&[u8]>> = runs
         .iter()
         .map(|streams| streams.iter().map(Vec::as_slice).collect())
         .collect();
+    // Both evaluation phases claim runs largest input first: run time
+    // grows with input, so no phase ends waiting on a long run that
+    // started last.
+    let mut order: Vec<usize> = (0..runs.len()).collect();
+    order.sort_by_key(|&ri| std::cmp::Reverse(runs[ri].iter().map(Vec::len).sum::<usize>()));
     let exec_cfg = config.exec_config();
 
     // 1. The conventional binary.
@@ -362,27 +390,34 @@ pub fn run_benchmark_attempt(
     //    what the profile is derived from. Each input run is a separate
     //    program invocation: hardware buffers start cold (the compiler
     //    schemes keep their bits, of course).
-    let mut natural_pass = NaturalPass::new(
-        &natural.code,
-        SbtbConfig::paper(),
-        CbtbConfig {
-            strict_greater: config.cbtb_strict,
-            ..CbtbConfig::paper()
-        },
-    );
+    let cbtb = CbtbConfig {
+        strict_greater: config.cbtb_strict,
+        ..CbtbConfig::paper()
+    };
     let mut stats = ExecStats::default();
-    let mut natural_outcomes = Vec::new();
-    {
+    let (natural_pass, natural_outcomes) = {
         let mut span = timeline.span("natural_eval");
         injector.trip("natural_eval")?;
-        for refs in &run_slices {
-            natural_pass.start_run();
-            let out = run(&natural, &exec_cfg, refs, &mut natural_pass)?;
+        let (pass, outs) = share_runs(
+            budget,
+            &helper_name,
+            &config.metrics,
+            &order,
+            || NaturalPass::new(&natural.code, SbtbConfig::paper(), cbtb),
+            |ri, pass| {
+                pass.start_run();
+                Ok(run(&natural, &exec_cfg, &run_slices[ri], pass)?)
+            },
+            NaturalPass::merge,
+        )?;
+        let mut outcomes = Vec::with_capacity(outs.len());
+        for out in outs {
             stats.merge(&out.stats);
-            natural_outcomes.push((out.exit_value, out.outputs));
+            outcomes.push((out.exit_value, out.outputs));
         }
         span.add_work(stats.insts);
-    }
+        (pass, outcomes)
+    };
 
     // 3. The profile, derived from the natural pass's counts (the
     //    paper's probe build, without a probe run), and the FS binary
@@ -398,24 +433,33 @@ pub fn run_benchmark_attempt(
     };
 
     // 4. The FS binary runs with its likely bits steering prediction.
-    let mut fs_outcomes = SiteOutcomes::new(&fs_bin.code);
-    {
+    let fs_outcomes = {
         let mut span = timeline.span("fs_eval");
         injector.trip("fs_eval")?;
-        for (ri, refs) in run_slices.iter().enumerate() {
-            let out = run(&fs_bin, &exec_cfg, refs, &mut fs_outcomes)?;
-            span.add_work(out.stats.insts);
-            if config.verify_equivalence {
-                let (exit, outputs) = &natural_outcomes[ri];
-                if out.exit_value != *exit || out.outputs != *outputs {
-                    return Err(ExperimentError::EquivalenceViolation {
-                        bench: bench.name,
-                        run: ri,
-                    });
+        let (outcomes, insts) = share_runs(
+            budget,
+            &helper_name,
+            &config.metrics,
+            &order,
+            || SiteOutcomes::new(&fs_bin.code),
+            |ri, outcomes| {
+                let out = run(&fs_bin, &exec_cfg, &run_slices[ri], outcomes)?;
+                if config.verify_equivalence {
+                    let (exit, outputs) = &natural_outcomes[ri];
+                    if out.exit_value != *exit || out.outputs != *outputs {
+                        return Err(ExperimentError::EquivalenceViolation {
+                            bench: bench.name,
+                            run: ri,
+                        });
+                    }
                 }
-            }
-        }
-    }
+                Ok(out.stats.insts)
+            },
+            SiteOutcomes::merge,
+        )?;
+        span.add_work(insts.iter().sum());
+        outcomes
+    };
 
     // 5. Static code expansion (Table 5 depths).
     let expansion = {

@@ -41,6 +41,7 @@
 
 pub mod ablation;
 pub mod batch;
+mod budget;
 pub mod checkpoint;
 pub mod fault;
 pub mod figures;
@@ -52,10 +53,12 @@ pub mod trace_replay;
 
 pub use batch::{PredTicket, RasTicket, SweepBatch, SweepResults, LANE_COUNTERS, SWEEP_COUNTERS};
 pub use branchlab_interp::ErrorClass;
+pub use budget::{CoreBudget, Permit, RUNS_HELPED, RUNS_INTERPRETED};
 pub use fault::{FaultConfig, FaultInjector};
 pub use harness::{
     eval_predictors, eval_predictors_live, mean_std, run_benchmark, run_benchmark_attempt,
-    run_suite, BenchResult, ExperimentConfig, ExperimentError, SuiteResult, PHASES,
+    run_benchmark_with_budget, run_suite, BenchResult, ExperimentConfig, ExperimentError,
+    SuiteResult, PHASES,
 };
 pub use render::{f2, mcount, pct, rho, Align, Table};
 pub use supervisor::{

@@ -11,7 +11,8 @@
 //! * a benchmark that exceeds the watchdog deadline is abandoned and
 //!   recorded as [`ExperimentError::Timeout`] (the stuck thread is
 //!   detached — it can burn CPU until the process exits, which is the
-//!   price of a deadline `std` threads cannot enforce cooperatively);
+//!   price of a deadline `std` threads cannot enforce cooperatively;
+//!   its run helpers give their core permits back as they finish);
 //! * transient errors (injected faults, panics, timeouts) are retried
 //!   up to [`SupervisorConfig::max_attempts`] with exponential backoff,
 //!   permanent errors (every real interpreter/pipeline error) fail
@@ -29,16 +30,18 @@ use std::time::{Duration, Instant};
 use branchlab_interp::ErrorClass;
 use branchlab_workloads::{Benchmark, SUITE};
 
+use crate::budget::CoreBudget;
 use crate::checkpoint;
 use crate::harness::{
-    run_benchmark_attempt, BenchResult, ExperimentConfig, ExperimentError, SuiteResult,
+    run_benchmark_with_budget, BenchResult, ExperimentConfig, ExperimentError, SuiteResult,
 };
 
 /// Thread-name prefix marking supervised benchmark attempts; the panic
 /// hook installed by the supervisor suppresses the default
 /// panic-message spew for these threads only (their payloads are
-/// captured and reported as failure records instead).
-const SUPERVISED_THREAD_PREFIX: &str = "bl-sup:";
+/// captured and reported as failure records instead). Run helpers
+/// carry it too, since their panics resume on the attempt's thread.
+pub(crate) const SUPERVISED_THREAD_PREFIX: &str = "bl-sup:";
 
 /// Supervision policy for a suite run.
 #[derive(Clone, Debug, PartialEq)]
@@ -330,20 +333,24 @@ pub fn run_suite_supervised(config: &ExperimentConfig, sup: &SupervisorConfig) -
 
     let writer = sup.checkpoint.as_deref().and_then(open_checkpoint);
 
-    // A bounded worker pool: in-flight supervisor threads are capped at
-    // the machine's available parallelism instead of one thread per
-    // benchmark. Workers claim pending benchmarks through a shared
-    // cursor and write into a fixed slot per benchmark, so the
-    // assembled results are in suite order regardless of completion
-    // order (and independent of the worker count).
+    // A bounded worker pool: one core budget of `available_parallelism`
+    // permits pays for every thread that interprets. Each worker holds
+    // a permit while it claims pending benchmarks through a shared
+    // cursor, and gives it back once none are left; a benchmark's
+    // evaluation phases spend free permits on helpers for its input
+    // runs, so cores that finished their benchmarks help the ones
+    // still running. Workers write into a fixed slot per benchmark, so
+    // the assembled results are in suite order regardless of
+    // completion order (and independent of the worker count).
     let pending: Vec<&'static Benchmark> = SUITE
         .iter()
         .filter(|b| !restored.contains_key(b.name))
         .collect();
-    let n_workers = std::thread::available_parallelism()
+    let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(pending.len());
+        .unwrap_or(1);
+    let budget = Arc::new(CoreBudget::new(cores));
+    let n_workers = cores.min(pending.len());
     // Divide the sweep-thread budget across the supervisor workers:
     // each in-flight benchmark gets an equal share (at least 1), so
     // supervisor threads × sweep workers never exceeds the configured
@@ -366,51 +373,59 @@ pub fn run_suite_supervised(config: &ExperimentConfig, sup: &SupervisorConfig) -
         let slots = Arc::clone(&slots);
         let cursor = Arc::clone(&cursor);
         let pending = Arc::clone(&pending);
-        workers.push(std::thread::spawn(move || loop {
-            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            let Some(bench) = pending.get(i).copied() else {
-                break;
-            };
-            let cfg = cfg.clone();
-            // `supervise` already isolates benchmark panics; this outer
-            // guard keeps a supervisor-level panic (a harness bug) from
-            // killing the worker and starving the remaining benchmarks.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let attempt_fn: AttemptFn<BenchResult> =
-                    Arc::new(move |attempt| run_benchmark_attempt(bench, &cfg, attempt));
-                supervise(bench.name, &supc, attempt_fn)
-            }));
-            if let (Ok((Ok((result, _)), _)), Some(w)) = (&outcome, &w) {
-                // A poisoned lock or full disk loses checkpointing,
-                // never the in-memory result.
-                if let Ok(mut file) = w.lock() {
-                    let _ = file.append_result(result);
+        let budget = Arc::clone(&budget);
+        workers.push(std::thread::spawn(move || {
+            // There are no more workers than permits.
+            let _permit = budget.try_take();
+            loop {
+                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                let Some(bench) = pending.get(i).copied() else {
+                    break;
+                };
+                let cfg = cfg.clone();
+                let budget = Arc::clone(&budget);
+                // `supervise` already isolates benchmark panics; this
+                // outer guard keeps a supervisor-level panic (a harness
+                // bug) from killing the worker and starving the
+                // remaining benchmarks.
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let attempt_fn: AttemptFn<BenchResult> = Arc::new(move |attempt| {
+                        run_benchmark_with_budget(bench, &cfg, attempt, &budget)
+                    });
+                    supervise(bench.name, &supc, attempt_fn)
+                }));
+                if let (Ok((Ok((result, _)), _)), Some(w)) = (&outcome, &w) {
+                    // A poisoned lock or full disk loses checkpointing,
+                    // never the in-memory result.
+                    if let Ok(mut file) = w.lock() {
+                        let _ = file.append_result(result);
+                    }
                 }
-            }
-            let slot = match outcome {
-                Ok(pair) => pair,
-                Err(payload) => {
-                    let s = SupervisorStats {
-                        failed: 1,
-                        ..SupervisorStats::default()
-                    };
-                    (
-                        Err(BenchFailure {
-                            name: bench.name.to_string(),
-                            error: format!(
-                                "supervisor panicked: {}",
-                                panic_payload(payload.as_ref())
-                            ),
-                            class: ErrorClass::Transient,
-                            attempts: 0,
-                            elapsed: Duration::ZERO,
-                        }),
-                        s,
-                    )
+                let slot = match outcome {
+                    Ok(pair) => pair,
+                    Err(payload) => {
+                        let s = SupervisorStats {
+                            failed: 1,
+                            ..SupervisorStats::default()
+                        };
+                        (
+                            Err(BenchFailure {
+                                name: bench.name.to_string(),
+                                error: format!(
+                                    "supervisor panicked: {}",
+                                    panic_payload(payload.as_ref())
+                                ),
+                                class: ErrorClass::Transient,
+                                attempts: 0,
+                                elapsed: Duration::ZERO,
+                            }),
+                            s,
+                        )
+                    }
+                };
+                if let Ok(mut slots) = slots.lock() {
+                    slots[i] = Some(slot);
                 }
-            };
-            if let Ok(mut slots) = slots.lock() {
-                slots[i] = Some(slot);
             }
         }));
     }

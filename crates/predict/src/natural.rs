@@ -115,6 +115,16 @@ impl SiteOutcomes {
         &self.counts
     }
 
+    /// Add `other`'s counts to these ([`PcCounts::merge`]): outcomes
+    /// counted over some runs here and the rest in `other` score
+    /// exactly as one count over every run.
+    ///
+    /// # Panics
+    /// Panics if the two count different binaries.
+    pub fn merge(&mut self, other: &SiteOutcomes) {
+        self.counts.merge(&other.counts);
+    }
+
     /// Every branch site, executed or not: `(pc, kind, [not taken, taken])`.
     fn branch_sites(&self) -> impl Iterator<Item = (usize, BranchKind, [u64; 2])> + '_ {
         self.sites
@@ -386,6 +396,39 @@ impl NaturalPass {
     pub fn start_run(&mut self) {
         self.flush();
         self.outcomes.counts.start_run();
+    }
+
+    /// Add `other`'s outcome counts and per-pc buffer tallies to this
+    /// pass's. When every run of both passes began with
+    /// [`NaturalPass::start_run`], each run scored from cold buffers
+    /// independently of every other, so the merged pass scores exactly
+    /// as one pass over all their runs would, in any run order. Merge
+    /// between runs: the buffers keep this pass's contents, and the
+    /// next `start_run` empties them.
+    ///
+    /// # Panics
+    /// Panics if the passes cover different binaries or geometries.
+    pub fn merge(&mut self, other: &NaturalPass) {
+        assert_eq!(
+            self.sbtb.entries, other.sbtb.entries,
+            "SBTB geometries differ"
+        );
+        assert_eq!(
+            self.cbtb_config, other.cbtb_config,
+            "CBTB configurations differ"
+        );
+        self.outcomes.merge(&other.outcomes);
+        for (mine, theirs) in [
+            (&mut self.sbtb_tally, &other.sbtb_tally),
+            (&mut self.cbtb_tally, &other.cbtb_tally),
+        ] {
+            for (m, t) in mine.iter_mut().zip(theirs) {
+                m.hits += t.hits;
+                m.correct += t.correct;
+                m.aliases += t.aliases;
+                m.evicts += t.evicts;
+            }
+        }
     }
 
     /// Score one resolved branch at `pc` in both buffers (the caller

@@ -12,6 +12,10 @@
 //! targets change (aliases); trials alternate the two CBTB threshold
 //! readings. Driven by the seeded `branchlab_telemetry::Rng`, like
 //! `assoc_prop.rs`.
+//!
+//! Runs are independent, so passes that each scored some of the runs
+//! must merge into exactly the pass that scored them all: the last
+//! test splits random multi-run streams across 1–4 passes.
 
 use branchlab_ir::{Addr, BlockId, BranchId, Cond, FuncId, Inst, Operand};
 use branchlab_predict::{
@@ -242,4 +246,110 @@ fn paper_geometry_evicts_once_sites_outnumber_entries() {
     assert_eq!(pass.sbtb_stats().btb_misses, 900);
     assert_eq!(pass.sbtb_sites().sites(), sbtb.predictor.sink().sites());
     assert_eq!(pass.cbtb_sites().total(ProbeKind::Evict), 900 - 256);
+}
+
+/// Sorted jump-table transfers, for comparison.
+fn jumps(counts: &branchlab_trace::PcCounts) -> Vec<(Addr, Addr, u64)> {
+    let mut jumps: Vec<_> = counts.jumps().collect();
+    jumps.sort_unstable();
+    jumps
+}
+
+#[test]
+fn merged_passes_equal_one_pass_over_every_run() {
+    let mut split_runs = 0;
+    for seed in 0..16u64 {
+        let mut rng = Rng::seed_from_u64(0x3e76e ^ seed);
+        let len = rng.gen_range(560..900u32);
+        let code = random_code(&mut rng, len);
+        let stream = Stream::new(&mut rng, &code);
+        let entries = if seed % 2 == 0 {
+            1 << rng.gen_range(1..6u32)
+        } else {
+            256
+        };
+        let sbtb_cfg = SbtbConfig {
+            entries,
+            ways: entries,
+        };
+        let cbtb_cfg = CbtbConfig {
+            entries,
+            ways: entries,
+            strict_greater: seed % 3 == 0,
+            ..CbtbConfig::paper()
+        };
+        let new_pass = || NaturalPass::new(&code, sbtb_cfg, cbtb_cfg);
+        let mut whole = new_pass();
+        let mut whole_fs = SiteOutcomes::new(&code);
+        // Each run goes to one of 1–4 parts, in a random assignment.
+        let n_parts = rng.gen_range(1..5usize);
+        let mut parts: Vec<NaturalPass> = (0..n_parts).map(|_| new_pass()).collect();
+        let mut fs_parts: Vec<SiteOutcomes> =
+            (0..n_parts).map(|_| SiteOutcomes::new(&code)).collect();
+        let runs = rng.gen_range(2..7u32);
+        let mut used = vec![false; n_parts];
+        for _run in 0..runs {
+            let part = rng.gen_range(0..n_parts);
+            used[part] = true;
+            whole.start_run();
+            parts[part].start_run();
+            let width = rng.gen_range(8..stream.sites.len());
+            let mut window = 0;
+            for i in 0..rng.gen_range(500..2000u32) {
+                if i % 64 == 0 {
+                    window = rng.gen_range(0..stream.sites.len());
+                }
+                let ev = stream.event(&mut rng, &code, window, width);
+                whole.branch(&ev);
+                parts[part].branch(&ev);
+                whole_fs.branch(&ev);
+                fs_parts[part].branch(&ev);
+            }
+        }
+        split_runs += u32::from(used.iter().filter(|&&u| u).count() > 1);
+
+        let mut merged = parts.remove(0);
+        for part in &parts {
+            merged.merge(part);
+        }
+        let mut merged_fs = fs_parts.remove(0);
+        for part in &fs_parts {
+            merged_fs.merge(part);
+        }
+
+        let ctx = format!("seed {seed} ({entries} entries, {n_parts} parts, {runs} runs)");
+        assert_eq!(merged.sbtb_stats(), whole.sbtb_stats(), "{ctx}: SBTB");
+        assert_eq!(merged.cbtb_stats(), whole.cbtb_stats(), "{ctx}: CBTB");
+        assert_eq!(
+            merged.sbtb_sites().sites(),
+            whole.sbtb_sites().sites(),
+            "{ctx}"
+        );
+        assert_eq!(
+            merged.cbtb_sites().sites(),
+            whole.cbtb_sites().sites(),
+            "{ctx}"
+        );
+        let (m, w) = (merged.outcomes(), whole.outcomes());
+        assert_eq!(m.always_taken(), w.always_taken(), "{ctx}: AT");
+        assert_eq!(m.always_not_taken(), w.always_not_taken(), "{ctx}: ANT");
+        assert_eq!(m.btfn(), w.btfn(), "{ctx}: BTFN");
+        assert_eq!(m.mix(), w.mix(), "{ctx}: mix");
+        assert_eq!(m.counts().counts(), w.counts().counts(), "{ctx}: counts");
+        assert_eq!(jumps(m.counts()), jumps(w.counts()), "{ctx}: jumps");
+        assert_eq!(m.counts().runs(), u64::from(runs), "{ctx}: runs");
+        assert_eq!(
+            merged_fs.likely_bit(),
+            whole_fs.likely_bit(),
+            "{ctx}: likely"
+        );
+        assert_eq!(
+            merged_fs.counts().counts(),
+            whole_fs.counts().counts(),
+            "{ctx}: FS counts"
+        );
+        assert_eq!(jumps(merged_fs.counts()), jumps(whole_fs.counts()), "{ctx}");
+    }
+    // Most trials really spread their runs over several passes.
+    assert!(split_runs >= 8, "only {split_runs} trials split their runs");
 }

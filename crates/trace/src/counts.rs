@@ -93,6 +93,28 @@ impl PcCounts {
     pub fn runs(&self) -> u64 {
         self.runs
     }
+
+    /// Add `other`'s counts, jump-table transfers and runs to these.
+    /// Counts are plain tallies, so counting some runs here and the
+    /// rest in `other` and merging equals counting every run in one.
+    ///
+    /// # Panics
+    /// Panics if the two count different binaries (table lengths differ).
+    pub fn merge(&mut self, other: &PcCounts) {
+        assert_eq!(
+            self.counts.len(),
+            other.counts.len(),
+            "merged counts must cover one binary"
+        );
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            mine[0] += theirs[0];
+            mine[1] += theirs[1];
+        }
+        for (&key, &n) in &other.jumps {
+            *self.jumps.entry(key).or_insert(0) += n;
+        }
+        self.runs += other.runs;
+    }
 }
 
 impl ExecHooks for PcCounts {
@@ -181,6 +203,26 @@ mod tests {
         assert_eq!(c.counts()[5], [0, 3]);
         assert_eq!(c.runs(), 1);
         let mut jumps: Vec<_> = c.jumps().collect();
+        jumps.sort_unstable();
+        assert_eq!(jumps, vec![(Addr(5), Addr(1), 2), (Addr(5), Addr(4), 1)]);
+    }
+
+    #[test]
+    fn merge_adds_counts_jumps_and_runs() {
+        let mut a = PcCounts::new(8);
+        a.start_run();
+        a.branch(&indirect(5, 1));
+        let mut b = PcCounts::new(8);
+        b.start_run();
+        b.start_run();
+        b.branch(&indirect(5, 1));
+        b.branch(&indirect(5, 4));
+        b.call(Addr(2), FuncId(3));
+        a.merge(&b);
+        assert_eq!(a.counts()[5], [0, 3]);
+        assert_eq!(a.counts()[2], [0, 1]);
+        assert_eq!(a.runs(), 3);
+        let mut jumps: Vec<_> = a.jumps().collect();
         jumps.sort_unstable();
         assert_eq!(jumps, vec![(Addr(5), Addr(1), 2), (Addr(5), Addr(4), 1)]);
     }
