@@ -8,7 +8,8 @@
 //! sites; this study scores every scheme on them at two geometries:
 //!
 //! * **paper-256** — the paper's 256-entry fully-associative buffer
-//!   (and the single-level `MlBtb` that is prediction-identical to it);
+//!   (`cbtb_256` and `mlbtb_256` are the same single-level `MlBtb`,
+//!   built from a `CbtbConfig` and an `MlBtbConfig`);
 //! * **stressed-64x4** — a 64-entry 4-way L1 that the synthetic
 //!   footprints overflow, alone (SBTB/CBTB) and backed by a 2048-entry
 //!   8-way L2 (`MlBtb::server`).
@@ -268,7 +269,7 @@ fn study_bench(bench: &Benchmark, config: &ExperimentConfig) -> (JsonValue, bool
             let mut ml = FdipSim::new(MlBtb::new(cfg.clone()));
             replay_runs(&runs, &mut ml)
                 .unwrap_or_else(|e| panic!("{name}/{}: mlbtb replay failed: {e}", point.key));
-            fields.push(("mlbtb", level_stats_json(ml.eval.predictor.stats())));
+            fields.push(("mlbtb", level_stats_json(&ml.eval.predictor.stats())));
         }
         rows.push(JsonValue::obj(fields));
         eprintln!(

@@ -536,13 +536,6 @@ pub fn full_study_suite(
     })
 }
 
-/// Convenience: per-scheme accuracies for a list of predictors (used by
-/// the criterion benches).
-#[must_use]
-pub fn accuracies(stats: &[PredStats]) -> Vec<f64> {
-    stats.iter().map(PredStats::accuracy).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,10 +8,12 @@
 //! code-expansion points — but not phase spans or per-site probes,
 //! which are observability extras and come back empty after a restore.
 //!
+//! Each line carries an FNV-1a `hash` of its record, as spill records
+//! and trace files do, so a damaged line cannot restore wrong numbers.
 //! Loading is deliberately forgiving: a torn final line (the process
-//! died mid-append) or an unknown benchmark name is skipped, not
-//! fatal — a checkpoint must never be able to wedge the harness that
-//! reads it.
+//! died mid-append), a line whose hash does not match, or an unknown
+//! benchmark name is skipped, not fatal — a checkpoint must never be
+//! able to wedge the harness that reads it.
 
 use std::io::{self, Write};
 use std::path::Path;
@@ -20,13 +22,13 @@ use branchlab_fsem::ExpansionPoint;
 use branchlab_interp::ExecStats;
 use branchlab_predict::PredStats;
 use branchlab_telemetry::{JsonValue, SiteProbe};
-use branchlab_trace::BranchMix;
+use branchlab_trace::{hash_bytes, BranchMix};
 
 use crate::harness::BenchResult;
 
 /// Checkpoint line format version; bumped on incompatible change, and
 /// mismatched lines are skipped on load.
-pub const CHECKPOINT_VERSION: u64 = 1;
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 fn stats_json(s: &ExecStats) -> JsonValue {
     JsonValue::obj(vec![
@@ -73,8 +75,23 @@ fn expansion_json(e: &ExpansionPoint) -> JsonValue {
 /// One checkpoint line for `result` (without trailing newline).
 #[must_use]
 pub fn to_line(result: &BenchResult) -> String {
-    JsonValue::obj(vec![
+    let mut line = vec![
         ("v", CHECKPOINT_VERSION.into()),
+        ("hash", record_hash(result).into()),
+    ];
+    line.extend(record_fields(result));
+    JsonValue::obj(line).to_json()
+}
+
+/// FNV-1a over `result`'s serialized record: what a line's `hash` covers.
+fn record_hash(result: &BenchResult) -> String {
+    let record = JsonValue::obj(record_fields(result)).to_json();
+    format!("{:016x}", hash_bytes(record.as_bytes()))
+}
+
+/// The fields a checkpoint line records for `result`.
+fn record_fields(result: &BenchResult) -> Vec<(&'static str, JsonValue)> {
+    vec![
         ("bench", result.name.into()),
         ("source_lines", result.source_lines.into()),
         ("runs", result.runs.into()),
@@ -90,8 +107,7 @@ pub fn to_line(result: &BenchResult) -> String {
             "expansion",
             JsonValue::Arr(result.expansion.iter().map(expansion_json).collect()),
         ),
-    ])
-    .to_json()
+    ]
 }
 
 /// Append one benchmark record to an open checkpoint stream.
@@ -240,7 +256,8 @@ fn parse_expansion(v: &JsonValue) -> Option<Vec<ExpansionPoint>> {
 }
 
 /// Parse one checkpoint line; `None` for malformed lines, version
-/// mismatches, and benchmark names not in the current suite.
+/// mismatches, records that do not match their hash, and benchmark
+/// names not in the current suite.
 #[must_use]
 pub fn from_line(line: &str) -> Option<BenchResult> {
     let v = branchlab_telemetry::json::parse(line).ok()?;
@@ -250,7 +267,7 @@ pub fn from_line(line: &str) -> Option<BenchResult> {
     let name = v.get("bench")?.as_str()?;
     // Intern through the suite table: BenchResult holds &'static str.
     let bench = branchlab_workloads::benchmark(name)?;
-    Some(BenchResult {
+    let result = BenchResult {
         name: bench.name,
         source_lines: us(&v, "source_lines")?,
         runs: us(&v, "runs")?,
@@ -266,7 +283,10 @@ pub fn from_line(line: &str) -> Option<BenchResult> {
         phases: Vec::new(),
         sbtb_sites: SiteProbe::disabled(),
         cbtb_sites: SiteProbe::disabled(),
-    })
+    };
+    // The record re-serializes to the bytes that were hashed exactly
+    // when every value survived the round trip.
+    (v.get("hash")?.as_str()? == record_hash(&result)).then_some(result)
 }
 
 /// Load every restorable benchmark record from a checkpoint file.
@@ -340,6 +360,23 @@ mod tests {
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].name, "wc");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_line_with_a_changed_digit_is_dropped() {
+        let r = sample();
+        let line = to_line(&r);
+        let at = line.find("\"correct\":").expect("a correct field") + "\"correct\":".len();
+        let digit = line.as_bytes()[at];
+        let flipped = if digit == b'9' {
+            '8'
+        } else {
+            char::from(digit + 1)
+        };
+        let mut damaged = line.clone();
+        damaged.replace_range(at..=at, &flipped.to_string());
+        assert!(from_line(&line).is_some());
+        assert!(from_line(&damaged).is_none(), "{damaged}");
     }
 
     #[test]

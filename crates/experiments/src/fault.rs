@@ -122,12 +122,6 @@ impl FaultInjector {
         }
     }
 
-    /// An injector that never fires.
-    #[must_use]
-    pub fn disarmed() -> Self {
-        FaultInjector::new(&FaultConfig::default(), "", 1)
-    }
-
     /// Whether this injector can fire at all.
     #[must_use]
     pub fn armed(&self) -> bool {

@@ -34,16 +34,6 @@ impl Module {
         self.funcs.iter().find(|f| f.name == name)
     }
 
-    /// Total static instruction count (ops + one slot per terminator),
-    /// before lowering. Useful as a size sanity check.
-    #[must_use]
-    pub fn static_size(&self) -> usize {
-        self.funcs
-            .iter()
-            .map(|f| f.blocks.iter().map(|b| b.ops.len() + 1).sum::<usize>())
-            .sum()
-    }
-
     /// Iterate over all conditional-branch sites in the module.
     pub fn cond_branches(&self) -> impl Iterator<Item = BranchId> + '_ {
         self.funcs.iter().flat_map(|f| {
@@ -295,12 +285,6 @@ impl FunctionBuilder {
         self.current = b;
     }
 
-    /// The block currently being appended to.
-    #[must_use]
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Whether the current block has been terminated.
     #[must_use]
     pub fn current_sealed(&self) -> bool {
@@ -340,12 +324,6 @@ impl FunctionBuilder {
         if !self.current_sealed() {
             self.terminate(Term::Jmp(target));
         }
-    }
-
-    /// Number of registers allocated so far.
-    #[must_use]
-    pub fn reg_count(&self) -> u16 {
-        self.next_reg
     }
 
     /// Finish the function. Unterminated blocks become `Ret(None)` so the

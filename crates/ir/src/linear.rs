@@ -188,15 +188,6 @@ impl Program {
         &self.code[pc.0 as usize]
     }
 
-    /// Metadata for the instruction at `pc`.
-    ///
-    /// # Panics
-    /// Panics if `pc` is out of range.
-    #[must_use]
-    pub fn meta_at(&self, pc: Addr) -> &InstMeta {
-        &self.meta[pc.0 as usize]
-    }
-
     /// Total static code size in instructions (including forward slots).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -233,13 +224,6 @@ impl Program {
             .filter(|(i, inst)| inst.is_branch() && !self.meta[*i].is_slot)
             .map(|(i, _)| Addr(i as u32))
             .collect()
-    }
-
-    /// The function containing `pc`, if any.
-    #[must_use]
-    pub fn func_at(&self, pc: Addr) -> Option<&FuncInfo> {
-        let f = self.meta.get(pc.0 as usize)?.func;
-        self.funcs.get(f.0 as usize)
     }
 }
 

@@ -15,14 +15,14 @@
 //! selects the literal `C > T`. The experiment harness runs the
 //! literal reading for the suite's Table 3 (its `cbtb_strict` knob,
 //! on by default; see DESIGN.md for the evidence).
+//!
+//! There is one engine for it: [`Cbtb`] is the single-level [`MlBtb`],
+//! and a [`CbtbConfig`] converts into a one-level
+//! [`MlBtbConfig`](crate::MlBtbConfig), which carries the counter rule.
 
-use branchlab_ir::Addr;
-use branchlab_telemetry::{NoopSink, ProbeEvent, ProbeKind, TelemetrySink};
-use branchlab_trace::BranchEvent;
+use branchlab_telemetry::NoopSink;
 
-use crate::assoc::AssocBuffer;
-use crate::lanes::{saturating_step, LaneSpec};
-use crate::predictor::{BranchPredictor, Prediction, TargetInfo};
+use crate::mlbtb::MlBtb;
 
 /// CBTB geometry and counter parameters.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -53,44 +53,6 @@ impl CbtbConfig {
             strict_greater: false,
         }
     }
-
-    pub(crate) fn counter_max(&self) -> u8 {
-        ((1u16 << self.counter_bits) - 1) as u8
-    }
-
-    /// Whether a resident entry with `counter` predicts taken, under
-    /// the configured threshold reading.
-    #[inline]
-    pub(crate) fn predicts_taken(&self, counter: u8) -> bool {
-        if self.strict_greater {
-            counter > self.threshold
-        } else {
-            counter >= self.threshold
-        }
-    }
-
-    /// The counter a missing branch is filled with: `T` on a taken
-    /// fill, `T − 1` on a not-taken one.
-    #[inline]
-    pub(crate) fn fill_counter(&self, taken: bool) -> u8 {
-        if taken {
-            self.threshold
-        } else {
-            self.threshold - 1
-        }
-    }
-
-    /// Check the counter parameters (geometry is the buffer's concern).
-    pub(crate) fn assert_valid_counters(&self) {
-        assert!(
-            (1..=7).contains(&self.counter_bits),
-            "counter bits must be in 1..=7"
-        );
-        assert!(
-            self.threshold >= 1 && self.threshold <= self.counter_max(),
-            "threshold must be in 1..=counter max"
-        );
-    }
 }
 
 impl Default for CbtbConfig {
@@ -99,18 +61,13 @@ impl Default for CbtbConfig {
     }
 }
 
-/// One CBTB entry.
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct CbtbEntry {
-    pub(crate) counter: u8,
-    pub(crate) target: Addr,
-}
-
-/// The Counter-based Branch Target Buffer.
+/// The Counter-based Branch Target Buffer: a single-level [`MlBtb`],
+/// built from a [`CbtbConfig`].
 ///
-/// Generic over a [`TelemetrySink`]; the default [`NoopSink`] keeps
-/// `enabled()` constant-false, so the uninstrumented predictor
-/// monomorphizes with no probe code on the hot path.
+/// Generic over a [`TelemetrySink`](branchlab_telemetry::TelemetrySink);
+/// the default [`NoopSink`] keeps `enabled()` constant-false, so the
+/// uninstrumented predictor monomorphizes with no probe code on the hot
+/// path.
 ///
 /// Construct with the paper's parameters and score it over a live run
 /// via [`Evaluator`](crate::Evaluator):
@@ -133,181 +90,7 @@ pub(crate) struct CbtbEntry {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug)]
-pub struct Cbtb<S: TelemetrySink = NoopSink> {
-    buf: AssocBuffer<CbtbEntry>,
-    config: CbtbConfig,
-    sink: S,
-    /// `(pc, way)` of the entry the last `predict` hit, so `update` can
-    /// revisit it without a second buffer search.
-    last_hit: Option<(u32, u32)>,
-}
-
-impl Cbtb {
-    /// Build a CBTB.
-    ///
-    /// # Panics
-    /// Panics on invalid geometry, zero-width counters, counters wider
-    /// than 7 bits, or a threshold outside the counter range.
-    #[must_use]
-    pub fn new(config: CbtbConfig) -> Self {
-        Self::with_sink(config, NoopSink)
-    }
-
-    /// The paper's 256-entry fully-associative 2-bit CBTB with T = 2.
-    #[must_use]
-    pub fn paper() -> Self {
-        Self::new(CbtbConfig::paper())
-    }
-}
-
-impl<S: TelemetrySink> Cbtb<S> {
-    /// Build a CBTB that publishes probe events to `sink`.
-    ///
-    /// # Panics
-    /// Panics on invalid geometry, zero-width counters, counters wider
-    /// than 7 bits, or a threshold outside the counter range.
-    #[must_use]
-    pub fn with_sink(config: CbtbConfig, sink: S) -> Self {
-        assert!(
-            config.ways > 0 && config.entries.is_multiple_of(config.ways),
-            "entries must be a multiple of ways"
-        );
-        config.assert_valid_counters();
-        Cbtb {
-            buf: AssocBuffer::new(config.entries / config.ways, config.ways),
-            config,
-            sink,
-            last_hit: None,
-        }
-    }
-
-    /// Resident entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the buffer is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The telemetry sink.
-    #[must_use]
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    #[inline]
-    fn probe(&mut self, site: u32, kind: ProbeKind) {
-        if self.sink.enabled() {
-            self.sink.emit(ProbeEvent { site, kind });
-        }
-    }
-}
-
-impl Default for Cbtb {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
-impl<S: TelemetrySink> BranchPredictor for Cbtb<S> {
-    fn name(&self) -> &'static str {
-        "CBTB"
-    }
-
-    fn predict(&mut self, ev: &BranchEvent) -> Prediction {
-        // One search serves lookup, LRU refresh, and (via the remembered
-        // way) the counter update that follows.
-        let hit = self.buf.lookup_pos(ev.pc.0).map(|(way, e)| (way, *e));
-        self.last_hit = hit.map(|(way, _)| (ev.pc.0, way));
-        match hit {
-            Some((_, entry)) => {
-                self.probe(ev.pc.0, ProbeKind::Hit);
-                Prediction {
-                    taken: self.config.predicts_taken(entry.counter),
-                    target: TargetInfo::Addr(entry.target),
-                    hit: Some(true),
-                }
-            }
-            None => {
-                self.probe(ev.pc.0, ProbeKind::Miss);
-                Prediction {
-                    taken: false,
-                    target: TargetInfo::None,
-                    hit: Some(false),
-                }
-            }
-        }
-    }
-
-    fn update(&mut self, ev: &BranchEvent, pred: &Prediction) {
-        if self.sink.enabled() {
-            let kind = if ev.taken {
-                ProbeKind::Taken
-            } else {
-                ProbeKind::NotTaken
-            };
-            self.sink.emit(ProbeEvent {
-                site: ev.pc.0,
-                kind,
-            });
-            if !pred.is_correct(ev) {
-                self.sink.emit(ProbeEvent {
-                    site: ev.pc.0,
-                    kind: ProbeKind::Mispredict,
-                });
-            }
-            if ev.taken {
-                if let Some(entry) = self.buf.peek(ev.pc.0) {
-                    if entry.target != ev.target {
-                        self.sink.emit(ProbeEvent {
-                            site: ev.pc.0,
-                            kind: ProbeKind::Alias,
-                        });
-                    }
-                }
-            }
-        }
-        let max = self.config.counter_max();
-        let entry = match self.last_hit.take() {
-            // predict already found this entry; revisit it directly.
-            Some((pc, way)) if pc == ev.pc.0 => self.buf.touch(pc, way),
-            _ => self.buf.lookup(ev.pc.0),
-        };
-        if let Some(entry) = entry {
-            entry.counter = saturating_step(entry.counter, max, ev.taken);
-            if ev.taken {
-                entry.target = ev.target;
-            }
-        } else {
-            if let Some((victim, _)) = self.buf.insert(
-                ev.pc.0,
-                CbtbEntry {
-                    counter: self.config.fill_counter(ev.taken),
-                    target: ev.target,
-                },
-            ) {
-                self.probe(victim, ProbeKind::Evict);
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        self.buf.flush();
-        self.last_hit = None;
-    }
-
-    fn lane_spec(&self) -> Option<LaneSpec> {
-        // A probe sink observes per-event effects the lane engine does
-        // not replay, and a non-empty buffer means state has diverged
-        // from the fresh configuration the spec describes.
-        (!self.sink.enabled() && self.buf.is_empty()).then_some(LaneSpec::Cbtb(self.config))
-    }
-}
+pub type Cbtb<S = NoopSink> = MlBtb<S>;
 
 #[cfg(test)]
 mod tests {

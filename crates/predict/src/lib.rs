@@ -5,12 +5,12 @@
 //!
 //! * [`Sbtb`] — the Simple Branch Target Buffer (taken branches only,
 //!   delete-on-mispredict), 256-entry fully-associative LRU by default.
-//! * [`Cbtb`] — the Counter-based BTB with n-bit saturating counters
-//!   (2-bit, threshold 2 by default).
 //! * [`MlBtb`] — a parametric multi-level BTB hierarchy (set-associative
 //!   levels with true-LRU sets, fill/promotion policies, per-level
 //!   lookup-latency penalties) for server-scale instruction footprints
 //!   beyond the paper's single 256-entry buffer.
+//! * [`Cbtb`] — the Counter-based BTB with n-bit saturating counters
+//!   (2-bit, threshold 2 by default): the single-level [`MlBtb`].
 //! * [`ForwardSemantic`] — the software scheme's prediction side:
 //!   profile-derived likely bits with encoded targets.
 //! * [`AlwaysTaken`], [`AlwaysNotTaken`], [`BackwardTakenForwardNot`] —

@@ -1,4 +1,5 @@
-//! Multi-level Branch Target Buffer hierarchy — the post-1989 regime.
+//! Multi-level Branch Target Buffer hierarchy, and the one BTB engine
+//! behind the paper's CBTB.
 //!
 //! The paper's SBTB/CBTB assume a single 256-entry fully-associative
 //! buffer, which server-scale instruction footprints overflow. Real
@@ -10,10 +11,10 @@
 //! [`MlBtbLevel::entries`] / [`MlBtbLevel::ways`] (true-LRU within each
 //! set) and a [`MlBtbLevel::latency`] lookup penalty, plus a hierarchy
 //! [`FillPolicy`] choosing where new entries land and how hits climb.
-//! Direction prediction reuses the CBTB's n-bit saturating counter
-//! (predict taken when `C ≥ T`), so a single-level `MlBtb` is
-//! prediction-identical to [`Cbtb`](crate::Cbtb) at the same geometry —
-//! a property a unit test pins down.
+//! Direction prediction is the CBTB's n-bit saturating counter. With
+//! one level it *is* the paper's CBTB: [`Cbtb`](crate::Cbtb) is an
+//! alias of `MlBtb`, built from a [`CbtbConfig`], and a fresh
+//! single-level buffer packs into the sweep lanes.
 //!
 //! The hierarchy keeps each branch resident in at most one level: hits
 //! move entries up (promotion), evictions cascade down (demotion), and
@@ -24,7 +25,8 @@ use branchlab_telemetry::{NoopSink, ProbeEvent, ProbeKind, TelemetrySink};
 use branchlab_trace::BranchEvent;
 
 use crate::assoc::AssocBuffer;
-use crate::lanes::saturating_step;
+use crate::cbtb::CbtbConfig;
+use crate::lanes::{saturating_step, LaneSpec};
 use crate::predictor::{BranchPredictor, Prediction, TargetInfo};
 
 /// Geometry and lookup cost of one BTB level.
@@ -54,17 +56,6 @@ pub enum FillPolicy {
     Staged,
 }
 
-impl FillPolicy {
-    /// Stable lowercase name (the server's canonical spelling).
-    #[must_use]
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FillPolicy::L1 => "l1",
-            FillPolicy::Staged => "staged",
-        }
-    }
-}
-
 /// Full multi-level BTB configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MlBtbConfig {
@@ -74,26 +65,19 @@ pub struct MlBtbConfig {
     pub policy: FillPolicy,
     /// Direction counter width in bits (the CBTB's 2 by default).
     pub counter_bits: u8,
-    /// Predict-taken threshold `T` (`C ≥ T`).
+    /// Predict-taken threshold `T`.
     pub threshold: u8,
+    /// Predict taken only when `C > T` (the paper's literal text) instead
+    /// of `C ≥ T` (the reading consistent with Smith's scheme).
+    pub strict_greater: bool,
 }
 
 impl MlBtbConfig {
-    /// The paper's single-level geometry: 256 entries, fully
-    /// associative, 2-bit counters, T = 2 — prediction-identical to
-    /// [`CbtbConfig::paper`](crate::CbtbConfig::paper).
+    /// The paper's single-level geometry: the
+    /// [`CbtbConfig::paper`](crate::CbtbConfig::paper) buffer.
     #[must_use]
     pub fn paper() -> Self {
-        MlBtbConfig {
-            levels: vec![MlBtbLevel {
-                entries: 256,
-                ways: 256,
-                latency: 0,
-            }],
-            policy: FillPolicy::L1,
-            counter_bits: 2,
-            threshold: 2,
-        }
+        CbtbConfig::paper().into()
     }
 
     /// A server-scale two-level hierarchy: a 64-entry 4-way L1 in front
@@ -116,24 +100,63 @@ impl MlBtbConfig {
             policy: FillPolicy::L1,
             counter_bits: 2,
             threshold: 2,
+            strict_greater: false,
         }
     }
 
-    fn counter_max(&self) -> u8 {
+    pub(crate) fn counter_max(&self) -> u8 {
         ((1u16 << self.counter_bits) - 1) as u8
     }
 
-    /// Sum of all level latencies — what a full miss pays for walking
-    /// the hierarchy.
-    #[must_use]
-    pub fn miss_latency(&self) -> u32 {
-        self.levels.iter().map(|l| l.latency).sum()
+    /// Whether a resident entry with `counter` predicts taken, under
+    /// the configured threshold reading.
+    #[inline]
+    pub(crate) fn predicts_taken(&self, counter: u8) -> bool {
+        if self.strict_greater {
+            counter > self.threshold
+        } else {
+            counter >= self.threshold
+        }
+    }
+
+    /// The counter a missing branch is filled with: `T` on a taken
+    /// fill, `T − 1` on a not-taken one.
+    #[inline]
+    pub(crate) fn fill_counter(&self, taken: bool) -> u8 {
+        if taken {
+            self.threshold
+        } else {
+            self.threshold - 1
+        }
+    }
+
+    /// Check the counter parameters (geometry is the buffers' concern).
+    pub(crate) fn assert_valid_counters(&self) {
+        assert!(
+            (1..=7).contains(&self.counter_bits),
+            "counter bits must be in 1..=7"
+        );
+        assert!(
+            self.threshold >= 1 && self.threshold <= self.counter_max(),
+            "threshold must be in 1..=counter max"
+        );
     }
 }
 
-impl Default for MlBtbConfig {
-    fn default() -> Self {
-        Self::server()
+/// One buffer, the paper's CBTB: a single level with no lookup penalty.
+impl From<CbtbConfig> for MlBtbConfig {
+    fn from(c: CbtbConfig) -> Self {
+        MlBtbConfig {
+            levels: vec![MlBtbLevel {
+                entries: c.entries,
+                ways: c.ways,
+                latency: 0,
+            }],
+            policy: FillPolicy::L1,
+            counter_bits: c.counter_bits,
+            threshold: c.threshold,
+            strict_greater: c.strict_greater,
+        }
     }
 }
 
@@ -166,32 +189,21 @@ pub struct MlBtbStats {
     pub latency_cycles: u64,
 }
 
-/// One resident branch.
+/// One resident branch: its direction counter and last taken target.
 #[derive(Copy, Clone, Debug)]
-struct MlEntry {
-    counter: u8,
-    target: Addr,
+pub(crate) struct BtbEntry {
+    pub(crate) counter: u8,
+    pub(crate) target: Addr,
 }
 
-/// Where the entry served by the last `predict` now resides, so
-/// `update` can revisit it without re-searching the hierarchy.
-#[derive(Copy, Clone, Debug)]
-struct LastHit {
-    pc: u32,
-    /// Level the entry resides at *after* any promotion.
-    level: usize,
-    /// Way within that level, when known (no-promotion fast path).
-    way: Option<u32>,
-}
-
-/// The multi-level BTB.
+/// The multi-level BTB; with one level, the paper's CBTB.
 ///
 /// Generic over a [`TelemetrySink`]; the default [`NoopSink`] keeps
 /// `enabled()` constant-false so the uninstrumented predictor
-/// monomorphizes with no probe code on the hot path. `lane_spec`
-/// deliberately stays the trait default (`None`): hierarchy state does
-/// not pack into the bit-parallel lanes, so the sweep planner routes
-/// `mlbtb` points to the scalar path.
+/// monomorphizes with no probe code on the hot path. A fresh
+/// single-level buffer with its sink off describes itself as a
+/// [`LaneSpec::Cbtb`] lane, so the sweep planner can pack it; deeper
+/// hierarchies have no lane form and stay on the scalar path.
 ///
 /// ```
 /// use branchlab_predict::{Evaluator, MlBtb};
@@ -209,26 +221,40 @@ struct LastHit {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MlBtb<S: TelemetrySink = NoopSink> {
-    levels: Vec<AssocBuffer<MlEntry>>,
+    /// The first level, searched on every lookup (held inline: it is
+    /// the whole buffer of the CBTB).
+    l1: AssocBuffer<BtbEntry>,
+    /// The levels below L1, in order.
+    lower: Vec<AssocBuffer<BtbEntry>>,
     config: MlBtbConfig,
+    /// Hits below L1, fills, evicts and promotions; the rest is derived
+    /// in [`MlBtb::stats`].
     stats: MlBtbStats,
+    /// Lookups made; L1's hits are the ones no other outcome explains.
+    lookups: u64,
+    /// Lookups no level served.
+    full_misses: u64,
     sink: S,
-    last_hit: Option<LastHit>,
+    /// What the last `predict` found, so `update` need not search
+    /// again: its pc and the L1 way it hit, or `None` when no level
+    /// holds it. A promoted entry has moved, and `update` searches.
+    last_hit: Option<(u32, Option<u32>)>,
 }
 
 impl MlBtb {
-    /// Build a multi-level BTB.
+    /// Build a BTB: a hierarchy from an [`MlBtbConfig`], or the paper's
+    /// single-level CBTB from a [`CbtbConfig`].
     ///
     /// # Panics
     /// Panics on an empty level list, invalid per-level geometry,
     /// zero-width or >7-bit counters, or a threshold outside the
     /// counter range.
     #[must_use]
-    pub fn new(config: MlBtbConfig) -> Self {
+    pub fn new(config: impl Into<MlBtbConfig>) -> Self {
         Self::with_sink(config, NoopSink)
     }
 
-    /// The paper's single-level 256-entry geometry (CBTB-equivalent).
+    /// The paper's 256-entry fully-associative 2-bit CBTB with T = 2.
     #[must_use]
     pub fn paper() -> Self {
         Self::new(MlBtbConfig::paper())
@@ -242,44 +268,36 @@ impl MlBtb {
 }
 
 impl<S: TelemetrySink> MlBtb<S> {
-    /// Build a multi-level BTB that publishes probe events to `sink`.
+    /// Build a BTB that publishes probe events to `sink`.
     ///
     /// # Panics
     /// Panics on an empty level list, invalid per-level geometry,
     /// zero-width or >7-bit counters, or a threshold outside the
     /// counter range.
     #[must_use]
-    pub fn with_sink(config: MlBtbConfig, sink: S) -> Self {
+    pub fn with_sink(config: impl Into<MlBtbConfig>, sink: S) -> Self {
+        let config = config.into();
         assert!(!config.levels.is_empty(), "at least one level required");
         for (i, lvl) in config.levels.iter().enumerate() {
             assert!(
                 lvl.ways > 0 && lvl.entries.is_multiple_of(lvl.ways),
                 "level {i}: entries must be a multiple of ways"
             );
-            assert!(
-                (lvl.entries / lvl.ways).is_power_of_two(),
-                "level {i}: set count must be a power of two"
-            );
         }
-        assert!(
-            (1..=7).contains(&config.counter_bits),
-            "counter bits must be in 1..=7"
-        );
-        assert!(
-            config.threshold >= 1 && config.threshold <= config.counter_max(),
-            "threshold must be in 1..=counter max"
-        );
-        let levels = config
+        config.assert_valid_counters();
+        let mut levels = config
             .levels
             .iter()
-            .map(|l| AssocBuffer::new(l.entries / l.ways, l.ways))
-            .collect();
+            .map(|l| AssocBuffer::new(l.entries / l.ways, l.ways));
         MlBtb {
-            levels,
+            l1: levels.next().expect("at least one level"),
+            lower: levels.collect(),
             stats: MlBtbStats {
                 levels: vec![LevelStats::default(); config.levels.len()],
                 ..MlBtbStats::default()
             },
+            lookups: 0,
+            full_misses: 0,
             config,
             sink,
             last_hit: None,
@@ -294,8 +312,24 @@ impl<S: TelemetrySink> MlBtb<S> {
 
     /// Hierarchy statistics accumulated so far.
     #[must_use]
-    pub fn stats(&self) -> &MlBtbStats {
-        &self.stats
+    pub fn stats(&self) -> MlBtbStats {
+        let mut stats = self.stats.clone();
+        let lower_hits: u64 = stats.levels[1..].iter().map(|l| l.hits).sum();
+        stats.levels[0].hits = self.lookups - self.full_misses - lower_hits;
+        // A lookup searches every level above the one that serves it,
+        // and a full miss searches (and pays the latency of) them all.
+        let mut passed = self.full_misses;
+        for (level, cfg) in stats.levels.iter_mut().zip(&self.config.levels).rev() {
+            level.misses = passed;
+            passed += level.hits;
+            stats.latency_cycles += (level.hits + self.full_misses) * u64::from(cfg.latency);
+        }
+        // Every victim demotes one level down, except the last level's,
+        // which leaves the hierarchy.
+        let (last, upper) = stats.levels.split_last().expect("at least one level");
+        stats.demotions = upper.iter().map(|l| l.evicts).sum();
+        stats.dropped = last.evicts;
+        stats
     }
 
     /// The telemetry sink.
@@ -307,13 +341,25 @@ impl<S: TelemetrySink> MlBtb<S> {
     /// Total resident entries across all levels.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.levels.iter().map(AssocBuffer::len).sum()
+        self.levels().map(AssocBuffer::len).sum()
     }
 
     /// Whether every level is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.levels.iter().all(AssocBuffer::is_empty)
+        self.levels().all(AssocBuffer::is_empty)
+    }
+
+    /// Every level's buffer, L1 first.
+    fn levels(&self) -> impl Iterator<Item = &AssocBuffer<BtbEntry>> {
+        std::iter::once(&self.l1).chain(&self.lower)
+    }
+
+    fn level_mut(&mut self, level: usize) -> &mut AssocBuffer<BtbEntry> {
+        match level {
+            0 => &mut self.l1,
+            _ => &mut self.lower[level - 1],
+        }
     }
 
     #[inline]
@@ -323,97 +369,110 @@ impl<S: TelemetrySink> MlBtb<S> {
         }
     }
 
-    /// Place `entry` into `level`, demoting displaced victims one level
-    /// down; the last level's victim leaves the hierarchy.
-    fn place(&mut self, mut level: usize, mut key: u32, mut entry: MlEntry) {
-        loop {
-            self.stats.levels[level].fills += 1;
-            match self.levels[level].insert(key, entry) {
-                None => return,
-                Some((victim_key, victim)) => {
-                    self.stats.levels[level].evicts += 1;
-                    if level + 1 == self.levels.len() {
-                        self.stats.dropped += 1;
-                        self.probe(victim_key, ProbeKind::Evict);
-                        return;
-                    }
-                    self.stats.demotions += 1;
-                    level += 1;
-                    key = victim_key;
-                    entry = victim;
-                }
-            }
+    /// `predict` for a branch L1 does not hold, in a hierarchy: a hit in
+    /// a lower level, which promotes the entry, or a full miss. Kept out
+    /// of line, so the L1 paths stay small.
+    #[inline(never)]
+    fn predict_below_l1(&mut self, pc: u32) -> Prediction {
+        let found = self
+            .lower
+            .iter_mut()
+            .enumerate()
+            .find_map(|(i, level)| level.remove(pc).map(|e| (i + 1, e)));
+        let Some((level, entry)) = found else {
+            return self.full_miss(pc);
+        };
+        self.stats.levels[level].hits += 1;
+        self.probe(pc, ProbeKind::Hit);
+        // Promote: straight to L1 (inclusive-L1) or one level up (staged
+        // climb); victims cascade down.
+        let dest = match self.config.policy {
+            FillPolicy::L1 => 0,
+            FillPolicy::Staged => level - 1,
+        };
+        self.stats.promotions += 1;
+        self.place(dest, pc, entry);
+        self.last_hit = None;
+        self.hit_prediction(entry)
+    }
+
+    /// No level holds `pc`: predict not taken, and let `update` fill.
+    #[inline]
+    fn full_miss(&mut self, pc: u32) -> Prediction {
+        self.full_misses += 1;
+        self.probe(pc, ProbeKind::Miss);
+        self.last_hit = Some((pc, None));
+        Prediction {
+            taken: false,
+            target: TargetInfo::None,
+            hit: Some(false),
         }
     }
-}
 
-impl Default for MlBtb {
-    fn default() -> Self {
-        Self::server()
+    #[inline]
+    fn hit_prediction(&self, entry: BtbEntry) -> Prediction {
+        Prediction {
+            taken: self.config.predicts_taken(entry.counter),
+            target: TargetInfo::Addr(entry.target),
+            hit: Some(true),
+        }
+    }
+
+    /// Search every level for `pc`, refreshing its LRU position.
+    #[cold]
+    fn lookup_any(&mut self, pc: u32) -> Option<&mut BtbEntry> {
+        std::iter::once(&mut self.l1)
+            .chain(&mut self.lower)
+            .find_map(|l| l.lookup(pc))
+    }
+
+    /// Place `entry` into `level`, demoting displaced victims one level
+    /// down; the last level's victim leaves the hierarchy.
+    fn place(&mut self, mut level: usize, mut key: u32, mut entry: BtbEntry) {
+        loop {
+            self.stats.levels[level].fills += 1;
+            let Some((victim_key, victim)) = self.level_mut(level).insert(key, entry) else {
+                return;
+            };
+            self.stats.levels[level].evicts += 1;
+            if level == self.lower.len() {
+                self.probe(victim_key, ProbeKind::Evict);
+                return;
+            }
+            level += 1;
+            key = victim_key;
+            entry = victim;
+        }
     }
 }
 
 impl<S: TelemetrySink> BranchPredictor for MlBtb<S> {
     fn name(&self) -> &'static str {
-        "MLBTB"
+        if self.lower.is_empty() {
+            "CBTB"
+        } else {
+            "MLBTB"
+        }
     }
 
+    #[inline]
     fn predict(&mut self, ev: &BranchEvent) -> Prediction {
         let pc = ev.pc.0;
-        let mut found: Option<(usize, u32, MlEntry)> = None;
-        for (i, level) in self.levels.iter_mut().enumerate() {
-            if let Some((way, e)) = level.lookup_pos(pc) {
-                found = Some((i, way, *e));
-                break;
-            }
-            self.stats.levels[i].misses += 1;
-        }
-        match found {
-            Some((level, way, entry)) => {
-                self.stats.levels[level].hits += 1;
-                self.stats.latency_cycles += u64::from(self.config.levels[level].latency);
-                self.probe(pc, ProbeKind::Hit);
-                if level == 0 {
-                    self.last_hit = Some(LastHit {
-                        pc,
-                        level: 0,
-                        way: Some(way),
-                    });
-                } else {
-                    // Promote: straight to L1 (inclusive-L1) or one
-                    // level up (staged climb); victims cascade down.
-                    let dest = match self.config.policy {
-                        FillPolicy::L1 => 0,
-                        FillPolicy::Staged => level - 1,
-                    };
-                    self.levels[level].remove_at(pc, way);
-                    self.stats.promotions += 1;
-                    self.place(dest, pc, entry);
-                    self.last_hit = Some(LastHit {
-                        pc,
-                        level: dest,
-                        way: None,
-                    });
-                }
-                Prediction {
-                    taken: entry.counter >= self.config.threshold,
-                    target: TargetInfo::Addr(entry.target),
-                    hit: Some(true),
-                }
-            }
-            None => {
-                self.stats.latency_cycles += u64::from(self.config.miss_latency());
-                self.probe(pc, ProbeKind::Miss);
-                self.last_hit = None;
-                Prediction {
-                    taken: false,
-                    target: TargetInfo::None,
-                    hit: Some(false),
-                }
-            }
-        }
+        self.lookups += 1;
+        let Some((way, e)) = self.l1.lookup_pos(pc) else {
+            return if self.lower.is_empty() {
+                self.full_miss(pc)
+            } else {
+                self.predict_below_l1(pc)
+            };
+        };
+        let entry = *e;
+        self.probe(pc, ProbeKind::Hit);
+        self.last_hit = Some((pc, Some(way)));
+        self.hit_prediction(entry)
     }
 
+    #[inline]
     fn update(&mut self, ev: &BranchEvent, pred: &Prediction) {
         let pc = ev.pc.0;
         if self.sink.enabled() {
@@ -429,26 +488,24 @@ impl<S: TelemetrySink> BranchPredictor for MlBtb<S> {
                     kind: ProbeKind::Mispredict,
                 });
             }
-            if ev.taken {
-                if let Some(entry) = self.levels.iter().find_map(|l| l.peek(pc)) {
-                    if entry.target != ev.target {
-                        self.sink.emit(ProbeEvent {
-                            site: pc,
-                            kind: ProbeKind::Alias,
-                        });
-                    }
-                }
+            if ev.taken
+                && self
+                    .levels()
+                    .find_map(|l| l.peek(pc))
+                    .is_some_and(|entry| entry.target != ev.target)
+            {
+                self.sink.emit(ProbeEvent {
+                    site: pc,
+                    kind: ProbeKind::Alias,
+                });
             }
         }
         let max = self.config.counter_max();
         let resident = match self.last_hit.take() {
-            // predict already located (and possibly promoted) this
-            // entry; revisit it at its recorded position.
-            Some(lh) if lh.pc == pc => match lh.way {
-                Some(way) => self.levels[lh.level].touch(pc, way),
-                None => self.levels[lh.level].lookup(pc),
-            },
-            _ => self.levels.iter_mut().find_map(|l| l.lookup(pc)),
+            // predict already found this L1 entry, or found the branch
+            // absent; revisit it directly, or fill it.
+            Some((hit, way)) if hit == pc => way.and_then(|way| self.l1.touch(pc, way)),
+            _ => self.lookup_any(pc),
         };
         if let Some(entry) = resident {
             entry.counter = saturating_step(entry.counter, max, ev.taken);
@@ -456,38 +513,47 @@ impl<S: TelemetrySink> BranchPredictor for MlBtb<S> {
                 entry.target = ev.target;
             }
         } else {
-            let counter = if ev.taken {
-                self.config.threshold
-            } else {
-                self.config.threshold - 1
-            };
             let fill = match self.config.policy {
                 FillPolicy::L1 => 0,
-                FillPolicy::Staged => self.levels.len() - 1,
+                FillPolicy::Staged => self.lower.len(),
             };
-            self.place(
-                fill,
-                pc,
-                MlEntry {
-                    counter,
-                    target: ev.target,
-                },
-            );
+            let entry = BtbEntry {
+                counter: self.config.fill_counter(ev.taken),
+                target: ev.target,
+            };
+            self.place(fill, pc, entry);
         }
     }
 
     fn flush(&mut self) {
-        for level in &mut self.levels {
+        self.l1.flush();
+        for level in &mut self.lower {
             level.flush();
         }
         self.last_hit = None;
+    }
+
+    fn lane_spec(&self) -> Option<LaneSpec> {
+        // A probe sink observes per-event effects the lane engine does
+        // not replay, a non-empty buffer has diverged from the fresh
+        // configuration the spec describes, and a hierarchy has no
+        // lane form.
+        let [level] = self.config.levels[..] else {
+            return None;
+        };
+        (!self.sink.enabled() && self.is_empty()).then_some(LaneSpec::Cbtb(CbtbConfig {
+            entries: level.entries,
+            ways: level.ways,
+            counter_bits: self.config.counter_bits,
+            threshold: self.config.threshold,
+            strict_greater: self.config.strict_greater,
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cbtb::Cbtb;
     use crate::predictor::test_util::{cond, cond_to};
     use crate::predictor::Evaluator;
     use branchlab_trace::ExecHooks;
@@ -509,23 +575,143 @@ mod tests {
             policy,
             counter_bits: 2,
             threshold: 2,
+            strict_greater: false,
         }
     }
 
-    #[test]
-    fn single_level_is_prediction_identical_to_cbtb() {
-        let mut ml = Evaluator::new(MlBtb::paper());
-        let mut cb = Evaluator::new(Cbtb::paper());
-        let mut x = 12345u64;
-        for i in 0..2000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let pc = 10 + (x >> 33) as u32 % 400; // overflow the 256 entries
-            let taken = (x >> 13) & 3 != 0;
-            let ev = cond_to(pc, taken, pc + 100 + (i % 3));
-            ml.branch(&ev);
-            cb.branch(&ev);
+    /// A CBTB written from §2.2 alone, as the oracle for single-level
+    /// `MlBtb`: each set is a `Vec` in LRU order (front = least
+    /// recent), the counter rule is spelled out, and every step
+    /// searches from scratch.
+    struct ReferenceCbtb {
+        sets: Vec<Vec<(u32, u8, Addr)>>,
+        ways: usize,
+        bits: u8,
+        threshold: u8,
+        strict: bool,
+    }
+
+    impl ReferenceCbtb {
+        fn new(c: CbtbConfig) -> Self {
+            ReferenceCbtb {
+                sets: vec![Vec::new(); c.entries / c.ways],
+                ways: c.ways,
+                bits: c.counter_bits,
+                threshold: c.threshold,
+                strict: c.strict_greater,
+            }
         }
-        assert_eq!(ml.stats, cb.stats);
+
+        fn set(&mut self, pc: u32) -> &mut Vec<(u32, u8, Addr)> {
+            let n = self.sets.len();
+            &mut self.sets[pc as usize % n]
+        }
+    }
+
+    impl BranchPredictor for ReferenceCbtb {
+        fn name(&self) -> &'static str {
+            "reference CBTB"
+        }
+
+        fn predict(&mut self, ev: &BranchEvent) -> Prediction {
+            let (threshold, strict) = (self.threshold, self.strict);
+            let set = self.set(ev.pc.0);
+            let Some(i) = set.iter().position(|e| e.0 == ev.pc.0) else {
+                return Prediction {
+                    taken: false,
+                    target: TargetInfo::None,
+                    hit: Some(false),
+                };
+            };
+            // A hit becomes the most recently used entry of its set.
+            let entry = set.remove(i);
+            set.push(entry);
+            let (_, counter, target) = entry;
+            let taken = if strict {
+                counter > threshold
+            } else {
+                counter >= threshold
+            };
+            Prediction {
+                taken,
+                target: TargetInfo::Addr(target),
+                hit: Some(true),
+            }
+        }
+
+        fn update(&mut self, ev: &BranchEvent, _: &Prediction) {
+            let max = (1u8 << self.bits) - 1;
+            let (threshold, ways) = (self.threshold, self.ways);
+            let set = self.set(ev.pc.0);
+            match set.iter_mut().find(|e| e.0 == ev.pc.0) {
+                Some(entry) => {
+                    entry.1 = if ev.taken {
+                        (entry.1 + 1).min(max)
+                    } else {
+                        entry.1.saturating_sub(1)
+                    };
+                    if ev.taken {
+                        entry.2 = ev.target;
+                    }
+                }
+                None => {
+                    if set.len() == ways {
+                        set.remove(0);
+                    }
+                    let counter = if ev.taken { threshold } else { threshold - 1 };
+                    set.push((ev.pc.0, counter, ev.target));
+                }
+            }
+        }
+    }
+
+    /// Score single-level `MlBtb` and the reference model at `config`
+    /// over a seeded stream of `len` events on `pcs` distinct sites.
+    fn score_against_reference(config: CbtbConfig, pcs: u32, len: usize) {
+        let mut ml = Evaluator::new(MlBtb::new(config));
+        let mut reference = Evaluator::new(ReferenceCbtb::new(config));
+        let mut x = 0x9E37_79B9_u64 ^ config.entries as u64;
+        for _ in 0..len {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pc = 10 + (x >> 33) as u32 % pcs;
+            // A per-pc bias, so counters both saturate and oscillate; a
+            // third of the sites are indirect, with a target that changes.
+            let taken = (x >> 20) % 8 < u64::from(pc % 8);
+            let target = if pc.is_multiple_of(3) {
+                pc + 100 + (x >> 40) as u32 % 3
+            } else {
+                pc + 100
+            };
+            let ev = cond_to(pc, taken, target);
+            ml.branch(&ev);
+            reference.branch(&ev);
+        }
+        assert_eq!(ml.stats, reference.stats, "{config:?}");
+        assert!(ml.stats.btb_misses > 0 && ml.stats.correct > 0);
+    }
+
+    #[test]
+    fn single_level_matches_a_reference_cbtb_model() {
+        // Fully associative, set-associative and direct-mapped; every
+        // pc population overflows its buffer.
+        for (entries, ways, pcs) in [(256, 256, 400), (64, 4, 160), (64, 1, 96)] {
+            for counter_bits in 1..=4u8 {
+                for threshold in 1..1u8 << counter_bits {
+                    for strict_greater in [false, true] {
+                        let config = CbtbConfig {
+                            entries,
+                            ways,
+                            counter_bits,
+                            threshold,
+                            strict_greater,
+                        };
+                        score_against_reference(config, pcs, 1500);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -580,6 +766,7 @@ mod tests {
                 policy: FillPolicy::L1,
                 counter_bits: 2,
                 threshold: 2,
+                strict_greater: false,
             }))
         };
         let mut bare = mk(vec![l1]);
@@ -663,8 +850,12 @@ mod tests {
 
     #[test]
     fn lane_spec_is_unpackable() {
-        // The planner must fall back to the scalar path for hierarchies.
-        assert!(MlBtb::paper().lane_spec().is_none());
+        // A fresh single-level buffer is the CBTB lane; the planner must
+        // fall back to the scalar path for hierarchies.
+        assert_eq!(
+            MlBtb::paper().lane_spec(),
+            Some(LaneSpec::Cbtb(CbtbConfig::paper()))
+        );
         assert!(MlBtb::server().lane_spec().is_none());
     }
 

@@ -18,14 +18,16 @@
 //!
 //! [`Sbtb`](crate::Sbtb) and [`Cbtb`](crate::Cbtb) stay the general
 //! engines (any geometry, any event source); they are the oracle these
-//! passes must match exactly (`tests/natural_prop.rs`).
+//! passes must match exactly (`tests/natural_prop.rs`). The CBTB's
+//! counter rule is [`MlBtbConfig`]'s, shared with the engine.
 
 use branchlab_ir::{Addr, FuncId, Inst};
 use branchlab_telemetry::{SiteCounters, SiteProbe};
 use branchlab_trace::{BranchEvent, BranchKind, BranchMix, ExecHooks, PcCounts};
 
-use crate::cbtb::{CbtbConfig, CbtbEntry};
+use crate::cbtb::CbtbConfig;
 use crate::lanes::saturating_step;
+use crate::mlbtb::{BtbEntry, MlBtbConfig};
 use crate::predictor::PredStats;
 use crate::sbtb::SbtbConfig;
 
@@ -352,10 +354,10 @@ struct BtbTally {
 pub struct NaturalPass {
     outcomes: SiteOutcomes,
     sbtb: PcLru<Addr>,
-    cbtb: PcLru<CbtbEntry>,
+    cbtb: PcLru<BtbEntry>,
     sbtb_tally: Vec<BtbTally>,
     cbtb_tally: Vec<BtbTally>,
-    cbtb_config: CbtbConfig,
+    cbtb_config: MlBtbConfig,
     /// Advances once per event; an entry's stamp is the tick of the
     /// last event at its pc, so stamps order residents by recency.
     tick: u64,
@@ -371,7 +373,8 @@ impl NaturalPass {
     pub fn new(code: &[Inst], sbtb: SbtbConfig, cbtb: CbtbConfig) -> Self {
         assert_eq!(sbtb.ways, sbtb.entries, "SBTB must be fully associative");
         assert_eq!(cbtb.ways, cbtb.entries, "CBTB must be fully associative");
-        cbtb.assert_valid_counters();
+        let cbtb_config = MlBtbConfig::from(cbtb);
+        cbtb_config.assert_valid_counters();
         let pcs = code.len();
         NaturalPass {
             outcomes: SiteOutcomes::new(code),
@@ -379,7 +382,7 @@ impl NaturalPass {
             cbtb: PcLru::new(pcs, cbtb.entries),
             sbtb_tally: vec![BtbTally::default(); pcs],
             cbtb_tally: vec![BtbTally::default(); pcs],
-            cbtb_config: cbtb,
+            cbtb_config,
             tick: 0,
         }
     }
@@ -489,7 +492,7 @@ impl NaturalPass {
             }
             None => {
                 self.cbtb_tally[p].correct += u64::from(!taken);
-                let entry = CbtbEntry {
+                let entry = BtbEntry {
                     counter: self.cbtb_config.fill_counter(taken),
                     target,
                 };

@@ -497,6 +497,7 @@ impl PredictorSpec {
                 },
                 counter_bits,
                 threshold,
+                strict_greater: false,
             })),
         }
     }

@@ -28,6 +28,7 @@
 
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use branchlab_ir::{Addr, BlockId, BranchId, Cond, FuncId};
 
@@ -205,47 +206,70 @@ impl<W: Write> ChecksumWriter<W> {
     }
 }
 
-/// Write a benchmark's per-run trace buffers to `path` (atomically via
-/// a sibling temp file, so readers never observe a half-written entry).
+/// Numbers this process's temp files, so concurrent writers never share one.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Write a benchmark's per-run trace buffers to `path` atomically: each
+/// writer fills and fsyncs a sibling temp file of its own, then renames
+/// it over `path`. Readers and concurrent writers of the same key (two
+/// server workers, or processes sharing a cache directory) therefore
+/// only ever see a whole entry; the last rename wins.
 ///
 /// # Errors
-/// Propagates filesystem errors.
+/// Propagates filesystem errors; the temp file is removed on error.
 pub fn save_trace(path: &Path, key: &TraceKey, runs: &[TraceBuf]) -> io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
-    let tmp = path.with_extension("trace.tmp");
-    {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = ChecksumWriter::new(io::BufWriter::new(file));
-        w.put(MAGIC)?;
-        w.put(&key.digest().to_le_bytes())?;
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("trace.{}.{seq}.tmp", std::process::id()));
+    let published = write_trace(&tmp, key, runs).and_then(|()| std::fs::rename(&tmp, path));
+    if published.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    published?;
+    // Make the rename itself durable where possible; failure here only
+    // narrows the crash window, it doesn't corrupt anything.
+    if let Some(dir) = path.parent() {
+        if let Ok(dir) = std::fs::File::open(dir) {
+            let _ = dir.sync_all();
+        }
+    }
+    Ok(())
+}
+
+/// Write and fsync one trace file at `path`.
+fn write_trace(path: &Path, key: &TraceKey, runs: &[TraceBuf]) -> io::Result<()> {
+    let file = std::fs::File::create(path)?;
+    let mut w = ChecksumWriter::new(io::BufWriter::new(file));
+    w.put(MAGIC)?;
+    w.put(&key.digest().to_le_bytes())?;
+    w.put(
+        &u32::try_from(runs.len())
+            .map_err(io::Error::other)?
+            .to_le_bytes(),
+    )?;
+    for run in runs {
+        let (sites, words) = run.table();
+        w.put(&run.events().to_le_bytes())?;
         w.put(
-            &u32::try_from(runs.len())
+            &u32::try_from(sites.len())
                 .map_err(io::Error::other)?
                 .to_le_bytes(),
         )?;
-        for run in runs {
-            let (sites, words) = run.table();
-            w.put(&run.events().to_le_bytes())?;
-            w.put(
-                &u32::try_from(sites.len())
-                    .map_err(io::Error::other)?
-                    .to_le_bytes(),
-            )?;
-            w.put(&(words.len() as u64).to_le_bytes())?;
-            for site in sites {
-                w.put(&encode_site(site))?;
-            }
-            for word in words {
-                w.put(&word.to_le_bytes())?;
-            }
+        w.put(&(words.len() as u64).to_le_bytes())?;
+        for site in sites {
+            w.put(&encode_site(site))?;
         }
-        let checksum = w.hash;
-        w.inner.write_all(&checksum.to_le_bytes())?;
-        w.inner.flush()?;
+        for word in words {
+            w.put(&word.to_le_bytes())?;
+        }
     }
-    std::fs::rename(&tmp, path)
+    let checksum = w.hash;
+    w.inner.write_all(&checksum.to_le_bytes())?;
+    w.inner.flush()?;
+    w.inner.get_ref().sync_all()?;
+    Ok(())
 }
 
 fn invalid(reason: &str) -> io::Error {
@@ -431,6 +455,67 @@ mod tests {
         save_trace(&path, &key(), &runs).unwrap();
         let loaded = load_trace(&path, &key()).unwrap().unwrap();
         assert_eq!(loaded, runs);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_key_never_tear_a_load() {
+        // Two writers publish the same multi-MB entry while a reader
+        // loads it: every save must land and every load must see the
+        // whole entry. (fsync durability would need a power cut.)
+        let mut cap = Capture::new();
+        for i in 0..600_000u32 {
+            let site = i % 512;
+            cap.branch(&BranchEvent {
+                pc: Addr(10 + site),
+                kind: BranchKind::Cond,
+                taken: i % 3 == 0,
+                target: Addr(5),
+                fallthrough: Addr(11 + site),
+                branch: BranchId {
+                    func: FuncId(0),
+                    block: BlockId(site),
+                },
+                likely: false,
+                cond: Some(Cond::Lt),
+            });
+        }
+        let runs = vec![cap.into_buf()];
+        let dir = std::env::temp_dir().join(format!("bltrace-race-{}", std::process::id()));
+        let path = dir.join(key().file_name());
+        save_trace(&path, &key(), &runs).unwrap();
+        let writing = std::sync::atomic::AtomicUsize::new(2);
+        let (failed_saves, (loads, torn_loads)) = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let failed = (0..20)
+                            .filter(|_| save_trace(&path, &key(), &runs).is_err())
+                            .count();
+                        writing.fetch_sub(1, Ordering::SeqCst);
+                        failed
+                    })
+                })
+                .collect();
+            let reader = s.spawn(|| {
+                let (mut loads, mut torn) = (0, 0);
+                while writing.load(Ordering::SeqCst) > 0 {
+                    loads += 1;
+                    match load_trace(&path, &key()) {
+                        Ok(Some(back)) if back == runs => {}
+                        _ => torn += 1,
+                    }
+                }
+                (loads, torn)
+            });
+            let failed: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
+            (failed, reader.join().unwrap())
+        });
+        assert!(loads > 0, "the reader never ran");
+        assert_eq!(failed_saves, 0, "saves that returned an error");
+        assert_eq!(torn_loads, 0, "loads of {loads} that missed the runs");
+        // Every writer's temp file was renamed away.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

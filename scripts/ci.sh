@@ -20,6 +20,10 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace -q
 
+# The fidelity proofs must not depend on how many tests run at once.
+echo "==> cargo test, one test thread"
+cargo test --workspace -q -- --test-threads=1
+
 echo "==> cargo test --doc (runnable examples in the API docs)"
 cargo test --workspace --doc -q
 
