@@ -58,7 +58,7 @@ pub enum Format {
 pub struct Options {
     /// Experiment configuration (scale, seed, fault injection, …).
     pub config: ExperimentConfig,
-    /// Supervision policy (retries, watchdog, checkpoint/resume).
+    /// Supervision policy (retries, watchdog).
     pub supervisor: SupervisorConfig,
     /// Output format.
     pub format: Format,
@@ -77,16 +77,18 @@ pub const USAGE: &str =
 [--telemetry-out DIR] [--trace-out FILE] [--trace-cache DIR] \
 [--sweep-threads N] \
 [--max-attempts N] \
-[--backoff-ms N] [--watchdog-ms N] [--checkpoint FILE] [--resume] [--fault-exec-rate R] \
+[--backoff-ms N] [--watchdog-ms N] [--fault-exec-rate R] \
 [--fault-panic-rate R] [--fault-delay-rate R] [--fault-delay-ms N] [--fault-seed N] \
 [--fault-benches A,B,...]";
 
+/// Process exit code for a command line [`Options::parse`] rejects.
+pub const EXIT_USAGE: i32 = 2;
+
 impl Options {
     /// Parse `std::env::args`. With `-h` or `--help` among them, print
-    /// the usage line to stdout and exit 0 before parsing anything.
-    ///
-    /// # Panics
-    /// Panics with a usage message on unknown arguments.
+    /// the usage line to stdout and exit 0 before parsing anything; on
+    /// a bad command line, print the error and the usage line to
+    /// stderr and exit [`EXIT_USAGE`].
     #[must_use]
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -94,112 +96,84 @@ impl Options {
             println!("{USAGE}");
             std::process::exit(0);
         }
-        Self::parse(args)
+        Self::parse(args).unwrap_or_else(|e| {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(EXIT_USAGE);
+        })
     }
 
     /// Parse an explicit argument list (everything after the binary
     /// name).
     ///
-    /// # Panics
-    /// Panics with a usage message on unknown arguments.
-    #[must_use]
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
+    /// # Errors
+    /// Names the offending argument: an unknown flag, a flag with no
+    /// value, or a value out of range.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut config = ExperimentConfig::default();
         let mut supervisor = SupervisorConfig::default();
         let mut format = Format::Text;
         let mut telemetry_out = None;
         let mut trace_out = None;
         let mut args = args.into_iter();
-        let next_u64 = |args: &mut dyn Iterator<Item = String>, flag: &str| -> u64 {
-            args.next()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} needs an integer"))
-        };
-        let next_rate = |args: &mut dyn Iterator<Item = String>, flag: &str| -> f64 {
-            let r: f64 = args
-                .next()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} needs a rate in [0, 1]"));
-            assert!((0.0..=1.0).contains(&r), "{flag} needs a rate in [0, 1]");
-            r
-        };
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            let int = |v: String| {
+                v.parse::<u64>()
+                    .map_err(|_| format!("{flag} needs an integer, not `{v}`"))
+            };
+            let rate = |v: String| {
+                v.parse::<f64>()
+                    .ok()
+                    .filter(|r| (0.0..=1.0).contains(r))
+                    .ok_or_else(|| format!("{flag} needs a rate in [0, 1], not `{v}`"))
+            };
+            match flag.as_str() {
                 "--scale" => {
-                    let v = args.next().unwrap_or_default();
-                    config.scale = match v.as_str() {
+                    config.scale = match value()?.as_str() {
                         "test" => Scale::Test,
                         "small" => Scale::Small,
                         "paper" => Scale::Paper,
-                        other => panic!("unknown scale `{other}` (test|small|paper)"),
+                        other => return Err(format!("unknown scale `{other}` (test|small|paper)")),
                     };
                 }
-                "--seed" => config.seed = next_u64(&mut args, "--seed"),
+                "--seed" => config.seed = int(value()?)?,
                 "--markdown" => format = Format::Markdown,
                 "--csv" => format = Format::Csv,
                 "--no-verify" => config.verify_equivalence = false,
                 "--telemetry-out" => {
-                    let dir = args.next().expect("--telemetry-out needs a directory");
+                    telemetry_out = Some(PathBuf::from(value()?));
                     config.collect_site_telemetry = true;
-                    telemetry_out = Some(PathBuf::from(dir));
                 }
-                "--trace-out" => {
-                    let file = args.next().expect("--trace-out needs a file path");
-                    trace_out = Some(PathBuf::from(file));
-                }
-                "--trace-cache" => {
-                    let dir = args.next().expect("--trace-cache needs a directory");
-                    config.trace_cache_dir = Some(PathBuf::from(dir));
-                }
-                "--sweep-threads" => {
-                    config.sweep_threads =
-                        Some((next_u64(&mut args, "--sweep-threads") as usize).max(1));
-                }
-                "--max-attempts" => {
-                    supervisor.max_attempts = next_u64(&mut args, "--max-attempts").max(1) as u32;
-                }
-                "--backoff-ms" => {
-                    supervisor.backoff_base =
-                        Duration::from_millis(next_u64(&mut args, "--backoff-ms"));
-                }
+                "--trace-out" => trace_out = Some(PathBuf::from(value()?)),
+                "--trace-cache" => config.trace_cache_dir = Some(PathBuf::from(value()?)),
+                "--sweep-threads" => config.sweep_threads = Some((int(value()?)? as usize).max(1)),
+                "--max-attempts" => supervisor.max_attempts = int(value()?)?.max(1) as u32,
+                "--backoff-ms" => supervisor.backoff_base = Duration::from_millis(int(value()?)?),
                 "--watchdog-ms" => {
-                    supervisor.watchdog =
-                        Some(Duration::from_millis(next_u64(&mut args, "--watchdog-ms")));
+                    supervisor.watchdog = Some(Duration::from_millis(int(value()?)?));
                 }
-                "--checkpoint" => {
-                    let file = args.next().expect("--checkpoint needs a file path");
-                    supervisor.checkpoint = Some(PathBuf::from(file));
-                }
-                "--resume" => supervisor.resume = true,
-                "--fault-exec-rate" => {
-                    config.fault.exec_error_rate = next_rate(&mut args, "--fault-exec-rate");
-                }
-                "--fault-panic-rate" => {
-                    config.fault.panic_rate = next_rate(&mut args, "--fault-panic-rate");
-                }
-                "--fault-delay-rate" => {
-                    config.fault.delay_rate = next_rate(&mut args, "--fault-delay-rate");
-                }
-                "--fault-delay-ms" => {
-                    config.fault.delay =
-                        Duration::from_millis(next_u64(&mut args, "--fault-delay-ms"));
-                }
-                "--fault-seed" => config.fault.seed = next_u64(&mut args, "--fault-seed"),
+                "--fault-exec-rate" => config.fault.exec_error_rate = rate(value()?)?,
+                "--fault-panic-rate" => config.fault.panic_rate = rate(value()?)?,
+                "--fault-delay-rate" => config.fault.delay_rate = rate(value()?)?,
+                "--fault-delay-ms" => config.fault.delay = Duration::from_millis(int(value()?)?),
+                "--fault-seed" => config.fault.seed = int(value()?)?,
                 "--fault-benches" => {
-                    let list = args.next().expect("--fault-benches needs a comma list");
-                    config.fault.benches =
-                        list.split(',').map(str::trim).map(String::from).collect();
+                    config.fault.benches = value()?
+                        .split(',')
+                        .map(str::trim)
+                        .map(String::from)
+                        .collect();
                 }
-                other => panic!("unknown argument `{other}`\n{USAGE}"),
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        Options {
+        Ok(Options {
             config,
             supervisor,
             format,
             telemetry_out,
             trace_out,
-        }
+        })
     }
 
     /// Render a table in the selected format.
@@ -241,12 +215,11 @@ pub fn suite(options: &Options) -> SuiteResult {
     let insts: u64 = suite.benches.iter().map(|b| b.stats.insts).sum();
     let sup = &suite.supervisor;
     eprintln!(
-        "done in {:.1}s ({:.1}M dynamic instructions; {} completed, {} failed, {} resumed, {} retries)",
+        "done in {:.1}s ({:.1}M dynamic instructions; {} completed, {} failed, {} retries)",
         start.elapsed().as_secs_f64(),
         insts as f64 / 1e6,
         sup.completed,
         sup.failed,
-        sup.resumed,
         sup.retries,
     );
     for f in &suite.failures {
@@ -578,7 +551,7 @@ mod tests {
 
     #[test]
     fn default_options_are_small_scale() {
-        let o = Options::parse(Vec::new());
+        let o = Options::parse(Vec::new()).unwrap();
         assert_eq!(o.config.seed, 1989);
         assert!(matches!(o.config.scale, Scale::Small));
         assert!(o.telemetry_out.is_none());
@@ -597,9 +570,6 @@ mod tests {
                 "7",
                 "--watchdog-ms",
                 "250",
-                "--checkpoint",
-                "/tmp/ck.jsonl",
-                "--resume",
                 "--fault-exec-rate",
                 "0.25",
                 "--fault-panic-rate",
@@ -614,15 +584,11 @@ mod tests {
                 "wc, grep",
             ]
             .map(String::from),
-        );
+        )
+        .unwrap();
         assert_eq!(o.supervisor.max_attempts, 5);
         assert_eq!(o.supervisor.backoff_base, Duration::from_millis(7));
         assert_eq!(o.supervisor.watchdog, Some(Duration::from_millis(250)));
-        assert_eq!(
-            o.supervisor.checkpoint.as_deref(),
-            Some(std::path::Path::new("/tmp/ck.jsonl"))
-        );
-        assert!(o.supervisor.resume);
         let fault = &o.config.fault;
         assert!(fault.enabled());
         assert_eq!(fault.exec_error_rate, 0.25);
@@ -636,7 +602,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "rate in [0, 1]")]
     fn out_of_range_rates_rejected() {
-        let _ = Options::parse(["--fault-exec-rate".to_string(), "1.5".to_string()]);
+        Options::parse(["--fault-exec-rate", "1.5"].map(String::from)).unwrap();
     }
 
     #[test]
@@ -653,7 +619,8 @@ mod tests {
                 "/tmp/t",
             ]
             .map(String::from),
-        );
+        )
+        .unwrap();
         assert!(matches!(o.config.scale, Scale::Test));
         assert_eq!(o.config.seed, 7);
         assert_eq!(o.format, Format::Csv);
@@ -669,31 +636,49 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
+    #[should_panic(expected = "unknown argument `--bogus`")]
     fn unknown_flag_rejected() {
-        let _ = Options::parse(["--bogus".to_string()]);
+        Options::parse(["--bogus".to_string()]).unwrap();
+    }
+
+    fn parse_err(args: &[&str]) -> String {
+        Options::parse(args.iter().map(|a| a.to_string())).unwrap_err()
+    }
+
+    #[test]
+    fn retired_checkpoint_flags_are_errors() {
+        assert!(parse_err(&["--checkpoint", "x"]).contains("unknown argument `--checkpoint`"));
+        assert!(parse_err(&["--resume"]).contains("unknown argument `--resume`"));
+    }
+
+    #[test]
+    fn flags_missing_their_value_are_errors() {
+        for flag in ["--scale", "--seed", "--telemetry-out", "--fault-benches"] {
+            assert_eq!(parse_err(&[flag]), format!("{flag} needs a value"));
+        }
+        assert!(parse_err(&["--seed", "abc"]).contains("--seed needs an integer"));
     }
 
     #[test]
     fn sweep_threads_flag_parses_and_clamps() {
-        let o = Options::parse(Vec::new());
+        let o = Options::parse(Vec::new()).unwrap();
         assert!(
             o.config.sweep_threads.is_none(),
             "default defers to the core count"
         );
-        let o = Options::parse(["--sweep-threads", "6"].map(String::from));
+        let o = Options::parse(["--sweep-threads", "6"].map(String::from)).unwrap();
         assert_eq!(o.config.sweep_threads, Some(6));
         assert_eq!(o.config.resolved_sweep_threads(), 6);
-        let o = Options::parse(["--sweep-threads", "0"].map(String::from));
+        let o = Options::parse(["--sweep-threads", "0"].map(String::from)).unwrap();
         assert_eq!(o.config.sweep_threads, Some(1), "0 clamps to serial");
     }
 
     #[test]
     fn trace_flags_parse() {
-        let o = Options::parse(Vec::new());
+        let o = Options::parse(Vec::new()).unwrap();
         assert!(o.config.use_trace_replay, "replay is the default");
         assert!(o.config.trace_cache_dir.is_none());
-        let o = Options::parse(["--trace-cache", "/tmp/traces"].map(String::from));
+        let o = Options::parse(["--trace-cache", "/tmp/traces"].map(String::from)).unwrap();
         assert_eq!(
             o.config.trace_cache_dir.as_deref(),
             Some(std::path::Path::new("/tmp/traces"))
@@ -702,9 +687,9 @@ mod tests {
 
     #[test]
     fn trace_out_flag_parses_and_defaults_off() {
-        let o = Options::parse(Vec::new());
+        let o = Options::parse(Vec::new()).unwrap();
         assert!(o.trace_out.is_none(), "tracing export is opt-in");
-        let o = Options::parse(["--trace-out", "/tmp/run.trace.json"].map(String::from));
+        let o = Options::parse(["--trace-out", "/tmp/run.trace.json"].map(String::from)).unwrap();
         assert_eq!(
             o.trace_out.as_deref(),
             Some(std::path::Path::new("/tmp/run.trace.json"))
@@ -748,7 +733,8 @@ mod tests {
 
     #[test]
     fn write_telemetry_reports_the_run_registry() {
-        let options = Options::parse(["--scale", "test", "--sweep-threads", "3"].map(String::from));
+        let options =
+            Options::parse(["--scale", "test", "--sweep-threads", "3"].map(String::from)).unwrap();
         options
             .config
             .metrics
@@ -789,7 +775,7 @@ mod tests {
     fn render_selects_format() {
         let mut t = Table::new("t", &["a"]);
         t.row(vec!["1".into()]);
-        let mut o = Options::parse(Vec::new());
+        let mut o = Options::parse(Vec::new()).unwrap();
         o.format = Format::Csv;
         assert!(o.render(&t).starts_with("a\n"));
         o.format = Format::Markdown;

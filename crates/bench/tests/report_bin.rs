@@ -1,7 +1,7 @@
 //! The artifact binaries as a user runs them: the telemetry artifacts
 //! a clean `report` run writes, how a run degrades when injected faults
 //! kill one benchmark on every attempt, the Chrome traces `report` and
-//! `ablation` export, and `--help`.
+//! `ablation` export, `--help`, and a bad flag.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -9,7 +9,7 @@ use std::process::Command;
 use branchlab::experiments::{PHASES, RUNS_HELPED, RUNS_INTERPRETED};
 use branchlab::telemetry::{json, validate_chrome_trace, JsonValue};
 use branchlab::workloads::{Scale, SUITE};
-use branchlab_bench::{EXIT_PARTIAL, USAGE};
+use branchlab_bench::{EXIT_PARTIAL, EXIT_USAGE, USAGE};
 
 /// A fresh scratch directory for one test.
 fn scratch(tag: &str) -> PathBuf {
@@ -175,6 +175,20 @@ fn help_prints_usage_and_exits_zero() {
         .expect("run btb_bench");
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: btb_bench"));
+}
+
+#[test]
+fn a_bad_flag_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_report"))
+        .arg("--resume")
+        .output()
+        .expect("run report");
+    assert_eq!(out.status.code(), Some(EXIT_USAGE));
+    assert!(out.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!("unknown argument `--resume`\n{USAGE}\n")
+    );
 }
 
 #[test]

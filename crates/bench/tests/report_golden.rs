@@ -9,7 +9,7 @@ const GOLDEN: &str = include_str!("fixtures/report_test_seed1989.txt");
 
 #[test]
 fn report_at_test_scale_matches_the_pinned_bytes() {
-    let options = Options::parse(["--scale", "test", "--seed", "1989"].map(String::from));
+    let options = Options::parse(["--scale", "test", "--seed", "1989"].map(String::from)).unwrap();
     let suite = suite(&options);
     assert!(suite.is_complete(), "{:?}", suite.failures);
     let report = render_report(&options, &suite);

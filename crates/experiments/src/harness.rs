@@ -498,8 +498,7 @@ pub fn run_benchmark_with_budget(
 /// of aborting the run, so every unaffected benchmark's data survives.
 #[derive(Clone, Debug)]
 pub struct SuiteResult {
-    /// Completed per-benchmark results, in suite order (including
-    /// results restored from a `--resume` checkpoint).
+    /// Completed per-benchmark results, in suite order.
     pub benches: Vec<BenchResult>,
     /// Benchmarks that failed after supervision, in suite order.
     pub failures: Vec<BenchFailure>,
@@ -569,12 +568,12 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
 /// Run the full 12-benchmark suite on a supervised worker pool (at
 /// most `available_parallelism` benchmarks in flight), with the default
 /// [`SupervisorConfig`] (panic isolation and transient-error retries,
-/// no watchdog, no checkpoint).
+/// no watchdog).
 ///
 /// Never aborts on a single benchmark failure: panicking or erroring
 /// benchmarks become [`SuiteResult::failures`] records and every other
 /// benchmark's result is kept. Use [`run_suite_supervised`] to
-/// configure retries, watchdog deadlines, and checkpoint/resume.
+/// configure retries and watchdog deadlines.
 #[must_use]
 pub fn run_suite(config: &ExperimentConfig) -> SuiteResult {
     run_suite_supervised(config, &SupervisorConfig::default())

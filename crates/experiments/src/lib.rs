@@ -16,11 +16,10 @@
 //!   memory and optionally on disk) and replayed into every predictor
 //!   configuration at memory speed, bit-identical to live
 //!   interpretation.
-//! * [`supervisor`]/[`fault`]/[`checkpoint`] — *branchlab-guard*: the
-//!   fault-tolerance layer. Benchmarks run behind panic isolation, an
-//!   optional watchdog, and retry-with-backoff; failures degrade to
-//!   per-bench records instead of aborting the suite; completed
-//!   benches checkpoint to JSONL for `--resume`; and a seeded
+//! * [`supervisor`]/[`fault`] — *branchlab-guard*: the fault-tolerance
+//!   layer. Benchmarks run behind panic isolation, an optional
+//!   watchdog, and retry-with-backoff; failures degrade to per-bench
+//!   records instead of aborting the suite; and a seeded
 //!   [`FaultInjector`] proves all of it deterministically.
 //!
 //! ## Error taxonomy
@@ -42,7 +41,6 @@
 pub mod ablation;
 pub mod batch;
 mod budget;
-pub mod checkpoint;
 pub mod fault;
 pub mod figures;
 mod harness;

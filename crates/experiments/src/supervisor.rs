@@ -16,22 +16,17 @@
 //! * transient errors (injected faults, panics, timeouts) are retried
 //!   up to [`SupervisorConfig::max_attempts`] with exponential backoff,
 //!   permanent errors (every real interpreter/pipeline error) fail
-//!   immediately — retrying a deterministic fault is wasted work;
-//! * completed benchmarks are appended to a JSONL checkpoint so a
-//!   `--resume` rerun only re-executes what previously failed.
+//!   immediately — retrying a deterministic fault is wasted work.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use branchlab_interp::ErrorClass;
-use branchlab_workloads::{Benchmark, SUITE};
+use branchlab_workloads::SUITE;
 
 use crate::budget::CoreBudget;
-use crate::checkpoint;
 use crate::harness::{
     run_benchmark_with_budget, BenchResult, ExperimentConfig, ExperimentError, SuiteResult,
 };
@@ -56,11 +51,6 @@ pub struct SupervisorConfig {
     pub backoff_max: Duration,
     /// Wall-clock deadline per attempt; `None` disables the watchdog.
     pub watchdog: Option<Duration>,
-    /// JSONL checkpoint file: completed benchmarks are appended as they
-    /// finish, and [`SupervisorConfig::resume`] reads it back.
-    pub checkpoint: Option<PathBuf>,
-    /// Skip benchmarks already recorded in the checkpoint file.
-    pub resume: bool,
 }
 
 impl Default for SupervisorConfig {
@@ -70,8 +60,6 @@ impl Default for SupervisorConfig {
             backoff_base: Duration::from_millis(100),
             backoff_max: Duration::from_secs(2),
             watchdog: None,
-            checkpoint: None,
-            resume: false,
         }
     }
 }
@@ -123,12 +111,10 @@ impl std::fmt::Display for BenchFailure {
 /// bench binaries.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SupervisorStats {
-    /// Benchmarks that completed (excluding restored ones).
+    /// Benchmarks that completed.
     pub completed: u64,
     /// Benchmarks that failed after supervision.
     pub failed: u64,
-    /// Benchmarks restored from the resume checkpoint.
-    pub resumed: u64,
     /// Retry attempts performed (attempts beyond each benchmark's
     /// first).
     pub retries: u64,
@@ -143,7 +129,6 @@ impl SupervisorStats {
     pub fn merge(&mut self, other: &SupervisorStats) {
         self.completed += other.completed;
         self.failed += other.failed;
-        self.resumed += other.resumed;
         self.retries += other.retries;
         self.watchdog_fired += other.watchdog_fired;
         self.panics_caught += other.panics_caught;
@@ -151,11 +136,10 @@ impl SupervisorStats {
 
     /// The counters as `(name, value)` pairs, for metrics export.
     #[must_use]
-    pub fn counters(&self) -> [(&'static str, u64); 6] {
+    pub fn counters(&self) -> [(&'static str, u64); 5] {
         [
             ("benches_completed", self.completed),
             ("benches_failed", self.failed),
-            ("benches_resumed", self.resumed),
             ("retries", self.retries),
             ("watchdog_fired", self.watchdog_fired),
             ("panics_caught", self.panics_caught),
@@ -289,68 +273,48 @@ pub fn supervise<T: Send + 'static>(
     )
 }
 
-/// Shared handle to the crash-safe checkpoint file (each append
-/// publishes a complete, fsynced snapshot via temp-file + rename).
-type CheckpointWriter = Arc<Mutex<checkpoint::CheckpointFile>>;
+/// What a benchmark worker hands back: the supervised outcome and its
+/// counters.
+type Slot = (Result<(BenchResult, u32), BenchFailure>, SupervisorStats);
 
-fn open_checkpoint(path: &std::path::Path) -> Option<CheckpointWriter> {
-    match checkpoint::CheckpointFile::open(path) {
-        Ok(f) => Some(Arc::new(Mutex::new(f))),
-        Err(e) => {
-            eprintln!(
-                "branchlab-guard: cannot open checkpoint {} ({e}); continuing without checkpointing",
-                path.display()
-            );
-            None
-        }
-    }
+/// The slot of a benchmark the supervisor itself lost (a panic outside
+/// `supervise`, or a worker that died): still a failure record, never
+/// a silently dropped benchmark.
+fn lost(name: &str, error: String) -> Slot {
+    let failure = BenchFailure {
+        name: name.to_string(),
+        error,
+        class: ErrorClass::Transient,
+        attempts: 0,
+        elapsed: Duration::ZERO,
+    };
+    let stats = SupervisorStats {
+        failed: 1,
+        ..SupervisorStats::default()
+    };
+    (Err(failure), stats)
 }
 
 /// Run the full 12-benchmark suite under supervision, degrading
 /// gracefully: every benchmark the supervisor cannot complete becomes a
 /// [`BenchFailure`] record in the returned [`SuiteResult`] while all
 /// other results are kept.
-///
-/// With [`SupervisorConfig::checkpoint`] set, completed benchmarks are
-/// appended to the JSONL checkpoint as they finish; with
-/// [`SupervisorConfig::resume`] additionally set, benchmarks already in
-/// the checkpoint are restored instead of re-run (their phase spans and
-/// site probes are not persisted and come back empty). A missing or
-/// corrupt checkpoint degrades to a fresh run.
 #[must_use]
 pub fn run_suite_supervised(config: &ExperimentConfig, sup: &SupervisorConfig) -> SuiteResult {
-    let mut stats = SupervisorStats::default();
-
-    let mut restored: HashMap<&'static str, BenchResult> = HashMap::new();
-    if sup.resume {
-        if let Some(path) = &sup.checkpoint {
-            for result in checkpoint::load(path).unwrap_or_default() {
-                restored.insert(result.name, result);
-            }
-        }
-    }
-    stats.resumed = restored.len() as u64;
-
-    let writer = sup.checkpoint.as_deref().and_then(open_checkpoint);
-
     // A bounded worker pool: one core budget of `available_parallelism`
     // permits pays for every thread that interprets. Each worker holds
-    // a permit while it claims pending benchmarks through a shared
-    // cursor, and gives it back once none are left; a benchmark's
-    // evaluation phases spend free permits on helpers for its input
-    // runs, so cores that finished their benchmarks help the ones
-    // still running. Workers write into a fixed slot per benchmark, so
-    // the assembled results are in suite order regardless of
-    // completion order (and independent of the worker count).
-    let pending: Vec<&'static Benchmark> = SUITE
-        .iter()
-        .filter(|b| !restored.contains_key(b.name))
-        .collect();
+    // a permit while it claims benchmarks through a shared cursor, and
+    // gives it back once none are left; a benchmark's evaluation
+    // phases spend free permits on helpers for its input runs, so
+    // cores that finished their benchmarks help the ones still
+    // running. Workers write into a fixed slot per benchmark, so the
+    // assembled results are in suite order regardless of completion
+    // order (and independent of the worker count).
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let budget = Arc::new(CoreBudget::new(cores));
-    let n_workers = cores.min(pending.len());
+    let n_workers = cores.min(SUITE.len());
     // Divide the sweep-thread budget across the supervisor workers:
     // each in-flight benchmark gets an equal share (at least 1), so
     // supervisor threads × sweep workers never exceeds the configured
@@ -360,128 +324,68 @@ pub fn run_suite_supervised(config: &ExperimentConfig, sup: &SupervisorConfig) -
         sweep_threads: Some((config.resolved_sweep_threads() / n_workers.max(1)).max(1)),
         ..config.clone()
     };
-    type Slot = Option<(Result<(BenchResult, u32), BenchFailure>, SupervisorStats)>;
-    let slots: Arc<Mutex<Vec<Slot>>> = Arc::new(Mutex::new(vec![None; pending.len()]));
-    let cursor = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let pending = Arc::new(pending);
-
-    let mut workers = Vec::new();
-    for _ in 0..n_workers {
-        let cfg = config.clone();
-        let supc = sup.clone();
-        let w = writer.clone();
-        let slots = Arc::clone(&slots);
-        let cursor = Arc::clone(&cursor);
-        let pending = Arc::clone(&pending);
-        let budget = Arc::clone(&budget);
-        workers.push(std::thread::spawn(move || {
-            // There are no more workers than permits.
-            let _permit = budget.try_take();
-            loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                let Some(bench) = pending.get(i).copied() else {
-                    break;
-                };
-                let cfg = cfg.clone();
-                let budget = Arc::clone(&budget);
-                // `supervise` already isolates benchmark panics; this
-                // outer guard keeps a supervisor-level panic (a harness
-                // bug) from killing the worker and starving the
-                // remaining benchmarks.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let attempt_fn: AttemptFn<BenchResult> = Arc::new(move |attempt| {
-                        run_benchmark_with_budget(bench, &cfg, attempt, &budget)
-                    });
-                    supervise(bench.name, &supc, attempt_fn)
-                }));
-                if let (Ok((Ok((result, _)), _)), Some(w)) = (&outcome, &w) {
-                    // A poisoned lock or full disk loses checkpointing,
-                    // never the in-memory result.
-                    if let Ok(mut file) = w.lock() {
-                        let _ = file.append_result(result);
-                    }
-                }
-                let slot = match outcome {
-                    Ok(pair) => pair,
-                    Err(payload) => {
-                        let s = SupervisorStats {
-                            failed: 1,
-                            ..SupervisorStats::default()
+    let slots: Mutex<Vec<Option<Slot>>> = Mutex::new(vec![None; SUITE.len()]);
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..n_workers)
+            .map(|_| {
+                s.spawn(|| {
+                    // There are no more workers than permits.
+                    let _permit = budget.try_take();
+                    loop {
+                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        let Some(bench) = SUITE.get(i) else {
+                            break;
                         };
-                        (
-                            Err(BenchFailure {
-                                name: bench.name.to_string(),
-                                error: format!(
-                                    "supervisor panicked: {}",
-                                    panic_payload(payload.as_ref())
-                                ),
-                                class: ErrorClass::Transient,
-                                attempts: 0,
-                                elapsed: Duration::ZERO,
-                            }),
-                            s,
-                        )
+                        let cfg = config.clone();
+                        let budget = Arc::clone(&budget);
+                        // `supervise` already isolates benchmark panics;
+                        // this outer guard keeps a supervisor-level panic
+                        // (a harness bug) from killing the worker and
+                        // starving the remaining benchmarks.
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            let attempt_fn: AttemptFn<BenchResult> = Arc::new(move |attempt| {
+                                run_benchmark_with_budget(bench, &cfg, attempt, &budget)
+                            });
+                            supervise(bench.name, sup, attempt_fn)
+                        }));
+                        let slot = outcome.unwrap_or_else(|payload| {
+                            let payload = panic_payload(payload.as_ref());
+                            lost(bench.name, format!("supervisor panicked: {payload}"))
+                        });
+                        if let Ok(mut slots) = slots.lock() {
+                            slots[i] = Some(slot);
+                        }
                     }
-                };
-                if let Ok(mut slots) = slots.lock() {
-                    slots[i] = Some(slot);
-                }
-            }
-        }));
-    }
-    for worker in workers {
-        let _ = worker.join();
-    }
-
-    let mut completed: HashMap<&'static str, BenchResult> = HashMap::new();
-    let mut failed: HashMap<&'static str, BenchFailure> = HashMap::new();
-    let slots = std::mem::take(
-        &mut *slots
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-    );
-    for (i, slot) in slots.into_iter().enumerate() {
-        let name = pending[i].name;
-        match slot {
-            Some((outcome, s)) => {
-                stats.merge(&s);
-                match outcome {
-                    Ok((result, _attempts)) => {
-                        completed.insert(name, result);
-                    }
-                    Err(failure) => {
-                        failed.insert(name, failure);
-                    }
-                }
-            }
-            // A worker died before filling the slot (should be
-            // unreachable given the guard above) — still a failure
-            // record, never a silently dropped benchmark.
-            None => {
-                stats.failed += 1;
-                failed.insert(
-                    name,
-                    BenchFailure {
-                        name: name.to_string(),
-                        error: "supervisor worker lost before completing".to_string(),
-                        class: ErrorClass::Transient,
-                        attempts: 0,
-                        elapsed: Duration::ZERO,
-                    },
-                );
-            }
+                })
+            })
+            .collect();
+        // Joined here, so a worker's panic is not re-raised: the
+        // benchmark it held is left without a slot instead.
+        for worker in workers {
+            let _ = worker.join();
         }
-    }
+    });
 
+    let slots = slots
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut stats = SupervisorStats::default();
     let mut benches = Vec::new();
     let mut failures = Vec::new();
-    for bench in SUITE {
-        if let Some(r) = restored.remove(bench.name) {
-            benches.push(r);
-        } else if let Some(r) = completed.remove(bench.name) {
-            benches.push(r);
-        } else if let Some(f) = failed.remove(bench.name) {
-            failures.push(f);
+    for (bench, slot) in SUITE.iter().zip(slots) {
+        // A worker died before filling the slot (should be unreachable
+        // given the guard above).
+        let (outcome, s) = slot.unwrap_or_else(|| {
+            lost(
+                bench.name,
+                "supervisor worker lost before completing".to_string(),
+            )
+        });
+        stats.merge(&s);
+        match outcome {
+            Ok((result, _attempts)) => benches.push(result),
+            Err(failure) => failures.push(failure),
         }
     }
     SuiteResult {

@@ -1,5 +1,5 @@
 //! Robustness integration tests: the error taxonomy end to end, fault
-//! injection determinism, and the full degrade/checkpoint/resume
+//! injection determinism, and the degrade-to-partial-results
 //! acceptance scenario for the supervised suite.
 
 use std::sync::Arc;
@@ -152,18 +152,11 @@ fn injected_panic_is_caught_and_counted() {
 }
 
 #[test]
-fn acceptance_degrade_checkpoint_resume() {
-    let dir = std::env::temp_dir().join(format!("branchlab-guard-accept-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let ckpt = dir.join("suite.jsonl");
-
-    // Pass 1: injection kills wc; everything else completes and is
-    // checkpointed.
+fn acceptance_degrade_to_partial_results() {
+    // Injection kills wc on every attempt; everything else completes.
     let mut cfg = ExperimentConfig::test();
     wc_killer(&mut cfg);
-    let mut sup = fast_sup(2);
-    sup.checkpoint = Some(ckpt.clone());
-    let partial = run_suite_supervised(&cfg, &sup);
+    let partial = run_suite_supervised(&cfg, &fast_sup(2));
 
     assert!(!partial.is_complete());
     assert_eq!(partial.benches.len(), SUITE.len() - 1);
@@ -183,26 +176,4 @@ fn acceptance_degrade_checkpoint_resume() {
         t3.contains("wc") && t3.contains("FAILED(transient, 2 attempts)"),
         "{t3}"
     );
-
-    // Pass 2: injection off, resume from the checkpoint; only wc runs.
-    cfg.fault.exec_error_rate = 0.0;
-    sup.resume = true;
-    let full = run_suite_supervised(&cfg, &sup);
-
-    assert!(full.is_complete(), "{:?}", full.failures);
-    assert_eq!(full.benches.len(), SUITE.len());
-    assert_eq!(full.supervisor.resumed as usize, SUITE.len() - 1);
-    assert_eq!(full.supervisor.completed, 1, "only wc should re-run");
-
-    // Resumed results carry the checkpointed numbers: the suite order
-    // and per-bench stats match a clean unsupervised run.
-    let clean = run_suite_supervised(&ExperimentConfig::test(), &fast_sup(1));
-    for (r, c) in full.benches.iter().zip(clean.benches.iter()) {
-        assert_eq!(r.name, c.name);
-        assert_eq!(r.stats, c.stats);
-        assert_eq!(r.sbtb, c.sbtb);
-        assert_eq!(r.fs, c.fs);
-    }
-
-    std::fs::remove_dir_all(&dir).ok();
 }

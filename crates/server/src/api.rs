@@ -201,6 +201,44 @@ fn field_bool(v: &JsonValue, key: &str, default: bool) -> Result<bool, ApiError>
     }
 }
 
+fn bad(message: &str) -> Result<(), ApiError> {
+    Err(ApiError::BadRequest(message.to_string()))
+}
+
+/// The buffer geometry the engines accept: `{prefix}entries` in
+/// 1..=2^20, `{prefix}ways` in 1..=entries, and a power-of-two set
+/// count.
+fn validate_geometry(prefix: &str, entries: usize, ways: usize) -> Result<(), ApiError> {
+    if entries == 0 || entries > 1 << 20 {
+        return Err(ApiError::BadRequest(format!(
+            "`{prefix}entries` must be in 1..=1048576"
+        )));
+    }
+    if ways == 0 || ways > entries {
+        return Err(ApiError::BadRequest(format!(
+            "`{prefix}ways` must be in 1..=entries"
+        )));
+    }
+    if !entries.is_multiple_of(ways) || !(entries / ways).is_power_of_two() {
+        return Err(ApiError::BadRequest(format!(
+            "`{prefix}entries` / `{prefix}ways` must give a power-of-two set count"
+        )));
+    }
+    Ok(())
+}
+
+/// The counter rule the engines accept: 1..=7 bits and a threshold in
+/// 1..=counter max.
+fn validate_counters(counter_bits: u8, threshold: u8) -> Result<(), ApiError> {
+    if counter_bits == 0 || counter_bits > 7 {
+        return bad("`counter_bits` must be in 1..=7");
+    }
+    if threshold == 0 || u16::from(threshold) >= 1 << counter_bits {
+        return bad("`threshold` must be in 1..=counter max");
+    }
+    Ok(())
+}
+
 impl PredictorSpec {
     /// Parse one entry of the request's `predictors` array.
     ///
@@ -276,28 +314,17 @@ impl PredictorSpec {
     }
 
     fn validate(&self) -> Result<(), ApiError> {
-        let bad = |m: &str| Err(ApiError::BadRequest(m.to_string()));
         match *self {
-            PredictorSpec::Sbtb { entries, ways } | PredictorSpec::Cbtb { entries, ways, .. } => {
-                if entries == 0 || entries > 1 << 20 {
-                    return bad("`entries` must be in 1..=1048576");
-                }
-                if ways == 0 || ways > entries {
-                    return bad("`ways` must be in 1..=entries");
-                }
-                if let PredictorSpec::Cbtb {
-                    counter_bits,
-                    threshold,
-                    ..
-                } = *self
-                {
-                    if counter_bits == 0 || counter_bits > 8 {
-                        return bad("`counter_bits` must be in 1..=8");
-                    }
-                    if u16::from(threshold) >= 1 << counter_bits {
-                        return bad("`threshold` must fit in `counter_bits`");
-                    }
-                }
+            PredictorSpec::Sbtb { entries, ways } => validate_geometry("", entries, ways),
+            PredictorSpec::Cbtb {
+                entries,
+                ways,
+                counter_bits,
+                threshold,
+                ..
+            } => {
+                validate_geometry("", entries, ways)?;
+                validate_counters(counter_bits, threshold)
             }
             PredictorSpec::Gshare {
                 table_bits,
@@ -313,6 +340,7 @@ impl PredictorSpec {
                 if history_bits > table_bits {
                     return bad("`history_bits` must be in 0..=table_bits");
                 }
+                Ok(())
             }
             PredictorSpec::Mlbtb {
                 l1_entries,
@@ -325,38 +353,15 @@ impl PredictorSpec {
                 threshold,
                 ..
             } => {
-                for (level, entries, ways) in
-                    [("l1", l1_entries, l1_ways), ("l2", l2_entries, l2_ways)]
-                {
-                    if entries == 0 || entries > 1 << 20 {
-                        return Err(ApiError::BadRequest(format!(
-                            "`{level}_entries` must be in 1..=1048576"
-                        )));
-                    }
-                    if ways == 0 || ways > entries {
-                        return Err(ApiError::BadRequest(format!(
-                            "`{level}_ways` must be in 1..=entries"
-                        )));
-                    }
-                    if entries % ways != 0 || !(entries / ways).is_power_of_two() {
-                        return Err(ApiError::BadRequest(format!(
-                            "`{level}_entries` / `{level}_ways` must give a power-of-two set count"
-                        )));
-                    }
-                }
+                validate_geometry("l1_", l1_entries, l1_ways)?;
+                validate_geometry("l2_", l2_entries, l2_ways)?;
                 if l1_latency > 1000 || l2_latency > 1000 {
                     return bad("level latencies must be in 0..=1000");
                 }
-                if counter_bits == 0 || counter_bits > 7 {
-                    return bad("`counter_bits` must be in 1..=7");
-                }
-                if threshold == 0 || u16::from(threshold) >= 1 << counter_bits {
-                    return bad("`threshold` must be in 1..=counter max");
-                }
+                validate_counters(counter_bits, threshold)
             }
-            _ => {}
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// The short kind name used in canonical forms and responses.
@@ -868,6 +873,59 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ApiError::UnknownBenchmark(_)), "{err:?}");
+    }
+
+    #[test]
+    fn every_spec_that_validates_builds() {
+        use branchlab_telemetry::Rng;
+        // A buffer size: a power of two or any value up to `max`.
+        fn size(rng: &mut Rng, max: usize) -> usize {
+            if rng.gen_bool(0.5) {
+                1 << rng.gen_range(0..=12u32)
+            } else {
+                rng.gen_range(0..=max)
+            }
+        }
+        let kinds = [
+            "sbtb",
+            "cbtb",
+            "mlbtb",
+            "gshare",
+            "local",
+            "always_taken",
+            "always_not_taken",
+            "btfn",
+            "opcode_bias",
+        ];
+        let mut built = [0usize; 9];
+        let mut rng = Rng::seed_from_u64(2024);
+        for _ in 0..3000 {
+            let k = rng.gen_range(0..kinds.len());
+            let mut fields = vec![("kind", kinds[k].into())];
+            for (entries_key, ways_key) in [
+                ("entries", "ways"),
+                ("l1_entries", "l1_ways"),
+                ("l2_entries", "l2_ways"),
+            ] {
+                let entries = size(&mut rng, 4096);
+                fields.push((entries_key, entries.into()));
+                fields.push((ways_key, size(&mut rng, entries + 1).into()));
+            }
+            fields.push(("counter_bits", rng.gen_range(0..=9u32).into()));
+            fields.push(("threshold", rng.gen_range(0..=9u32).into()));
+            fields.push(("strict_greater", rng.gen_bool(0.5).into()));
+            let policy = if rng.gen_bool(0.5) { "l1" } else { "staged" };
+            fields.push(("policy", policy.into()));
+            fields.push(("table_bits", rng.gen_range(0..=12u32).into()));
+            fields.push(("history_bits", rng.gen_range(0..=13u32).into()));
+            if let Ok(spec) = PredictorSpec::parse(&JsonValue::obj(fields)) {
+                let _ = spec.build();
+                built[k] += 1;
+            }
+        }
+        for (kind, n) in kinds.iter().zip(built) {
+            assert!(n > 0, "no `{kind}` spec validated");
+        }
     }
 
     #[test]

@@ -390,18 +390,18 @@ impl Server {
             .spawn(move || warmup(&warm_state))
             .expect("spawn warmup thread");
 
-        if state.spill.is_some() {
+        let spill_thread = state.spill.is_some().then(|| {
             let spill_state = Arc::clone(&state);
             std::thread::Builder::new()
                 .name("bld-spill".to_string())
                 .spawn(move || spill_loop(&spill_state))
-                .expect("spawn spill thread");
-        }
+                .expect("spawn spill thread")
+        });
 
         let accept_state = Arc::clone(&state);
         let accept_thread = std::thread::Builder::new()
             .name("bld-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_state))
+            .spawn(move || accept_loop(&listener, &accept_state, spill_thread))
             .expect("spawn accept thread");
 
         Ok(ServerHandle {
@@ -587,8 +587,14 @@ fn spill_snapshot(state: &State, allow_chaos: bool) {
     }
 }
 
-/// Poll-accept connections until shutdown, then drain.
-fn accept_loop(listener: &TcpListener, state: &Arc<State>) {
+/// Poll-accept connections until shutdown, then drain. The drain joins
+/// `spill_thread` before the final snapshot, so no periodic snapshot
+/// can land after it (or after a simulated crash's `join`).
+fn accept_loop(
+    listener: &TcpListener,
+    state: &Arc<State>,
+    spill_thread: Option<std::thread::JoinHandle<()>>,
+) {
     while !state.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -622,6 +628,9 @@ fn accept_loop(listener: &TcpListener, state: &Arc<State>) {
         std::thread::sleep(Duration::from_millis(10));
     }
     state.pool.shutdown();
+    if let Some(spill_thread) = spill_thread {
+        let _ = spill_thread.join();
+    }
     // Every drained sweep is now in the cache; publish the final
     // snapshot — unless this "shutdown" is a simulated crash, whose
     // whole point is that only periodic snapshots survive.

@@ -10,11 +10,12 @@
 //! re-capturing. This module adds the missing half: snapshotting the
 //! response cache to `<spill-dir>/cache.jsonl`.
 //!
-//! The snapshot follows the `CheckpointFile` pattern the harness
-//! proved offline: the full entry set is written to a sibling temp
-//! file, fsynced, and renamed over the target, so the on-disk snapshot
-//! atomically steps from one complete state to the next and a crash
-//! mid-write can never destroy the previous snapshot. Each line is
+//! The snapshot is published through
+//! [`branchlab_trace::publish_atomically`], as trace files are: the full
+//! entry set is written to a temp file of the writer's own, fsynced,
+//! and renamed over the target, so the on-disk snapshot atomically
+//! steps from one complete state to the next and a crash mid-write can
+//! never destroy the previous snapshot. Each line is
 //! self-validating JSON — a version tag and an FNV-1a hash over
 //! `key NUL body` — and loading is deliberately forgiving: a torn
 //! final record (the process died mid-write before the rename, or the
@@ -31,7 +32,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use branchlab_telemetry::{json, JsonValue};
-use branchlab_trace::hash_bytes;
+use branchlab_trace::{hash_bytes, publish_atomically};
 
 /// Snapshot line format version; bumped on incompatible change, and
 /// mismatched lines are skipped on load.
@@ -92,18 +93,13 @@ impl SpillStore {
         self.dir.join("cache.jsonl")
     }
 
-    /// Atomically publish a snapshot of `entries` (LRU order):
-    /// write-all to a temp sibling, fsync, rename.
+    /// Atomically publish a snapshot of `entries` (LRU order).
     ///
     /// # Errors
     /// Propagates write/fsync/rename errors; the previous snapshot is
     /// intact on error.
     pub fn save_cache(&self, entries: &[(String, Arc<str>)]) -> io::Result<()> {
-        let path = self.cache_path();
-        let tmp = path.with_extension("jsonl.tmp");
-        {
-            let file = std::fs::File::create(&tmp)?;
-            let mut w = io::BufWriter::new(file);
+        publish_atomically(&self.cache_path(), |w| {
             for (key, body) in entries {
                 let line = JsonValue::obj(vec![
                     ("v", SPILL_VERSION.into()),
@@ -114,16 +110,8 @@ impl SpillStore {
                 .to_json();
                 writeln!(w, "{line}")?;
             }
-            w.flush()?;
-            w.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        // Make the rename itself durable where possible; failure here
-        // only narrows the crash window, it doesn't corrupt anything.
-        if let Ok(dir) = std::fs::File::open(&self.dir) {
-            let _ = dir.sync_all();
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Load every validated entry from the snapshot. Never fails: a
@@ -203,7 +191,11 @@ mod tests {
             assert_eq!(k, wk);
             assert_eq!(b, wb);
         }
-        assert!(!store.cache_path().with_extension("jsonl.tmp").exists());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert!(names.iter().all(|n| !n.ends_with(".tmp")), "{names:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,13 +8,15 @@
 //! 3. a `kill -9`-style crash followed by a restart comes back
 //!    **warm** from the spill directory and serves a prior request
 //!    from the restored cache,
-//! 4. a damaged spill degrades *silently* to a cold start.
+//! 4. a damaged spill degrades *silently* to a cold start,
+//! 5. no periodic spill lands after the drain's final snapshot.
 
 use std::time::{Duration, Instant};
 
 use branchlab_server::api::SweepRequest;
 use branchlab_server::chaos::ChaosConfig;
 use branchlab_server::client::{one_shot, one_shot_with_retry, Client, RetryPolicy};
+use branchlab_server::store::SpillStore;
 use branchlab_server::{Server, ServerConfig, ServerHandle};
 
 fn base_config() -> ServerConfig {
@@ -321,5 +323,58 @@ fn damaged_spill_degrades_silently_to_cold_start() {
     );
     assert_eq!(metric_value(&metrics, "server_spill_restored"), Some(0.0));
     server.shutdown_and_join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn the_drain_snapshot_is_the_last_spill_to_land() {
+    // Spill as often as the spill thread can, so a periodic snapshot
+    // is in flight whenever the drain writes its final one. Each life
+    // restores the previous lives' entries and adds one, so the final
+    // snapshot is known exactly; an older periodic one renamed over it
+    // would lack the newest entry. Every publish renames a new inode
+    // into place, so a snapshot landing after `join` shows as a
+    // changed inode.
+    use std::os::unix::fs::MetadataExt;
+    let dir = spill_dir("last");
+    let base = ServerConfig::default().experiment;
+    let mut want = Vec::new();
+    for entries in 1..=20 {
+        let mut server = Server::start(ServerConfig {
+            spill_dir: Some(dir.clone()),
+            spill_every: Duration::from_millis(1),
+            ..base_config()
+        })
+        .unwrap();
+        let addr = server.addr().to_string();
+        wait_ready(&addr);
+        let body = format!(
+            r#"{{"bench": "wc", "predictors": [{{"kind": "sbtb", "entries": {entries}}}]}}"#
+        );
+        let resp = one_shot(&addr, "POST", "/v1/sweep", Some(&body)).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        let req = SweepRequest::parse(body.as_bytes(), &base).unwrap();
+        want.push((req.canonical_key(), resp.text()));
+        server.shutdown_and_join();
+        let store = SpillStore::open(&dir).unwrap();
+        let inode = || std::fs::metadata(store.cache_path()).unwrap().ino();
+        let published = inode();
+        // Longer than the spill thread's 25 ms shutdown poll.
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(
+            inode(),
+            published,
+            "life {entries}: a spill landed after join"
+        );
+
+        let load = store.load_cache();
+        let got: Vec<(String, String)> = load
+            .entries
+            .into_iter()
+            .map(|(key, body)| (key, body.to_string()))
+            .collect();
+        assert_eq!(load.skipped, 0, "life {entries}");
+        assert_eq!(got, want, "life {entries}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

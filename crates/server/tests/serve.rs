@@ -243,6 +243,27 @@ fn keep_alive_connection_serves_multiple_requests() {
 }
 
 #[test]
+fn btb_specs_the_engines_refuse_are_rejected_with_400() {
+    let mut server = test_server(1, 8);
+    let addr = server.addr().to_string();
+    wait_ready(&addr);
+
+    for spec in [
+        r#"{"kind":"cbtb","entries":24,"ways":2}"#,
+        r#"{"kind":"cbtb","entries":256,"ways":256,"counter_bits":8,"threshold":2}"#,
+        r#"{"kind":"cbtb","entries":256,"ways":256,"threshold":0}"#,
+        r#"{"kind":"sbtb","entries":24,"ways":2}"#,
+    ] {
+        let body = format!(r#"{{"bench":"wc","predictors":[{spec}]}}"#);
+        let resp = one_shot(&addr, "POST", "/v1/sweep", Some(&body)).unwrap();
+        assert_eq!(resp.status, 400, "{spec}: {}", resp.text());
+    }
+    assert_eq!(server.worker_restarts(), 0);
+
+    server.shutdown_and_join();
+}
+
+#[test]
 fn history_wider_than_table_is_rejected_with_400() {
     let mut server = test_server(1, 8);
     let addr = server.addr().to_string();

@@ -25,9 +25,14 @@
 //! and an indirect branch's dynamic target — are zero; anything else is
 //! rejected as malformed. Files in any other layout (including the
 //! varint `BLTRACE1` stream) fail the magic check and are re-captured.
+//!
+//! Trace files are published through [`publish_atomically`], the one
+//! place in the workspace that renames a file into place; the server's
+//! response-cache spill shares it.
 
-use std::io::{self, Write};
-use std::path::Path;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use branchlab_ir::{Addr, BlockId, BranchId, Cond, FuncId};
@@ -209,39 +214,61 @@ impl<W: Write> ChecksumWriter<W> {
 /// Numbers this process's temp files, so concurrent writers never share one.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Write a benchmark's per-run trace buffers to `path` atomically: each
-/// writer fills and fsyncs a sibling temp file of its own, then renames
-/// it over `path`. Readers and concurrent writers of the same key (two
-/// server workers, or processes sharing a cache directory) therefore
-/// only ever see a whole entry; the last rename wins.
+/// Publish the bytes `write` produces at `path` atomically: create the
+/// parent directory, fill a temp file of this writer's own (named by
+/// pid and a per-process sequence number), flush and fsync it, rename
+/// it over `path`, then fsync the directory as a best effort. Readers
+/// and concurrent writers of one path (two server workers, or
+/// processes sharing a directory) therefore only ever see a whole file,
+/// and the last rename wins.
 ///
 /// # Errors
-/// Propagates filesystem errors; the temp file is removed on error.
-pub fn save_trace(path: &Path, key: &TraceKey, runs: &[TraceBuf]) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
+/// Propagates `write`'s and the filesystem's errors; the temp file is
+/// removed and the previous file at `path` is intact on error.
+pub fn publish_atomically(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let dir = path.parent();
+    if let Some(dir) = dir {
         std::fs::create_dir_all(dir)?;
     }
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let tmp = path.with_extension(format!("trace.{}.{seq}.tmp", std::process::id()));
-    let published = write_trace(&tmp, key, runs).and_then(|()| std::fs::rename(&tmp, path));
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.{seq}.tmp", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let published = File::create(&tmp)
+        .and_then(|file| {
+            let mut w = BufWriter::new(file);
+            write(&mut w)?;
+            w.flush()?;
+            w.get_ref().sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
     if published.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
     published?;
     // Make the rename itself durable where possible; failure here only
     // narrows the crash window, it doesn't corrupt anything.
-    if let Some(dir) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(dir) {
-            let _ = dir.sync_all();
-        }
+    if let Some(Ok(dir)) = dir.map(File::open) {
+        let _ = dir.sync_all();
     }
     Ok(())
 }
 
-/// Write and fsync one trace file at `path`.
-fn write_trace(path: &Path, key: &TraceKey, runs: &[TraceBuf]) -> io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = ChecksumWriter::new(io::BufWriter::new(file));
+/// Write a benchmark's per-run trace buffers to `path` through
+/// [`publish_atomically`].
+///
+/// # Errors
+/// Propagates filesystem errors.
+pub fn save_trace(path: &Path, key: &TraceKey, runs: &[TraceBuf]) -> io::Result<()> {
+    publish_atomically(path, |w| write_trace(w, key, runs))
+}
+
+/// Encode one trace file into `out`.
+fn write_trace(out: impl Write, key: &TraceKey, runs: &[TraceBuf]) -> io::Result<()> {
+    let mut w = ChecksumWriter::new(out);
     w.put(MAGIC)?;
     w.put(&key.digest().to_le_bytes())?;
     w.put(
@@ -266,10 +293,7 @@ fn write_trace(path: &Path, key: &TraceKey, runs: &[TraceBuf]) -> io::Result<()>
         }
     }
     let checksum = w.hash;
-    w.inner.write_all(&checksum.to_le_bytes())?;
-    w.inner.flush()?;
-    w.inner.get_ref().sync_all()?;
-    Ok(())
+    w.inner.write_all(&checksum.to_le_bytes())
 }
 
 fn invalid(reason: &str) -> io::Error {
@@ -460,38 +484,22 @@ mod tests {
 
     #[test]
     fn concurrent_saves_of_one_key_never_tear_a_load() {
-        // Two writers publish the same multi-MB entry while a reader
+        // Two writers publish the same multi-MB file while a reader
         // loads it: every save must land and every load must see the
-        // whole entry. (fsync durability would need a power cut.)
-        let mut cap = Capture::new();
-        for i in 0..600_000u32 {
-            let site = i % 512;
-            cap.branch(&BranchEvent {
-                pc: Addr(10 + site),
-                kind: BranchKind::Cond,
-                taken: i % 3 == 0,
-                target: Addr(5),
-                fallthrough: Addr(11 + site),
-                branch: BranchId {
-                    func: FuncId(0),
-                    block: BlockId(site),
-                },
-                likely: false,
-                cond: Some(Cond::Lt),
-            });
-        }
-        let runs = vec![cap.into_buf()];
+        // whole file. (fsync durability would need a power cut.)
+        let payload: Vec<u8> = (0..2_400_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
         let dir = std::env::temp_dir().join(format!("bltrace-race-{}", std::process::id()));
         let path = dir.join(key().file_name());
-        save_trace(&path, &key(), &runs).unwrap();
+        let save = || publish_atomically(&path, |w| w.write_all(&payload));
+        save().unwrap();
         let writing = std::sync::atomic::AtomicUsize::new(2);
         let (failed_saves, (loads, torn_loads)) = std::thread::scope(|s| {
             let writers: Vec<_> = (0..2)
                 .map(|_| {
                     s.spawn(|| {
-                        let failed = (0..20)
-                            .filter(|_| save_trace(&path, &key(), &runs).is_err())
-                            .count();
+                        let failed = (0..20).filter(|_| save().is_err()).count();
                         writing.fetch_sub(1, Ordering::SeqCst);
                         failed
                     })
@@ -501,9 +509,8 @@ mod tests {
                 let (mut loads, mut torn) = (0, 0);
                 while writing.load(Ordering::SeqCst) > 0 {
                     loads += 1;
-                    match load_trace(&path, &key()) {
-                        Ok(Some(back)) if back == runs => {}
-                        _ => torn += 1,
+                    if std::fs::read(&path).ok().as_ref() != Some(&payload) {
+                        torn += 1;
                     }
                 }
                 (loads, torn)
@@ -513,9 +520,29 @@ mod tests {
         });
         assert!(loads > 0, "the reader never ran");
         assert_eq!(failed_saves, 0, "saves that returned an error");
-        assert_eq!(torn_loads, 0, "loads of {loads} that missed the runs");
+        assert_eq!(torn_loads, 0, "loads of {loads} that missed the file");
         // Every writer's temp file was renamed away.
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_write_keeps_the_previous_file_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("bltrace-failed-{}", std::process::id()));
+        let path = dir.join("entry");
+        publish_atomically(&path, |w| w.write_all(b"previous")).unwrap();
+        let err = publish_atomically(&path, |w| {
+            w.write_all(&[7; 100_000])?;
+            Err(io::Error::other("encoder failed"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "encoder failed");
+        assert_eq!(std::fs::read(&path).unwrap(), b"previous");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["entry"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -21,6 +21,8 @@
 //!   the trace-driven engine behind the sweep experiments.
 //! * [`TraceKey`]/[`save_trace`]/[`load_trace`]: hash-validated
 //!   on-disk trace caching.
+//! * [`publish_atomically`]: the one temp-file + fsync + rename
+//!   publisher behind every durable file (trace cache, server spill).
 //! * [`TraceReader`]/[`TraceEvent`]/[`BlockIter`]/[`EventBlock`]:
 //!   streaming decode of shared read-only trace buffers, one event or
 //!   one block at a time — the substrate of the parallel sweep executor.
@@ -35,7 +37,7 @@ mod replay;
 mod stats;
 
 pub use blocks::{BlockIter, CallRet, EventBlock, DEFAULT_BLOCK_EVENTS};
-pub use cache::{hash_bytes, load_trace, save_trace, TraceKey};
+pub use cache::{hash_bytes, load_trace, publish_atomically, save_trace, TraceKey};
 pub use counts::PcCounts;
 pub use event::{BranchEvent, BranchKind, ExecHooks};
 pub use replay::{replay, replay_traced, Capture, ReplayError, TraceBuf, TraceEvent, TraceReader};
