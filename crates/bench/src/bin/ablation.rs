@@ -10,16 +10,30 @@
 //! A failing benchmark is reported on stderr and the binary exits
 //! non-zero after the surviving benchmarks have printed
 //! (partial-result degradation, like the suite binaries).
-//! `--trace-out FILE` drops the run's capture/replay/scoring phase
-//! timing as Chrome trace-event JSON (open at ui.perfetto.dev).
+//! `--trace-out FILE` records the run as one trace — an `ablation`
+//! root span over each benchmark's `prefetch` and study-set spans,
+//! which hold the sweeps' `sweep_capture`, `sweep_score` (with its
+//! `replay_run`s) or `score_shard`s, and `sweep_merge` — and writes it
+//! as Chrome trace-event JSON (open at ui.perfetto.dev). The command
+//! line is [`branchlab_bench::ABLATION_USAGE`]: the suite binaries'
+//! telemetry, verification, supervision and fault flags are usage
+//! errors here.
+use std::sync::Arc;
+
 use branchlab::experiments::ablation::{self, StudySpec};
+use branchlab::telemetry::{SpanHandle, TraceContext};
 use branchlab::workloads::benchmark;
-use branchlab_bench::{sweep_phase_spans, trace_phase_spans};
+use branchlab_bench::{Options, ABLATION_FLAGS, ABLATION_USAGE};
 
 fn main() {
-    let options = branchlab_bench::Options::from_args();
+    let options = Options::from_args_for(ABLATION_USAGE, Some(&ABLATION_FLAGS));
     let cfg = &options.config;
     let spec = StudySpec::default();
+    let root = options.trace_out.as_ref().map(|_| {
+        let ctx = TraceContext::new();
+        ctx.set_label("ablation");
+        ctx.root("ablation")
+    });
     let mut failed = 0u32;
     let mut benches = Vec::new();
     for name in ["compress", "cccp"] {
@@ -31,7 +45,8 @@ fn main() {
             }
         }
     }
-    for (name, result) in ablation::full_study_suite(&benches, cfg, &spec) {
+    let link = root.as_ref().map(SpanHandle::link);
+    for (name, result) in ablation::full_study_suite(&benches, cfg, &spec, link.as_ref()) {
         match result {
             Ok(tables) => {
                 for t in &tables {
@@ -44,23 +59,11 @@ fn main() {
             }
         }
     }
+    drop(root);
     // Written even on partial failure, so a degraded run's timing is
     // still inspectable.
-    if let Some(path) = &options.trace_out {
-        let groups = vec![
-            (
-                "ablation: trace capture/replay".to_string(),
-                trace_phase_spans(&cfg.metrics),
-            ),
-            (
-                "ablation: sweep scoring".to_string(),
-                sweep_phase_spans(&cfg.metrics),
-            ),
-        ];
-        let chrome = branchlab::telemetry::phases_chrome_trace("ablation", &groups);
-        std::fs::write(path, chrome.to_json_pretty())
-            .unwrap_or_else(|e| panic!("writing Chrome trace to {} failed: {e}", path.display()));
-        eprintln!("ablation: Chrome trace written to {}", path.display());
+    if let (Some(path), Some(link)) = (&options.trace_out, &link) {
+        branchlab_bench::write_chrome_trace("ablation", path, &[Arc::new(link.trace().finish())]);
     }
     if failed > 0 {
         eprintln!("ablation: {failed} benchmarks failed");

@@ -19,14 +19,16 @@
 //! * `--sweep-threads N` — score sweep points on N worker threads
 //!   (default: the machine's available parallelism); results are
 //!   bit-identical at any thread count
-//! * `--trace-out FILE` — write the run's per-benchmark phase
-//!   timelines as Chrome trace-event JSON (open in Perfetto or
-//!   `chrome://tracing`); off by default, so benchmark numbers are
-//!   never perturbed by tracing
+//! * `--trace-out FILE` — write the run's traces as Chrome trace-event
+//!   JSON (open in Perfetto or `chrome://tracing`): one row per
+//!   benchmark, a root span over its phases, placed at the wall-clock
+//!   time it ran, so benchmarks that ran concurrently overlap; off by
+//!   default
 
 #![warn(missing_docs)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use branchlab::experiments::figures::{ascii_plot, figure3, figure4, SchemeAccuracies};
@@ -36,7 +38,7 @@ use branchlab::experiments::{
 };
 use branchlab::predict::PredStats;
 use branchlab::telemetry::manifest::BenchmarkRecord;
-use branchlab::telemetry::{JsonValue, MetricsRegistry, PhaseSpan, RunManifest};
+use branchlab::telemetry::{chrome_trace, JsonValue, MetricsRegistry, RequestTrace, RunManifest};
 use branchlab::workloads::Scale;
 
 /// Sites listed in the manifest's per-predictor top-mispredicted table.
@@ -65,8 +67,8 @@ pub struct Options {
     /// Directory for the run manifest and metrics snapshots; also turns
     /// on per-site predictor telemetry.
     pub telemetry_out: Option<PathBuf>,
-    /// File for the run's Chrome trace-event export (phase timelines
-    /// per benchmark; `None` disables the export).
+    /// File for the run's Chrome trace-event export (`None` disables
+    /// the export).
     pub trace_out: Option<PathBuf>,
 }
 
@@ -81,23 +83,52 @@ pub const USAGE: &str =
 [--fault-panic-rate R] [--fault-delay-rate R] [--fault-delay-ms N] [--fault-seed N] \
 [--fault-benches A,B,...]";
 
+/// `ablation`'s command line: the flags of [`USAGE`] that steer its
+/// studies, listed in [`ABLATION_FLAGS`]. The rest (`--telemetry-out`,
+/// `--no-verify`, supervision and fault injection) act on the
+/// supervised paper suite, which `ablation` does not run, so there
+/// they are unknown arguments.
+pub const ABLATION_USAGE: &str =
+    "usage: ablation [-h|--help] [--scale test|small|paper] [--seed N] \
+[--markdown|--csv] [--trace-out FILE] [--trace-cache DIR] [--sweep-threads N]";
+
+/// The flags [`ABLATION_USAGE`] lists, `-h`/`--help` aside.
+pub const ABLATION_FLAGS: [&str; 7] = [
+    "--scale",
+    "--seed",
+    "--markdown",
+    "--csv",
+    "--trace-out",
+    "--trace-cache",
+    "--sweep-threads",
+];
+
 /// Process exit code for a command line [`Options::parse`] rejects.
 pub const EXIT_USAGE: i32 = 2;
 
 impl Options {
-    /// Parse `std::env::args`. With `-h` or `--help` among them, print
-    /// the usage line to stdout and exit 0 before parsing anything; on
-    /// a bad command line, print the error and the usage line to
-    /// stderr and exit [`EXIT_USAGE`].
+    /// Parse `std::env::args` against [`USAGE`]; see
+    /// [`Options::from_args_for`].
     #[must_use]
     pub fn from_args() -> Self {
+        Self::from_args_for(USAGE, None)
+    }
+
+    /// Parse `std::env::args` for a binary whose command line is
+    /// `usage` and which takes only the flags in `honoured` (every
+    /// flag when `None`). With `-h` or `--help` among them, print
+    /// `usage` to stdout and exit 0 before parsing anything; on a bad
+    /// command line, print the error and `usage` to stderr and exit
+    /// [`EXIT_USAGE`].
+    #[must_use]
+    pub fn from_args_for(usage: &str, honoured: Option<&[&str]>) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "-h" || a == "--help") {
-            println!("{USAGE}");
+            println!("{usage}");
             std::process::exit(0);
         }
-        Self::parse(args).unwrap_or_else(|e| {
-            eprintln!("{e}\n{USAGE}");
+        Self::parse_for(args, honoured).unwrap_or_else(|e| {
+            eprintln!("{e}\n{usage}");
             std::process::exit(EXIT_USAGE);
         })
     }
@@ -109,6 +140,15 @@ impl Options {
     /// Names the offending argument: an unknown flag, a flag with no
     /// value, or a value out of range.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        Self::parse_for(args, None)
+    }
+
+    /// [`Options::parse`], with every flag outside `honoured` (when
+    /// given) an unknown argument.
+    fn parse_for(
+        args: impl IntoIterator<Item = String>,
+        honoured: Option<&[&str]>,
+    ) -> Result<Self, String> {
         let mut config = ExperimentConfig::default();
         let mut supervisor = SupervisorConfig::default();
         let mut format = Format::Text;
@@ -116,6 +156,9 @@ impl Options {
         let mut trace_out = None;
         let mut args = args.into_iter();
         while let Some(flag) = args.next() {
+            if honoured.is_some_and(|h| !h.contains(&flag.as_str())) {
+                return Err(format!("unknown argument `{flag}`"));
+            }
             let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
             let int = |v: String| {
                 v.parse::<u64>()
@@ -247,10 +290,12 @@ pub fn artifact_main(tool: &str, emit: impl FnOnce(&Options, &SuiteResult)) {
         eprintln!("telemetry manifest written to {}", path.display());
     }
     if let Some(path) = &options.trace_out {
-        let chrome = suite_chrome_trace(tool, &suite, &options.config.metrics);
-        std::fs::write(path, chrome.to_json_pretty())
-            .unwrap_or_else(|e| panic!("writing Chrome trace to {} failed: {e}", path.display()));
-        eprintln!("Chrome trace written to {}", path.display());
+        let traces: Vec<_> = suite
+            .benches
+            .iter()
+            .map(|b| Arc::new(b.phases.clone()))
+            .collect();
+        write_chrome_trace(tool, path, &traces);
     }
     if !suite.is_complete() {
         eprintln!(
@@ -303,39 +348,16 @@ pub fn render_report(options: &Options, suite: &SuiteResult) -> String {
     out
 }
 
-/// Render a suite run as a Chrome trace-event document: one process
-/// row per benchmark (its compile/profile/evaluate phase timeline)
-/// plus rows for the run's trace-replay and parallel-sweep phases,
-/// from the counters in `registry`. A span that took no time and did
-/// no work is left out, and so is a row left with no span — the paper
-/// suite neither replays nor sweeps, so its exports have no suite
-/// rows. Openable in Perfetto / `chrome://tracing`.
-#[must_use]
-pub fn suite_chrome_trace(
-    tool: &str,
-    suite: &SuiteResult,
-    registry: &MetricsRegistry,
-) -> JsonValue {
-    let groups: Vec<(String, Vec<PhaseSpan>)> = suite
-        .benches
-        .iter()
-        .map(|b| (b.name.to_string(), b.phases.clone()))
-        .chain([
-            (
-                "suite: trace replay".to_string(),
-                trace_phase_spans(registry),
-            ),
-            (
-                "suite: parallel sweep".to_string(),
-                sweep_phase_spans(registry),
-            ),
-        ])
-        .filter_map(|(name, mut spans)| {
-            spans.retain(|s| !s.wall.is_zero() || s.work > 0);
-            (!spans.is_empty()).then_some((name, spans))
-        })
-        .collect();
-    branchlab::telemetry::phases_chrome_trace(tool, &groups)
+/// Write `traces` to `path` as a Chrome trace-event document
+/// (openable in Perfetto / `chrome://tracing`).
+///
+/// # Panics
+/// Panics on an unwritable `path`, like the rest of the bench
+/// binaries' outputs.
+pub fn write_chrome_trace(tool: &str, path: &Path, traces: &[Arc<RequestTrace>]) {
+    std::fs::write(path, chrome_trace(traces).to_json_pretty())
+        .unwrap_or_else(|e| panic!("writing Chrome trace to {} failed: {e}", path.display()));
+    eprintln!("{tool}: Chrome trace written to {}", path.display());
 }
 
 /// The values of the counters `names` in `registry`, as a JSON object
@@ -352,56 +374,6 @@ fn counters_json(registry: &MetricsRegistry, names: &[&str]) -> JsonValue {
             })
             .collect(),
     )
-}
-
-fn counter_span(registry: &MetricsRegistry, name: &str, wall_us: &str, work: &str) -> PhaseSpan {
-    PhaseSpan {
-        name: name.to_string(),
-        wall: Duration::from_micros(registry.counter(wall_us).get()),
-        work: registry.counter(work).get(),
-    }
-}
-
-/// The run's `trace_capture` (work = events captured) and
-/// `trace_replay` (work = events replayed) phases, from its
-/// `suite.trace.*` wall-clock counters.
-#[must_use]
-pub fn trace_phase_spans(registry: &MetricsRegistry) -> Vec<PhaseSpan> {
-    vec![
-        counter_span(
-            registry,
-            "trace_capture",
-            "suite.trace.capture_us",
-            "suite.trace.events_captured",
-        ),
-        counter_span(
-            registry,
-            "trace_replay",
-            "suite.trace.replay_us",
-            "suite.trace.events_replayed",
-        ),
-    ]
-}
-
-/// The run's `sweep_score` (aggregate worker time, work = points
-/// scored) and `sweep_merge` (plan-order merge time, work = batches
-/// merged) phases, from its `suite.sweep.parallel.*` counters.
-#[must_use]
-pub fn sweep_phase_spans(registry: &MetricsRegistry) -> Vec<PhaseSpan> {
-    vec![
-        counter_span(
-            registry,
-            "sweep_score",
-            "suite.sweep.parallel.busy_us",
-            "suite.sweep.parallel.points",
-        ),
-        counter_span(
-            registry,
-            "sweep_merge",
-            "suite.sweep.parallel.merge_us",
-            "suite.sweep.parallel.batches",
-        ),
-    ]
 }
 
 /// Prediction scoring as a JSON object for the manifest.
@@ -424,12 +396,12 @@ fn btb_json(stats: &PredStats, sites: &branchlab::telemetry::SiteProbe) -> JsonV
     ])
 }
 
-/// One benchmark's manifest record: phase spans plus per-predictor
-/// summaries.
+/// One benchmark's manifest record: its trace's spans plus
+/// per-predictor summaries.
 fn bench_record(b: &BenchResult) -> BenchmarkRecord {
     BenchmarkRecord {
         name: b.name.to_string(),
-        phases: b.phases.clone(),
+        phases: b.phases.spans.clone(),
         predictors: vec![
             ("sbtb".into(), btb_json(&b.sbtb, &b.sbtb_sites)),
             ("cbtb".into(), btb_json(&b.cbtb, &b.cbtb_sites)),
@@ -450,7 +422,7 @@ pub fn write_telemetry(
     tool: &str,
     options: &Options,
     suite: &SuiteResult,
-    dir: &std::path::Path,
+    dir: &Path,
 ) -> std::io::Result<PathBuf> {
     let mut manifest = RunManifest::new(tool);
     let cfg = &options.config;
@@ -480,11 +452,6 @@ pub fn write_telemetry(
         ));
     }
     manifest.set_section("sweep_parallel", sweep_json);
-    for span in sweep_phase_spans(registry) {
-        registry
-            .counter(&format!("suite.sweep.parallel.phase.{}.wall_us", span.name))
-            .add(span.wall.as_micros().min(u128::from(u64::MAX)) as u64);
-    }
     manifest.set_section("sweep_lanes", counters_json(registry, &LANE_COUNTERS));
     manifest.set_section(
         "supervisor",
@@ -536,10 +503,10 @@ pub fn write_telemetry(
                 .counter(&format!("{prefix}.mispredicts"))
                 .add(stats.events - stats.correct);
         }
-        for phase in &b.phases {
+        for span in &b.phases.spans {
             registry
-                .counter(&format!("bench.{}.phase.{}.wall_us", b.name, phase.name))
-                .add(phase.wall.as_micros().min(u128::from(u64::MAX)) as u64);
+                .counter(&format!("bench.{}.phase.{}.wall_us", b.name, span.name))
+                .add(span.dur_us);
         }
     }
     manifest.write_to(dir, Some(&registry.snapshot()))
@@ -710,25 +677,6 @@ mod tests {
             panic!("not an object")
         };
         assert_eq!(fields.len(), TRACE_COUNTERS.len());
-    }
-
-    #[test]
-    fn phase_spans_come_from_the_run_counters() {
-        let reg = MetricsRegistry::new();
-        reg.counter("suite.trace.replay_us").add(15);
-        reg.counter("suite.trace.events_replayed").add(40);
-        reg.counter("suite.sweep.parallel.points").add(72);
-        reg.counter("suite.sweep.parallel.merge_us").add(10);
-        let trace = trace_phase_spans(&reg);
-        assert_eq!(trace[0].name, "trace_capture");
-        assert_eq!(trace[1].name, "trace_replay");
-        assert_eq!(trace[1].wall, Duration::from_micros(15));
-        assert_eq!(trace[1].work, 40);
-        let sweep = sweep_phase_spans(&reg);
-        assert_eq!(sweep[0].name, "sweep_score");
-        assert_eq!(sweep[0].work, 72);
-        assert_eq!(sweep[1].name, "sweep_merge");
-        assert_eq!(sweep[1].wall, Duration::from_micros(10));
     }
 
     #[test]

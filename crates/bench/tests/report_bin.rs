@@ -1,7 +1,8 @@
 //! The artifact binaries as a user runs them: the telemetry artifacts
 //! a clean `report` run writes, how a run degrades when injected faults
 //! kill one benchmark on every attempt, the Chrome traces `report` and
-//! `ablation` export, `--help`, and a bad flag.
+//! `ablation` export, `--help`, and bad flags (including the suite
+//! flags `ablation` does not take).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -9,7 +10,7 @@ use std::process::Command;
 use branchlab::experiments::{PHASES, RUNS_HELPED, RUNS_INTERPRETED};
 use branchlab::telemetry::{json, validate_chrome_trace, JsonValue};
 use branchlab::workloads::{Scale, SUITE};
-use branchlab_bench::{EXIT_PARTIAL, EXIT_USAGE, USAGE};
+use branchlab_bench::{ABLATION_USAGE, EXIT_PARTIAL, EXIT_USAGE, USAGE};
 
 /// A fresh scratch directory for one test.
 fn scratch(tag: &str) -> PathBuf {
@@ -91,6 +92,16 @@ fn telemetry_run_writes_a_complete_manifest() {
         for phase in PHASES {
             assert!(phases.contains(&phase), "{name}: no {phase} in {phases:?}");
         }
+        // The manifest's spans and the metrics' phase counters are one
+        // measurement.
+        for p in arr(b, &["phases"]) {
+            let counter = format!("bench.{name}.phase.{}.wall_us", text(p, &["name"]));
+            assert_eq!(
+                int(p, &["dur_us"]),
+                jsonl_counter(&dir, &counter),
+                "{counter}"
+            );
+        }
         let sbtb = at(b, &["predictors", "sbtb"]);
         assert!(
             int(sbtb, &["stats", "events"]) > 0,
@@ -120,6 +131,18 @@ fn telemetry_run_writes_a_complete_manifest() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The `X` events of a Chrome trace export, after validating it.
+fn complete_events(path: &Path) -> Vec<JsonValue> {
+    let chrome = std::fs::read_to_string(path).expect("--trace-out written");
+    validate_chrome_trace(&chrome).expect("exported trace must validate");
+    let doc = json::parse(&chrome).unwrap();
+    arr(&doc, &["traceEvents"])
+        .iter()
+        .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
+        .cloned()
+        .collect()
+}
+
 #[test]
 fn paper_trace_export_has_only_benchmark_rows_and_no_empty_spans() {
     let dir = scratch("trace");
@@ -129,31 +152,40 @@ fn paper_trace_export_has_only_benchmark_rows_and_no_empty_spans() {
         &["--trace-out", trace.to_str().unwrap()],
         0,
     );
-    let chrome = std::fs::read_to_string(&trace).expect("--trace-out written");
-    validate_chrome_trace(&chrome).expect("exported trace must validate");
-    let doc = json::parse(&chrome).unwrap();
-    let events = arr(&doc, &["traceEvents"]);
-    // The paper suite neither replays traces nor sweeps, so those rows
-    // and their spans are gone; every row left is a benchmark's.
-    let rows: Vec<&str> = events
+    let doc = read_json(&trace);
+    // One row (process) per benchmark, named by its trace label, in
+    // suite order.
+    let rows: Vec<(i64, &str)> = arr(&doc, &["traceEvents"])
         .iter()
         .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("M"))
-        .map(|e| text(e, &["args", "name"]))
+        .map(|e| (int(e, &["pid"]), text(e, &["args", "name"])))
         .collect();
     assert_eq!(rows.len(), SUITE.len(), "{rows:?}");
-    for (row, bench) in rows.iter().zip(SUITE) {
-        assert_eq!(*row, format!("report: {}", bench.name));
-    }
-    for e in events
-        .iter()
-        .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
-    {
-        let name = text(e, &["name"]);
-        assert!(PHASES.contains(&name), "unexpected span {name}");
-        assert!(
-            int(e, &["dur"]) > 0 || int(e, &["args", "work"]) > 0,
-            "empty span {name}"
+    for ((_, row), bench) in rows.iter().zip(SUITE) {
+        assert_eq!(
+            row.split_once(' ').map(|(_, label)| label),
+            Some(bench.name)
         );
+    }
+    // Every span is a pipeline phase or the root it hangs off; each
+    // row holds the root and every phase, and the evaluation phases
+    // carry their instruction counts.
+    let events = complete_events(&trace);
+    for (pid, row) in &rows {
+        let spans: Vec<&JsonValue> = events.iter().filter(|e| int(e, &["pid"]) == *pid).collect();
+        let names: Vec<&str> = spans.iter().map(|e| text(e, &["name"])).collect();
+        assert_eq!(names[0], "run_benchmark", "{row}: {names:?}");
+        assert_eq!(names[1..], PHASES, "{row}");
+        assert_eq!(at(spans[0], &["args", "parent"]), &JsonValue::Null, "{row}");
+        let root = int(spans[0], &["args", "span"]);
+        for e in &spans[1..] {
+            assert_eq!(int(e, &["args", "parent"]), root, "{row}");
+        }
+        for (e, name) in spans.iter().zip(&names) {
+            if ["natural_eval", "fs_eval"].contains(name) {
+                assert!(int(e, &["args", "work"]) > 0, "{row}: {name} did no work");
+            }
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -228,21 +260,71 @@ fn ablation_trace_export_times_replay_and_sweep_phases() {
     let dir = scratch("ablation");
     let trace = dir.join("ablation.trace.json");
     let ablation = env!("CARGO_BIN_EXE_ablation");
-    run(ablation, &["--trace-out", trace.to_str().unwrap()], 0);
-    let chrome = std::fs::read_to_string(&trace).expect("--trace-out written");
-    validate_chrome_trace(&chrome).expect("exported trace must validate");
-    // The studies replay captured traces through parallel sweeps, so
-    // both suite phases carry work.
-    let doc = json::parse(&chrome).unwrap();
-    for phase in ["trace_replay", "sweep_score"] {
-        let span = arr(&doc, &["traceEvents"])
+    // One sweep thread: every study set is scored in a `sweep_score`
+    // span whose runs replay in `replay_run` spans.
+    let args = [
+        "--sweep-threads",
+        "1",
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ];
+    run(ablation, &args, 0);
+    let events = complete_events(&trace);
+    let names: Vec<&str> = events.iter().map(|e| text(e, &["name"])).collect();
+    for span in ["ablation", "compress", "cccp", "sweep_capture"] {
+        assert!(names.contains(&span), "no `{span}` span in {names:?}");
+    }
+    for phase in ["replay_run", "sweep_score"] {
+        let spans: Vec<&JsonValue> = events
             .iter()
-            .find(|e| e.get("name").and_then(JsonValue::as_str) == Some(phase))
-            .unwrap_or_else(|| panic!("no `{phase}` span in the export"));
-        assert!(
-            int(span, &["args", "work"]) > 0,
-            "`{phase}` recorded no work"
-        );
+            .filter(|e| text(e, &["name"]) == phase)
+            .collect();
+        assert!(!spans.is_empty(), "no `{phase}` span in {names:?}");
+        for span in spans {
+            assert!(
+                int(span, &["args", "work"]) > 0,
+                "`{phase}` recorded no work"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn ablation_rejects_the_suite_flags_it_would_ignore() {
+    let ablation = env!("CARGO_BIN_EXE_ablation");
+    for args in [
+        &["--telemetry-out", "dir"][..],
+        &["--no-verify"],
+        &["--max-attempts", "2"],
+        &["--backoff-ms", "1"],
+        &["--watchdog-ms", "1"],
+        &["--fault-exec-rate", "1.0"],
+        &["--fault-panic-rate", "1.0"],
+        &["--fault-delay-rate", "1.0"],
+        &["--fault-delay-ms", "1"],
+        &["--fault-seed", "1"],
+        &["--fault-benches", "wc"],
+    ] {
+        let out = Command::new(ablation)
+            .args(["--scale", "test"])
+            .args(args)
+            .output()
+            .expect("run ablation");
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "ablation {args:?}");
+        assert!(out.stdout.is_empty(), "ablation {args:?} ran");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("unknown argument `{}`\n{ABLATION_USAGE}\n", args[0])
+        );
+    }
+    let out = Command::new(ablation)
+        .arg("--help")
+        .output()
+        .expect("run ablation");
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("{ABLATION_USAGE}\n")
+    );
 }

@@ -25,7 +25,7 @@
 //! | [`workloads`] | `branchlab-workloads` | The 12 MiniC benchmarks |
 //! | [`experiments`] | `branchlab-experiments` | Tables 1–5, Figures 3–4, ablations |
 //! | [`server`] | `branchlab-server` | `branchlabd`: sweeps as an HTTP service |
-//! | [`telemetry`] | `branchlab-telemetry` | Metrics, span timers, probes, manifests |
+//! | [`telemetry`] | `branchlab-telemetry` | Metrics, trace spans, probes, manifests |
 //!
 //! ## Quickstart
 //!

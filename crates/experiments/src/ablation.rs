@@ -16,6 +16,7 @@ use branchlab_predict::{
     ReturnAddressStack, Sbtb, SbtbConfig,
 };
 use branchlab_profile::profile_module_with;
+use branchlab_telemetry::SpanLink;
 use branchlab_workloads::Benchmark;
 
 use std::sync::Arc;
@@ -460,7 +461,26 @@ pub fn full_study(
     config: &ExperimentConfig,
     spec: &StudySpec<'_>,
 ) -> Result<Vec<Table>, ExperimentError> {
+    full_study_traced(bench, config, spec, None)
+}
+
+/// [`full_study`], recorded as a child span of `parent` named after the
+/// benchmark, with the batch's capture/score/merge spans under it. With
+/// `parent` `None` this is exactly [`full_study`].
+///
+/// # Errors
+/// Returns [`ExperimentError`] on pipeline failure.
+pub fn full_study_traced(
+    bench: &Benchmark,
+    config: &ExperimentConfig,
+    spec: &StudySpec<'_>,
+    parent: Option<&SpanLink>,
+) -> Result<Vec<Table>, ExperimentError> {
+    let span = parent.map(|p| p.child(bench.name));
     let mut batch = SweepBatch::new(bench, config);
+    if let Some(s) = &span {
+        batch.set_trace_parent(s.link());
+    }
     let size = plan_btb_size(&mut batch, spec.btb_sizes);
     let assoc = plan_associativity(&mut batch, spec.assoc_entries, spec.assoc_ways);
     let counters = plan_counters(&mut batch, spec.counter_variants);
@@ -502,23 +522,30 @@ pub fn full_study(
 ///
 /// In live (`use_trace_replay = false`) mode there is no trace to
 /// prefetch and the suite degrades to the plain sequential loop.
+///
+/// With a `parent`, each benchmark's study set is recorded under it as
+/// in [`full_study_traced`], and each prefetch as a `prefetch` span.
 pub fn full_study_suite(
     benches: &[&Benchmark],
     config: &ExperimentConfig,
     spec: &StudySpec<'_>,
+    parent: Option<&SpanLink>,
 ) -> Vec<(&'static str, Result<Vec<Table>, ExperimentError>)> {
     if !config.use_trace_replay || benches.len() < 2 {
         return benches
             .iter()
-            .map(|b| (b.name, full_study(b, config, spec)))
+            .map(|b| (b.name, full_study_traced(b, config, spec, parent)))
             .collect();
     }
     std::thread::scope(|s| {
         let (ready_tx, ready_rx) = std::sync::mpsc::sync_channel::<()>(0);
         s.spawn(move || {
             for b in benches {
+                let span = parent.map(|p| p.child("prefetch"));
                 let _ = crate::trace_replay::captured_runs(b, config);
                 let _ = cached_profile(b, config);
+                // Closed before the rendezvous, which waits for the scorer.
+                drop(span);
                 if ready_tx.send(()).is_err() {
                     return; // consumer gone; stop prefetching
                 }
@@ -530,7 +557,7 @@ pub fn full_study_suite(
                 // Wait for this benchmark's prefetch slot; a dead
                 // producer only costs the overlap, never the result.
                 let _ = ready_rx.recv();
-                (b.name, full_study(b, config, spec))
+                (b.name, full_study_traced(b, config, spec, parent))
             })
             .collect()
     })
@@ -632,7 +659,7 @@ mod tests {
             delay_max_slots: 1,
         };
         let benches = [benchmark("wc").unwrap(), benchmark("cmp").unwrap()];
-        let piped = full_study_suite(&benches, &cfg, &spec);
+        let piped = full_study_suite(&benches, &cfg, &spec, None);
         assert_eq!(piped.len(), 2);
         for (name, result) in piped {
             let solo = full_study(benchmark(name).unwrap(), &cfg, &spec).unwrap();

@@ -3,9 +3,10 @@
 //! transform → evaluate the Forward Semantic binary, over every
 //! benchmark, in a single interpreter pass per run per layout.
 //!
-//! Every stage of [`run_benchmark`] runs inside a telemetry span, so
-//! each [`BenchResult`] carries a per-phase wall-clock (and work-count)
-//! breakdown; with [`ExperimentConfig::collect_site_telemetry`] set,
+//! Every stage of [`run_benchmark`] runs inside a child of one root
+//! span of the benchmark's own trace, so each [`BenchResult`] carries
+//! a per-phase wall-clock (and work-count) breakdown anchored in wall
+//! time; with [`ExperimentConfig::collect_site_telemetry`] set,
 //! the SBTB/CBTB per-branch-site hit/miss/evict/alias/mispredict
 //! counters are published as [`SiteProbe`]s.
 
@@ -19,7 +20,7 @@ use branchlab_predict::{
     BranchPredictor, CbtbConfig, Evaluator, NaturalPass, PredStats, SbtbConfig, SiteOutcomes,
 };
 use branchlab_profile::{Profile, ProfileError};
-use branchlab_telemetry::{MetricsRegistry, PhaseSpan, SiteProbe, Timeline};
+use branchlab_telemetry::{MetricsRegistry, RequestTrace, SiteProbe, Span, TraceContext};
 use branchlab_trace::{BranchEvent, BranchMix, ExecHooks};
 use branchlab_workloads::{Benchmark, Scale};
 
@@ -194,9 +195,10 @@ pub struct BenchResult {
     pub btfn: PredStats,
     /// Code expansion at k + ℓ ∈ {1, 2, 4, 8} (Table 5).
     pub expansion: Vec<ExpansionPoint>,
-    /// Wall-clock/work breakdown of the pipeline stages, one span per
-    /// entry of [`PHASES`] (plus interpreter sub-spans in run order).
-    pub phases: Vec<PhaseSpan>,
+    /// The benchmark's trace, labelled with its name: a root
+    /// `run_benchmark` span with one child per entry of [`PHASES`], in
+    /// pipeline order, each carrying its wall-clock time and work.
+    pub phases: RequestTrace,
     /// Per-branch-site SBTB telemetry (empty unless
     /// [`ExperimentConfig::collect_site_telemetry`] was set).
     pub sbtb_sites: SiteProbe,
@@ -206,10 +208,10 @@ pub struct BenchResult {
 }
 
 impl BenchResult {
-    /// The recorded wall-clock duration of `phase`, if present.
+    /// The span of `phase`, if recorded.
     #[must_use]
-    pub fn phase(&self, name: &str) -> Option<&PhaseSpan> {
-        self.phases.iter().find(|p| p.name == name)
+    pub fn phase(&self, name: &str) -> Option<&Span> {
+        self.phases.spans.iter().find(|p| p.name == name)
     }
 }
 
@@ -357,12 +359,14 @@ pub fn run_benchmark_with_budget(
     attempt: u32,
     budget: &CoreBudget,
 ) -> Result<BenchResult, ExperimentError> {
-    let timeline = Timeline::new();
+    let ctx = TraceContext::new();
+    ctx.set_label(bench.name);
+    let root = ctx.root("run_benchmark");
     let injector = FaultInjector::new(&config.fault, bench.name, attempt);
     let helper_name = format!("{SUPERVISED_THREAD_PREFIX}{}:run-helper", bench.name);
 
     let module = {
-        let _span = timeline.span("compile");
+        let _span = root.child("compile");
         injector.trip("compile")?;
         bench.compile()?
     };
@@ -381,7 +385,7 @@ pub fn run_benchmark_with_budget(
 
     // 1. The conventional binary.
     let natural: Program = {
-        let _span = timeline.span("lower");
+        let _span = root.child("lower");
         lower(&module)?
     };
 
@@ -396,7 +400,7 @@ pub fn run_benchmark_with_budget(
     };
     let mut stats = ExecStats::default();
     let (natural_pass, natural_outcomes) = {
-        let mut span = timeline.span("natural_eval");
+        let mut span = root.child("natural_eval");
         injector.trip("natural_eval")?;
         let (pass, outs) = share_runs(
             budget,
@@ -423,18 +427,18 @@ pub fn run_benchmark_with_budget(
     //    paper's probe build, without a probe run), and the FS binary
     //    built from it.
     let profile: Profile = {
-        let _span = timeline.span("profile");
+        let _span = root.child("profile");
         injector.trip("profile")?;
         Profile::from_natural(&module, &natural, natural_pass.outcomes().counts())?
     };
     let fs_bin: Program = {
-        let _span = timeline.span("fs_build");
+        let _span = root.child("fs_build");
         fs_program(&module, &profile, FsConfig::with_slots(config.fs_slots))?
     };
 
     // 4. The FS binary runs with its likely bits steering prediction.
     let fs_outcomes = {
-        let mut span = timeline.span("fs_eval");
+        let mut span = root.child("fs_eval");
         injector.trip("fs_eval")?;
         let (outcomes, insts) = share_runs(
             budget,
@@ -463,7 +467,7 @@ pub fn run_benchmark_with_budget(
 
     // 5. Static code expansion (Table 5 depths).
     let expansion = {
-        let _span = timeline.span("expansion");
+        let _span = root.child("expansion");
         code_expansion(&module, &profile, &[1, 2, 4, 8])?
     };
 
@@ -473,6 +477,7 @@ pub fn run_benchmark_with_budget(
         (SiteProbe::disabled(), SiteProbe::disabled())
     };
     let outcomes = natural_pass.outcomes();
+    drop(root);
     Ok(BenchResult {
         name: bench.name,
         source_lines: bench.source_lines(),
@@ -486,7 +491,7 @@ pub fn run_benchmark_with_budget(
         always_not_taken: outcomes.always_not_taken(),
         btfn: outcomes.btfn(),
         expansion,
-        phases: timeline.finish(),
+        phases: ctx.finish(),
         sbtb_sites,
         cbtb_sites,
     })
@@ -674,9 +679,25 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing phase {phase}"));
             assert_eq!(span.name, phase);
         }
-        // The spans come in pipeline order.
-        let names: Vec<&str> = r.phases.iter().map(|p| p.name.as_str()).collect();
+        // One trace per benchmark: a root span, then the phases in
+        // pipeline order, each a child lying inside the root's interval.
+        assert_eq!(r.phases.label, "wc");
+        let (root, phases) = r.phases.spans.split_first().unwrap();
+        assert_eq!((root.name.as_str(), root.parent), ("run_benchmark", None));
+        let names: Vec<&str> = phases.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, PHASES);
+        for p in phases {
+            assert_eq!(p.parent, Some(root.id), "{}", p.name);
+            assert!(
+                root.start_us <= p.start_us && p.end_us() <= root.end_us(),
+                "{} [{}, {}] outside root [{}, {}]",
+                p.name,
+                p.start_us,
+                p.end_us(),
+                root.start_us,
+                root.end_us()
+            );
+        }
         // The evaluation spans carry instruction counts as work.
         assert_eq!(r.phase("natural_eval").unwrap().work, r.stats.insts);
         assert!(r.phase("fs_eval").unwrap().work > 0);

@@ -37,7 +37,11 @@ fn assert_same(serial: &BenchResult, shared: &BenchResult, ctx: &str) {
         "{ctx}"
     );
     let phases = |r: &BenchResult| -> Vec<(String, u64)> {
-        r.phases.iter().map(|p| (p.name.clone(), p.work)).collect()
+        r.phases
+            .spans
+            .iter()
+            .map(|p| (p.name.clone(), p.work))
+            .collect()
     };
     assert_eq!(phases(serial), phases(shared), "{ctx}: phase work");
 }

@@ -546,15 +546,17 @@ fn warmup(state: &State) {
     state.metrics.ready.set(1);
 }
 
-/// Publish spill snapshots every `spill_every` until shutdown.
+/// Publish spill snapshots every `spill_every` until shutdown. The
+/// flag is read again after each wait, so once shutdown is seen no
+/// periodic snapshot starts — even when the wait was empty.
 fn spill_loop(state: &Arc<State>) {
     loop {
         let deadline = Instant::now() + state.config.spill_every;
-        while Instant::now() < deadline {
-            if state.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
+        while Instant::now() < deadline && !state.shutdown.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(25));
+        }
+        if state.shutdown.load(Ordering::SeqCst) {
+            return;
         }
         spill_snapshot(state, true);
     }

@@ -9,7 +9,9 @@
 //!    **warm** from the spill directory and serves a prior request
 //!    from the restored cache,
 //! 4. a damaged spill degrades *silently* to a cold start,
-//! 5. no periodic spill lands after the drain's final snapshot.
+//! 5. no periodic spill lands after the drain's final snapshot, and
+//!    the spill thread stops at shutdown even with no wait between
+//!    snapshots.
 
 use std::time::{Duration, Instant};
 
@@ -376,5 +378,31 @@ fn the_drain_snapshot_is_the_last_spill_to_land() {
         assert_eq!(load.skipped, 0, "life {entries}");
         assert_eq!(got, want, "life {entries}");
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_zero_spill_interval_still_stops_at_shutdown() {
+    // With no wait between periodic snapshots the spill thread never
+    // sleeps, so only a shutdown check outside the wait can stop it —
+    // and the crash's `join` waits on that thread.
+    let dir = spill_dir("zero");
+    let mut server = Server::start(ServerConfig {
+        spill_dir: Some(dir.clone()),
+        spill_every: Duration::ZERO,
+        warm_benches: Vec::new(),
+        ..base_config()
+    })
+    .unwrap();
+    wait_ready(&server.addr().to_string());
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.kill();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
+        "the spill thread kept snapshotting after shutdown"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -8,12 +8,12 @@
 //!   [`Gauge`]s and fixed-bucket [`Histogram`]s with cheap atomic
 //!   increments, and a [`Snapshot`] that renders to fixed-width text,
 //!   JSON lines, and Prometheus exposition text.
-//! * [`span`] — RAII span timers ([`Timeline`]/[`SpanGuard`]) used to
-//!   break a benchmark run into compile/profile/evaluate/… phases.
-//! * [`trace`] — hierarchical request tracing: parent-linked spans
-//!   shared across threads ([`TraceContext`]/[`SpanHandle`]), a
-//!   bounded [`FlightRecorder`] ring of recent request traces, and a
-//!   Chrome trace-event / Perfetto exporter ([`chrome_trace`]).
+//! * [`trace`] — the one span model: parent-linked spans shared
+//!   across threads ([`TraceContext`]/[`SpanHandle`]) that time a
+//!   benchmark's compile/profile/evaluate/… phases, a sweep's
+//!   capture/score/merge, and a server request alike; a bounded
+//!   [`FlightRecorder`] ring of recent request traces; and a Chrome
+//!   trace-event / Perfetto exporter ([`chrome_trace`]).
 //! * [`sink`] — the [`TelemetrySink`] trait behind which the branch
 //!   predictors publish hit/miss/evict/alias events, the zero-cost
 //!   [`NoopSink`], and the per-branch-site [`SiteProbe`] collector.
@@ -33,7 +33,6 @@ pub mod manifest;
 pub mod metrics;
 pub mod rng;
 pub mod sink;
-pub mod span;
 pub mod trace;
 
 pub use json::JsonValue;
@@ -41,8 +40,7 @@ pub use manifest::RunManifest;
 pub use metrics::{prometheus_name, Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 pub use rng::Rng;
 pub use sink::{NoopSink, ProbeEvent, ProbeKind, SiteCounters, SiteProbe, TelemetrySink};
-pub use span::{PhaseSpan, SpanGuard, Timeline};
 pub use trace::{
-    chrome_trace, phases_chrome_trace, validate_chrome_trace, FlightRecorder, RequestTrace, Span,
-    SpanHandle, SpanId, SpanLink, TraceContext, TraceId,
+    chrome_trace, validate_chrome_trace, FlightRecorder, RequestTrace, Span, SpanHandle, SpanId,
+    SpanLink, TraceContext, TraceId,
 };

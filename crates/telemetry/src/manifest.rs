@@ -14,7 +14,7 @@ use std::time::SystemTime;
 
 use crate::json::JsonValue;
 use crate::metrics::Snapshot;
-use crate::span::PhaseSpan;
+use crate::trace::Span;
 
 /// File name the manifest is written under.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -28,8 +28,9 @@ pub const METRICS_PROM_FILE: &str = "metrics.prom";
 pub struct BenchmarkRecord {
     /// Benchmark name (`wc`, `compress`, …).
     pub name: String,
-    /// Completed phase spans, in completion order.
-    pub phases: Vec<PhaseSpan>,
+    /// The benchmark's trace spans, in start order: the root span,
+    /// then its phases.
+    pub phases: Vec<Span>,
     /// Named per-predictor JSON summaries (e.g. a `SiteProbe` summary
     /// per BTB scheme), in insertion order.
     pub predictors: Vec<(String, JsonValue)>,
@@ -41,7 +42,7 @@ impl BenchmarkRecord {
             ("name", self.name.as_str().into()),
             (
                 "phases",
-                JsonValue::Arr(self.phases.iter().map(PhaseSpan::to_json_value).collect()),
+                JsonValue::Arr(self.phases.iter().map(Span::to_json_value).collect()),
             ),
             (
                 "predictors",
@@ -179,7 +180,7 @@ pub fn git_describe() -> String {
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
-    use std::time::Duration;
+    use crate::trace::SpanId;
 
     fn sample_manifest() -> RunManifest {
         let mut m = RunManifest::new("report");
@@ -187,10 +188,14 @@ mod tests {
         m.set_config("seed", 1989u64);
         m.push_benchmark(BenchmarkRecord {
             name: "wc".into(),
-            phases: vec![PhaseSpan {
+            phases: vec![Span {
+                id: SpanId(2),
+                parent: Some(SpanId(1)),
                 name: "compile".into(),
-                wall: Duration::from_micros(42),
+                start_us: 3,
+                dur_us: 42,
                 work: 0,
+                args: Vec::new(),
             }],
             predictors: vec![(
                 "sbtb".into(),
@@ -213,10 +218,15 @@ mod tests {
             .get("phases")
             .and_then(JsonValue::as_arr)
             .unwrap();
+        let field = |key: &str| phases[0].get(key).and_then(JsonValue::as_int);
         assert_eq!(
             phases[0].get("name").and_then(JsonValue::as_str),
             Some("compile")
         );
+        assert_eq!(field("parent"), Some(1));
+        assert_eq!(field("start_us"), Some(3));
+        assert_eq!(field("dur_us"), Some(42));
+        assert_eq!(field("work"), Some(0));
         let sbtb = benches[0].get("predictors").unwrap().get("sbtb").unwrap();
         assert_eq!(sbtb.get("mispredicts").and_then(JsonValue::as_int), Some(7));
     }

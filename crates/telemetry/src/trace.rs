@@ -1,13 +1,13 @@
-//! Hierarchical request tracing: per-request span trees, a flight
-//! recorder holding the last N completed traces, and a Chrome
-//! trace-event exporter.
+//! Hierarchical tracing: span trees, a flight recorder holding the
+//! last N completed traces, and a Chrome trace-event exporter.
 //!
-//! The [`Timeline`](crate::span::Timeline) in [`span`](crate::span)
-//! answers "how long did each phase of this benchmark take" as a flat
-//! list. This module answers the serving-tier question: for *one
-//! request*, which parent span contained which child spans, on which
-//! thread, doing how much work — the way microarchitecture papers
-//! attribute cycles to pipeline stages.
+//! One span model serves every layer. A benchmark run is a trace whose
+//! root span holds one child per pipeline phase; a sweep records its
+//! capture/score/merge phases under whatever span it is given; a
+//! server request is a trace from accept to response. Each answers the
+//! same question: which parent span contained which child spans, on
+//! which thread, doing how much work — the way microarchitecture
+//! papers attribute cycles to pipeline stages.
 //!
 //! * [`TraceId`] / [`SpanId`] — identifiers; trace ids are drawn from
 //!   a process-wide SplitMix64 stream (or supplied by the client via
@@ -24,9 +24,10 @@
 //!   [`RequestTrace`]s. Writers take one slot lock each (never a
 //!   global one), so recording stays cheap under concurrency and old
 //!   traces are evicted by overwrite, never by allocation.
-//! * [`chrome_trace`] / [`phases_chrome_trace`] — export recorded
-//!   traces (or flat [`PhaseSpan`] timelines) as Chrome
-//!   trace-event JSON, openable in Perfetto / `chrome://tracing`.
+//! * [`chrome_trace`] — export recorded traces as Chrome trace-event
+//!   JSON, openable in Perfetto / `chrome://tracing`; every trace is
+//!   anchored at its wall-clock start, so traces recorded concurrently
+//!   overlap on the timeline.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -34,7 +35,6 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::json::JsonValue;
 use crate::rng::Rng;
-use crate::span::PhaseSpan;
 
 /// Identifier of one request trace (16 lowercase hex digits on the
 /// wire, e.g. in `X-Branchlab-Trace-Id`).
@@ -597,48 +597,6 @@ pub fn chrome_trace(traces: &[Arc<RequestTrace>]) -> JsonValue {
     ])
 }
 
-/// Export flat [`PhaseSpan`] groups (one per benchmark / phase
-/// timeline) as a Chrome trace-event document. Phase spans carry
-/// durations but no start stamps, so each group is laid out
-/// sequentially in record order on its own process row — a faithful
-/// flame view of where the wall-clock went.
-#[must_use]
-pub fn phases_chrome_trace(tool: &str, groups: &[(String, Vec<PhaseSpan>)]) -> JsonValue {
-    let mut events = Vec::new();
-    for (i, (name, phases)) in groups.iter().enumerate() {
-        let pid = i as u64 + 1;
-        events.push(JsonValue::obj(vec![
-            ("name", "process_name".into()),
-            ("ph", "M".into()),
-            ("pid", pid.into()),
-            ("tid", 0u64.into()),
-            (
-                "args",
-                JsonValue::obj(vec![("name", format!("{tool}: {name}").into())]),
-            ),
-        ]));
-        let mut ts = 0u64;
-        for phase in phases {
-            let dur = phase.wall.as_micros().min(u128::from(u64::MAX)) as u64;
-            events.push(JsonValue::obj(vec![
-                ("name", phase.name.as_str().into()),
-                ("cat", "phase".into()),
-                ("ph", "X".into()),
-                ("pid", pid.into()),
-                ("tid", 0u64.into()),
-                ("ts", ts.into()),
-                ("dur", dur.into()),
-                ("args", JsonValue::obj(vec![("work", phase.work.into())])),
-            ]));
-            ts = ts.saturating_add(dur);
-        }
-    }
-    JsonValue::obj(vec![
-        ("displayTimeUnit", "ms".into()),
-        ("traceEvents", JsonValue::Arr(events)),
-    ])
-}
-
 /// Validate that `text` parses as a Chrome trace-event document:
 /// a `traceEvents` array whose entries all carry `name`/`ph`/`pid`,
 /// with `ts`+`dur` on every complete (`X`) event. Returns the event
@@ -680,7 +638,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn trace_ids_are_unique_and_roundtrip() {
@@ -841,35 +798,6 @@ mod tests {
         let args = compute.get("args").unwrap();
         assert_eq!(args.get("points").and_then(JsonValue::as_int), Some(12));
         assert_eq!(args.get("work").and_then(JsonValue::as_int), Some(5000));
-    }
-
-    #[test]
-    fn phases_export_lays_spans_out_sequentially() {
-        let phases = vec![
-            PhaseSpan {
-                name: "compile".into(),
-                wall: Duration::from_micros(100),
-                work: 1,
-            },
-            PhaseSpan {
-                name: "score".into(),
-                wall: Duration::from_micros(250),
-                work: 2,
-            },
-        ];
-        let doc = phases_chrome_trace("report", &[("wc".to_string(), phases)]);
-        validate_chrome_trace(&doc.to_json()).unwrap();
-        let events = doc.get("traceEvents").and_then(JsonValue::as_arr).unwrap();
-        let ts = |name: &str| {
-            events
-                .iter()
-                .find(|e| e.get("name").and_then(JsonValue::as_str) == Some(name))
-                .and_then(|e| e.get("ts"))
-                .and_then(JsonValue::as_int)
-                .unwrap()
-        };
-        assert_eq!(ts("compile"), 0);
-        assert_eq!(ts("score"), 100, "second phase starts after the first");
     }
 
     #[test]
