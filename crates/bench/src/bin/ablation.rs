@@ -2,9 +2,9 @@
 //! switches, and the related-work static baselines.
 //!
 //! All studies on one benchmark are planned into a single
-//! [`ablation::full_study`] batch, so the whole set is scored in one
-//! pass over the captured trace (one capture + one replay per
-//! benchmark), and the benchmarks run through
+//! [`ablation::full_study`] batch, so the whole set is scored off one
+//! capture of the benchmark (one decode per sweep work item; a single
+//! one at `--sweep-threads 1`), and the benchmarks run through
 //! [`ablation::full_study_suite`], which overlaps the next
 //! benchmark's trace capture with the current one's sweep scoring.
 //! A failing benchmark is reported on stderr and the binary exits
@@ -12,9 +12,9 @@
 //! (partial-result degradation, like the suite binaries).
 //! `--trace-out FILE` records the run as one trace — an `ablation`
 //! root span over each benchmark's `prefetch` and study-set spans,
-//! which hold the sweeps' `sweep_capture`, `sweep_score` (with its
-//! `replay_run`s) or `score_shard`s, and `sweep_merge` — and writes it
-//! as Chrome trace-event JSON (open at ui.perfetto.dev). The command
+//! which hold the sweep's `sweep_capture`, one `score_shard` per work
+//! item over its `block_replay` decode, and `sweep_merge` — and writes
+//! it as Chrome trace-event JSON (open at ui.perfetto.dev). The command
 //! line is [`branchlab_bench::ABLATION_USAGE`]: the suite binaries'
 //! telemetry, verification, supervision and fault flags are usage
 //! errors here.
@@ -26,7 +26,7 @@ use branchlab::workloads::benchmark;
 use branchlab_bench::{Options, ABLATION_FLAGS, ABLATION_USAGE};
 
 fn main() {
-    let options = Options::from_args_for(ABLATION_USAGE, Some(&ABLATION_FLAGS));
+    let options = Options::from_args_for(ABLATION_USAGE, &ABLATION_FLAGS);
     let cfg = &options.config;
     let spec = StudySpec::default();
     let root = options.trace_out.as_ref().map(|_| {

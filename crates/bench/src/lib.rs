@@ -11,19 +11,25 @@
 //! * `--scale test|small|paper` (default `small`)
 //! * `--seed N` (default 1989)
 //! * `--markdown` / `--csv` output formats (default fixed-width text)
-//! * `--telemetry-out DIR` — write a run manifest (`manifest.json`)
-//!   plus metrics snapshots (`metrics.jsonl`, `metrics.prom`) with
-//!   per-benchmark phase timings and per-site predictor counters
-//! * `--trace-cache DIR` — persist captured branch traces on disk
-//!   (hash-validated; stale or corrupt entries degrade to re-capture)
-//! * `--sweep-threads N` — score sweep points on N worker threads
-//!   (default: the machine's available parallelism); results are
-//!   bit-identical at any thread count
 //! * `--trace-out FILE` — write the run's traces as Chrome trace-event
 //!   JSON (open in Perfetto or `chrome://tracing`): one row per
 //!   benchmark, a root span over its phases, placed at the wall-clock
 //!   time it ran, so benchmarks that ran concurrently overlap; off by
 //!   default
+//!
+//! The paper-suite binaries (tables, figures, `report`; [`USAGE`]) also
+//! take `--telemetry-out DIR` — write a run manifest (`manifest.json`)
+//! plus metrics snapshots (`metrics.jsonl`, `metrics.prom`) with
+//! per-benchmark phase timings and per-site predictor counters — and
+//! the verification, supervision and fault-injection flags. `ablation`
+//! ([`ABLATION_USAGE`]) instead takes the flags that steer its trace
+//! replay:
+//!
+//! * `--trace-cache DIR` — persist captured branch traces on disk
+//!   (hash-validated; stale or corrupt entries degrade to re-capture)
+//! * `--sweep-threads N` — score sweep points on N worker threads
+//!   (default: the machine's available parallelism); results are
+//!   bit-identical at any thread count
 
 #![warn(missing_docs)]
 
@@ -34,11 +40,11 @@ use std::time::Duration;
 use branchlab::experiments::figures::{ascii_plot, figure3, figure4, SchemeAccuracies};
 use branchlab::experiments::{
     run_suite_supervised, tables, BenchResult, ExperimentConfig, SuiteResult, SupervisorConfig,
-    Table, LANE_COUNTERS, SWEEP_COUNTERS, TRACE_COUNTERS,
+    Table,
 };
 use branchlab::predict::PredStats;
 use branchlab::telemetry::manifest::BenchmarkRecord;
-use branchlab::telemetry::{chrome_trace, JsonValue, MetricsRegistry, RequestTrace, RunManifest};
+use branchlab::telemetry::{chrome_trace, JsonValue, RequestTrace, RunManifest};
 use branchlab::workloads::Scale;
 
 /// Sites listed in the manifest's per-predictor top-mispredicted table.
@@ -64,30 +70,50 @@ pub struct Options {
     pub supervisor: SupervisorConfig,
     /// Output format.
     pub format: Format,
-    /// Directory for the run manifest and metrics snapshots; also turns
-    /// on per-site predictor telemetry.
+    /// Directory for the run manifest and metrics snapshots.
     pub telemetry_out: Option<PathBuf>,
     /// File for the run's Chrome trace-event export (`None` disables
     /// the export).
     pub trace_out: Option<PathBuf>,
 }
 
-/// The command line every bench binary but `btb_bench` accepts; `-h` or
-/// `--help` prints it.
+/// The paper-suite binaries' command line (tables, figures, `report`),
+/// listing [`PAPER_FLAGS`]; `-h` or `--help` prints it. The suite
+/// never replays a trace or runs a sweep, so `--trace-cache` and
+/// `--sweep-threads` are unknown arguments here.
 pub const USAGE: &str =
     "usage: [-h|--help] [--scale test|small|paper] [--seed N] [--markdown|--csv] [--no-verify] \
-[--telemetry-out DIR] [--trace-out FILE] [--trace-cache DIR] \
-[--sweep-threads N] \
+[--telemetry-out DIR] [--trace-out FILE] \
 [--max-attempts N] \
 [--backoff-ms N] [--watchdog-ms N] [--fault-exec-rate R] \
 [--fault-panic-rate R] [--fault-delay-rate R] [--fault-delay-ms N] [--fault-seed N] \
 [--fault-benches A,B,...]";
 
-/// `ablation`'s command line: the flags of [`USAGE`] that steer its
-/// studies, listed in [`ABLATION_FLAGS`]. The rest (`--telemetry-out`,
-/// `--no-verify`, supervision and fault injection) act on the
-/// supervised paper suite, which `ablation` does not run, so there
-/// they are unknown arguments.
+/// The flags [`USAGE`] lists, `-h`/`--help` aside.
+pub const PAPER_FLAGS: [&str; 16] = [
+    "--scale",
+    "--seed",
+    "--markdown",
+    "--csv",
+    "--no-verify",
+    "--telemetry-out",
+    "--trace-out",
+    "--max-attempts",
+    "--backoff-ms",
+    "--watchdog-ms",
+    "--fault-exec-rate",
+    "--fault-panic-rate",
+    "--fault-delay-rate",
+    "--fault-delay-ms",
+    "--fault-seed",
+    "--fault-benches",
+];
+
+/// `ablation`'s command line, listing [`ABLATION_FLAGS`]: the output
+/// flags plus those that steer its trace replay and sweeps. The paper
+/// suite's (`--telemetry-out`, `--no-verify`, supervision and fault
+/// injection) act on the supervised suite, which `ablation` does not
+/// run, so there they are unknown arguments.
 pub const ABLATION_USAGE: &str =
     "usage: ablation [-h|--help] [--scale test|small|paper] [--seed N] \
 [--markdown|--csv] [--trace-out FILE] [--trace-cache DIR] [--sweep-threads N]";
@@ -111,17 +137,16 @@ impl Options {
     /// [`Options::from_args_for`].
     #[must_use]
     pub fn from_args() -> Self {
-        Self::from_args_for(USAGE, None)
+        Self::from_args_for(USAGE, &PAPER_FLAGS)
     }
 
     /// Parse `std::env::args` for a binary whose command line is
-    /// `usage` and which takes only the flags in `honoured` (every
-    /// flag when `None`). With `-h` or `--help` among them, print
-    /// `usage` to stdout and exit 0 before parsing anything; on a bad
-    /// command line, print the error and `usage` to stderr and exit
-    /// [`EXIT_USAGE`].
+    /// `usage` and which takes only the flags in `honoured`. With `-h`
+    /// or `--help` among them, print `usage` to stdout and exit 0
+    /// before parsing anything; on a bad command line, print the error
+    /// and `usage` to stderr and exit [`EXIT_USAGE`].
     #[must_use]
-    pub fn from_args_for(usage: &str, honoured: Option<&[&str]>) -> Self {
+    pub fn from_args_for(usage: &str, honoured: &[&str]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "-h" || a == "--help") {
             println!("{usage}");
@@ -133,21 +158,21 @@ impl Options {
         })
     }
 
-    /// Parse an explicit argument list (everything after the binary
-    /// name).
+    /// Parse an explicit paper-suite argument list (everything after
+    /// the binary name) against [`PAPER_FLAGS`].
     ///
     /// # Errors
     /// Names the offending argument: an unknown flag, a flag with no
     /// value, or a value out of range.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        Self::parse_for(args, None)
+        Self::parse_for(args, &PAPER_FLAGS)
     }
 
-    /// [`Options::parse`], with every flag outside `honoured` (when
-    /// given) an unknown argument.
+    /// [`Options::parse`], with every flag outside `honoured` an
+    /// unknown argument.
     fn parse_for(
         args: impl IntoIterator<Item = String>,
-        honoured: Option<&[&str]>,
+        honoured: &[&str],
     ) -> Result<Self, String> {
         let mut config = ExperimentConfig::default();
         let mut supervisor = SupervisorConfig::default();
@@ -156,7 +181,7 @@ impl Options {
         let mut trace_out = None;
         let mut args = args.into_iter();
         while let Some(flag) = args.next() {
-            if honoured.is_some_and(|h| !h.contains(&flag.as_str())) {
+            if !honoured.contains(&flag.as_str()) {
                 return Err(format!("unknown argument `{flag}`"));
             }
             let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -183,10 +208,7 @@ impl Options {
                 "--markdown" => format = Format::Markdown,
                 "--csv" => format = Format::Csv,
                 "--no-verify" => config.verify_equivalence = false,
-                "--telemetry-out" => {
-                    telemetry_out = Some(PathBuf::from(value()?));
-                    config.collect_site_telemetry = true;
-                }
+                "--telemetry-out" => telemetry_out = Some(PathBuf::from(value()?)),
                 "--trace-out" => trace_out = Some(PathBuf::from(value()?)),
                 "--trace-cache" => config.trace_cache_dir = Some(PathBuf::from(value()?)),
                 "--sweep-threads" => config.sweep_threads = Some((int(value()?)? as usize).max(1)),
@@ -360,22 +382,6 @@ pub fn write_chrome_trace(tool: &str, path: &Path, traces: &[Arc<RequestTrace>])
     eprintln!("{tool}: Chrome trace written to {}", path.display());
 }
 
-/// The values of the counters `names` in `registry`, as a JSON object
-/// keyed by each name's last dotted segment
-/// (`suite.trace.captures` → `captures`).
-#[must_use]
-fn counters_json(registry: &MetricsRegistry, names: &[&str]) -> JsonValue {
-    JsonValue::Obj(
-        names
-            .iter()
-            .map(|name| {
-                let key = name.rsplit('.').next().unwrap_or(name);
-                (key.to_string(), registry.counter(name).get().into())
-            })
-            .collect(),
-    )
-}
-
 /// Prediction scoring as a JSON object for the manifest.
 fn pred_json(stats: &PredStats) -> JsonValue {
     JsonValue::obj(vec![
@@ -443,16 +449,6 @@ pub fn write_telemetry(
     for (name, value) in suite.supervisor.counters() {
         registry.counter(&format!("suite.{name}")).add(value);
     }
-    manifest.set_section("trace", counters_json(registry, &TRACE_COUNTERS));
-    let mut sweep_json = counters_json(registry, &SWEEP_COUNTERS);
-    if let JsonValue::Obj(fields) = &mut sweep_json {
-        fields.push((
-            "configured_threads".to_string(),
-            JsonValue::from(cfg.resolved_sweep_threads() as u64),
-        ));
-    }
-    manifest.set_section("sweep_parallel", sweep_json);
-    manifest.set_section("sweep_lanes", counters_json(registry, &LANE_COUNTERS));
     manifest.set_section(
         "supervisor",
         JsonValue::Obj(
@@ -503,11 +499,6 @@ pub fn write_telemetry(
                 .counter(&format!("{prefix}.mispredicts"))
                 .add(stats.events - stats.correct);
         }
-        for span in &b.phases.spans {
-            registry
-                .counter(&format!("bench.{}.phase.{}.wall_us", b.name, span.name))
-                .add(span.dur_us);
-        }
     }
     manifest.write_to(dir, Some(&registry.snapshot()))
 }
@@ -522,7 +513,6 @@ mod tests {
         assert_eq!(o.config.seed, 1989);
         assert!(matches!(o.config.scale, Scale::Small));
         assert!(o.telemetry_out.is_none());
-        assert!(!o.config.collect_site_telemetry);
         assert!(!o.config.fault.enabled());
         assert_eq!(o.supervisor, SupervisorConfig::default());
     }
@@ -596,10 +586,6 @@ mod tests {
             o.telemetry_out.as_deref(),
             Some(std::path::Path::new("/tmp/t"))
         );
-        assert!(
-            o.config.collect_site_telemetry,
-            "--telemetry-out enables site probes"
-        );
     }
 
     #[test]
@@ -626,29 +612,42 @@ mod tests {
         assert!(parse_err(&["--seed", "abc"]).contains("--seed needs an integer"));
     }
 
+    fn parse_ablation(args: &[&str]) -> Options {
+        Options::parse_for(args.iter().map(|a| a.to_string()), &ABLATION_FLAGS).unwrap()
+    }
+
     #[test]
     fn sweep_threads_flag_parses_and_clamps() {
-        let o = Options::parse(Vec::new()).unwrap();
+        let o = parse_ablation(&[]);
         assert!(
             o.config.sweep_threads.is_none(),
             "default defers to the core count"
         );
-        let o = Options::parse(["--sweep-threads", "6"].map(String::from)).unwrap();
+        let o = parse_ablation(&["--sweep-threads", "6"]);
         assert_eq!(o.config.sweep_threads, Some(6));
         assert_eq!(o.config.resolved_sweep_threads(), 6);
-        let o = Options::parse(["--sweep-threads", "0"].map(String::from)).unwrap();
+        let o = parse_ablation(&["--sweep-threads", "0"]);
         assert_eq!(o.config.sweep_threads, Some(1), "0 clamps to serial");
+        // The paper suite runs no sweep.
+        assert_eq!(
+            parse_err(&["--sweep-threads", "2"]),
+            "unknown argument `--sweep-threads`"
+        );
     }
 
     #[test]
     fn trace_flags_parse() {
-        let o = Options::parse(Vec::new()).unwrap();
-        assert!(o.config.use_trace_replay, "replay is the default");
+        let o = parse_ablation(&[]);
         assert!(o.config.trace_cache_dir.is_none());
-        let o = Options::parse(["--trace-cache", "/tmp/traces"].map(String::from)).unwrap();
+        let o = parse_ablation(&["--trace-cache", "/tmp/traces"]);
         assert_eq!(
             o.config.trace_cache_dir.as_deref(),
             Some(std::path::Path::new("/tmp/traces"))
+        );
+        // The paper suite captures no trace.
+        assert_eq!(
+            parse_err(&["--trace-cache", "/tmp/traces"]),
+            "unknown argument `--trace-cache`"
         );
     }
 
@@ -664,56 +663,31 @@ mod tests {
     }
 
     #[test]
-    fn counters_json_keys_by_last_segment() {
-        let reg = MetricsRegistry::new();
-        reg.counter("suite.trace.captures").add(3);
-        let json = counters_json(&reg, &TRACE_COUNTERS);
-        assert_eq!(json.get("captures").and_then(JsonValue::as_int), Some(3));
-        assert_eq!(
-            json.get("profile_hits").and_then(JsonValue::as_int),
-            Some(0)
-        );
-        let JsonValue::Obj(fields) = json else {
-            panic!("not an object")
-        };
-        assert_eq!(fields.len(), TRACE_COUNTERS.len());
-    }
-
-    #[test]
     fn write_telemetry_reports_the_run_registry() {
-        let options =
-            Options::parse(["--scale", "test", "--sweep-threads", "3"].map(String::from)).unwrap();
-        options
-            .config
-            .metrics
-            .counter("suite.trace.captures")
-            .add(2);
-        options
-            .config
-            .metrics
-            .counter("suite.sweep.lane.families")
-            .add(5);
+        let options = Options::parse(["--scale", "test"].map(String::from)).unwrap();
+        let registry = &options.config.metrics;
+        registry.counter("suite.trace.captures").add(2);
+        registry.counter("suite.sweep.lane.families").add(5);
         let dir = std::env::temp_dir().join(format!("branchlab-telemetry-{}", std::process::id()));
         let suite = SuiteResult::from_benches(Vec::new());
         let path = write_telemetry("test", &options, &suite, &dir).unwrap();
         let manifest =
             branchlab::telemetry::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-        let section = |name: &str, key: &str| {
+        assert_eq!(
             manifest
-                .get(name)
-                .and_then(|s| s.get(key))
-                .and_then(JsonValue::as_int)
-        };
-        assert_eq!(section("trace", "captures"), Some(2));
-        assert_eq!(section("sweep_lanes", "families"), Some(5));
-        assert_eq!(section("sweep_parallel", "sweeps"), Some(0));
-        assert_eq!(section("sweep_parallel", "configured_threads"), Some(3));
+                .get("supervisor")
+                .and_then(|s| s.get("benches_completed"))
+                .and_then(JsonValue::as_int),
+            Some(0)
+        );
+        // The paper suite neither replays nor sweeps: the manifest has
+        // no sections for it, and metrics.jsonl holds what the run's
+        // registry counted.
+        for section in ["trace", "sweep_parallel", "sweep_lanes"] {
+            assert!(manifest.get(section).is_none(), "{section}");
+        }
         let jsonl = std::fs::read_to_string(dir.join("metrics.jsonl")).unwrap();
-        for name in TRACE_COUNTERS
-            .iter()
-            .chain(&SWEEP_COUNTERS)
-            .chain(&LANE_COUNTERS)
-        {
+        for name in ["suite.trace.captures", "suite.sweep.lane.families"] {
             assert!(jsonl.contains(&format!("\"{name}\"")), "{name} missing");
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -1,8 +1,9 @@
 //! The artifact binaries as a user runs them: the telemetry artifacts
 //! a clean `report` run writes, how a run degrades when injected faults
 //! kill one benchmark on every attempt, the Chrome traces `report` and
-//! `ablation` export, `--help`, and bad flags (including the suite
-//! flags `ablation` does not take).
+//! `ablation` export, `--help`, and bad flags (including the sweep
+//! flags the paper binaries do not take and the suite flags `ablation`
+//! does not take).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -91,16 +92,6 @@ fn telemetry_run_writes_a_complete_manifest() {
             .collect();
         for phase in PHASES {
             assert!(phases.contains(&phase), "{name}: no {phase} in {phases:?}");
-        }
-        // The manifest's spans and the metrics' phase counters are one
-        // measurement.
-        for p in arr(b, &["phases"]) {
-            let counter = format!("bench.{name}.phase.{}.wall_us", text(p, &["name"]));
-            assert_eq!(
-                int(p, &["dur_us"]),
-                jsonl_counter(&dir, &counter),
-                "{counter}"
-            );
         }
         let sbtb = at(b, &["predictors", "sbtb"]);
         assert!(
@@ -260,8 +251,8 @@ fn ablation_trace_export_times_replay_and_sweep_phases() {
     let dir = scratch("ablation");
     let trace = dir.join("ablation.trace.json");
     let ablation = env!("CARGO_BIN_EXE_ablation");
-    // One sweep thread: every study set is scored in a `sweep_score`
-    // span whose runs replay in `replay_run` spans.
+    // One sweep thread: each benchmark's study set is scored in one
+    // `score_shard` span over one `block_replay` decode.
     let args = [
         "--sweep-threads",
         "1",
@@ -274,12 +265,12 @@ fn ablation_trace_export_times_replay_and_sweep_phases() {
     for span in ["ablation", "compress", "cccp", "sweep_capture"] {
         assert!(names.contains(&span), "no `{span}` span in {names:?}");
     }
-    for phase in ["replay_run", "sweep_score"] {
+    for phase in ["score_shard", "block_replay"] {
         let spans: Vec<&JsonValue> = events
             .iter()
             .filter(|e| text(e, &["name"]) == phase)
             .collect();
-        assert!(!spans.is_empty(), "no `{phase}` span in {names:?}");
+        assert_eq!(spans.len(), 2, "`{phase}` spans in {names:?}");
         for span in spans {
             assert!(
                 int(span, &["args", "work"]) > 0,
@@ -288,6 +279,34 @@ fn ablation_trace_export_times_replay_and_sweep_phases() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn paper_binaries_reject_the_sweep_flags_they_would_ignore() {
+    for bin in [
+        env!("CARGO_BIN_EXE_report"),
+        env!("CARGO_BIN_EXE_table1"),
+        env!("CARGO_BIN_EXE_table2"),
+        env!("CARGO_BIN_EXE_table3"),
+        env!("CARGO_BIN_EXE_table4"),
+        env!("CARGO_BIN_EXE_table5"),
+        env!("CARGO_BIN_EXE_fig3"),
+        env!("CARGO_BIN_EXE_fig4"),
+    ] {
+        for args in [["--sweep-threads", "2"], ["--trace-cache", "dir"]] {
+            let out = Command::new(bin)
+                .args(["--scale", "test"])
+                .args(args)
+                .output()
+                .expect("run the binary");
+            assert_eq!(out.status.code(), Some(EXIT_USAGE), "{bin} {args:?}");
+            assert!(out.stdout.is_empty(), "{bin} {args:?} ran");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr),
+                format!("unknown argument `{}`\n{USAGE}\n", args[0])
+            );
+        }
+    }
 }
 
 #[test]

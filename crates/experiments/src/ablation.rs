@@ -2,53 +2,29 @@
 //! counter parameter sweeps, context-switch sensitivity, and the static
 //! baselines from the related-work section.
 //!
-//! Every study is split into a *plan* (enqueue its predictors into a
-//! [`SweepBatch`]) and a *render* (format its rows from the scored
-//! statistics), so [`full_study`] can score the whole study set off a
-//! single pass over the benchmark's captured trace. The per-study entry
-//! points ([`sweep_btb_size`] & co.) remain and simply run a
-//! single-study batch.
+//! Every study is split into a *plan* (build its predictors, to be
+//! enqueued into a [`SweepBatch`]) and a *render* (format its rows from
+//! the scored statistics), so [`full_study`] can score the whole study
+//! set off a single pass over the benchmark's captured trace. The
+//! per-study entry points ([`sweep_btb_size`] & co.) remain and simply
+//! run a single-study batch. Studies that need the benchmark's profile
+//! take it from [`cached_profile`], derived once from the same trace.
 
 use branchlab_fsem::delayed::fill_rates;
+use branchlab_ir::Module;
 use branchlab_predict::{
     AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, BranchPredictor, Cbtb, CbtbConfig,
     ContextSwitched, ForwardSemantic, Gshare, LocalHistory, OpcodeBias, PredStats,
     ReturnAddressStack, Sbtb, SbtbConfig,
 };
-use branchlab_profile::profile_module_with;
+use branchlab_profile::Profile;
 use branchlab_telemetry::SpanLink;
 use branchlab_workloads::Benchmark;
 
-use std::sync::Arc;
-
-use branchlab_profile::Profile;
-
-use crate::batch::{PredTicket, SweepBatch};
+use crate::batch::SweepBatch;
 use crate::harness::{ExperimentConfig, ExperimentError};
 use crate::render::{pct, rho, Table};
 use crate::trace_replay::cached_profile;
-
-/// The profiling pass for a study: shared via the trace-replay cache
-/// by default, recomputed from scratch in live
-/// (`use_trace_replay = false`) mode so the live reference path shares
-/// nothing with the replay path it checks.
-fn study_profile(
-    bench: &Benchmark,
-    config: &ExperimentConfig,
-) -> Result<Arc<Profile>, ExperimentError> {
-    if config.use_trace_replay {
-        return cached_profile(bench, config);
-    }
-    let module = bench.compile()?;
-    Ok(Arc::new(profile_module_with(
-        &module,
-        &bench.runs(config.scale, config.seed),
-        &branchlab_interp::ExecConfig {
-            max_insts: config.max_insts_per_run,
-            ..Default::default()
-        },
-    )?))
-}
 
 /// Sweep SBTB and CBTB total size (fully associative) on one benchmark.
 ///
@@ -60,12 +36,12 @@ pub fn sweep_btb_size(
     sizes: &[usize],
 ) -> Result<Table, ExperimentError> {
     let mut batch = SweepBatch::new(bench, config);
-    let ticket = plan_btb_size(&mut batch, sizes);
+    let ticket = batch.eval(plan_btb_size(sizes));
     let results = batch.run()?;
     Ok(render_btb_size(bench, sizes, results.stats(ticket)))
 }
 
-fn plan_btb_size(batch: &mut SweepBatch<'_>, sizes: &[usize]) -> PredTicket {
+fn plan_btb_size(sizes: &[usize]) -> Vec<Box<dyn BranchPredictor>> {
     let mut preds: Vec<Box<dyn BranchPredictor>> = Vec::new();
     for &s in sizes {
         preds.push(Box::new(Sbtb::new(SbtbConfig {
@@ -78,7 +54,7 @@ fn plan_btb_size(batch: &mut SweepBatch<'_>, sizes: &[usize]) -> PredTicket {
             ..CbtbConfig::paper()
         })));
     }
-    batch.eval(preds)
+    preds
 }
 
 fn render_btb_size(bench: &Benchmark, sizes: &[usize], stats: &[PredStats]) -> Table {
@@ -113,7 +89,7 @@ pub fn sweep_associativity(
     ways_list: &[usize],
 ) -> Result<Table, ExperimentError> {
     let mut batch = SweepBatch::new(bench, config);
-    let ticket = plan_associativity(&mut batch, entries, ways_list);
+    let ticket = batch.eval(plan_associativity(entries, ways_list));
     let results = batch.run()?;
     Ok(render_associativity(
         bench,
@@ -123,12 +99,8 @@ pub fn sweep_associativity(
     ))
 }
 
-fn plan_associativity(
-    batch: &mut SweepBatch<'_>,
-    entries: usize,
-    ways_list: &[usize],
-) -> PredTicket {
-    let preds: Vec<Box<dyn BranchPredictor>> = ways_list
+fn plan_associativity(entries: usize, ways_list: &[usize]) -> Vec<Box<dyn BranchPredictor>> {
+    ways_list
         .iter()
         .map(|&w| {
             Box::new(Cbtb::new(CbtbConfig {
@@ -137,8 +109,7 @@ fn plan_associativity(
                 ..CbtbConfig::paper()
             })) as Box<dyn BranchPredictor>
         })
-        .collect();
-    batch.eval(preds)
+        .collect()
 }
 
 fn render_associativity(
@@ -175,13 +146,13 @@ pub fn sweep_counters(
     variants: &[(u8, u8)],
 ) -> Result<Table, ExperimentError> {
     let mut batch = SweepBatch::new(bench, config);
-    let ticket = plan_counters(&mut batch, variants);
+    let ticket = batch.eval(plan_counters(variants));
     let results = batch.run()?;
     Ok(render_counters(bench, variants, results.stats(ticket)))
 }
 
-fn plan_counters(batch: &mut SweepBatch<'_>, variants: &[(u8, u8)]) -> PredTicket {
-    let preds: Vec<Box<dyn BranchPredictor>> = variants
+fn plan_counters(variants: &[(u8, u8)]) -> Vec<Box<dyn BranchPredictor>> {
+    variants
         .iter()
         .map(|&(bits, threshold)| {
             Box::new(Cbtb::new(CbtbConfig {
@@ -190,8 +161,7 @@ fn plan_counters(batch: &mut SweepBatch<'_>, variants: &[(u8, u8)]) -> PredTicke
                 ..CbtbConfig::paper()
             })) as Box<dyn BranchPredictor>
         })
-        .collect();
-    batch.eval(preds)
+        .collect()
 }
 
 fn render_counters(bench: &Benchmark, variants: &[(u8, u8)], stats: &[PredStats]) -> Table {
@@ -220,8 +190,9 @@ pub fn context_switch_study(
     config: &ExperimentConfig,
     intervals: &[u64],
 ) -> Result<Table, ExperimentError> {
+    let profile = cached_profile(bench, config)?;
     let mut batch = SweepBatch::new(bench, config);
-    let ticket = plan_context_switch(&mut batch, intervals)?;
+    let ticket = batch.eval(plan_context_switch(intervals, &profile));
     let results = batch.run()?;
     Ok(render_context_switch(
         bench,
@@ -230,11 +201,7 @@ pub fn context_switch_study(
     ))
 }
 
-fn plan_context_switch(
-    batch: &mut SweepBatch<'_>,
-    intervals: &[u64],
-) -> Result<PredTicket, ExperimentError> {
-    let profile = study_profile(batch.bench(), batch.config())?;
+fn plan_context_switch(intervals: &[u64], profile: &Profile) -> Vec<Box<dyn BranchPredictor>> {
     let mut preds: Vec<Box<dyn BranchPredictor>> = Vec::new();
     for &iv in intervals {
         preds.push(Box::new(ContextSwitched::new(Sbtb::paper(), iv)));
@@ -244,7 +211,7 @@ fn plan_context_switch(
             iv,
         )));
     }
-    Ok(batch.eval(preds))
+    preds
 }
 
 fn render_context_switch(bench: &Benchmark, intervals: &[u64], stats: &[PredStats]) -> Table {
@@ -274,18 +241,18 @@ pub fn static_baselines(
     config: &ExperimentConfig,
 ) -> Result<Table, ExperimentError> {
     let mut batch = SweepBatch::new(bench, config);
-    let ticket = plan_static_baselines(&mut batch);
+    let ticket = batch.eval(plan_static_baselines());
     let results = batch.run()?;
     Ok(render_static_baselines(bench, results.stats(ticket)))
 }
 
-fn plan_static_baselines(batch: &mut SweepBatch<'_>) -> PredTicket {
-    batch.eval(vec![
+fn plan_static_baselines() -> Vec<Box<dyn BranchPredictor>> {
+    vec![
         Box::new(AlwaysTaken),
         Box::new(AlwaysNotTaken),
         Box::new(BackwardTakenForwardNot),
         Box::new(OpcodeBias::heuristic()),
-    ])
+    ]
 }
 
 fn render_static_baselines(bench: &Benchmark, stats: &[PredStats]) -> Table {
@@ -356,8 +323,17 @@ pub fn delay_slot_study(
     max_slots: usize,
 ) -> Result<Table, ExperimentError> {
     let module = bench.compile()?;
-    let profile = study_profile(bench, config)?;
-    let r = fill_rates(&module, &profile, max_slots);
+    let profile = cached_profile(bench, config)?;
+    Ok(render_delay_slots(bench, &module, &profile, max_slots))
+}
+
+fn render_delay_slots(
+    bench: &Benchmark,
+    module: &Module,
+    profile: &Profile,
+    max_slots: usize,
+) -> Table {
+    let r = fill_rates(module, profile, max_slots);
     let mut t = Table::new(
         format!("Delayed-branch from-above slot filling ({})", bench.name),
         &["Slot", "Static fill", "Dynamic fill"],
@@ -369,7 +345,7 @@ pub fn delay_slot_study(
             pct(r.dynamic_rate(slot)),
         ]);
     }
-    Ok(t)
+    t
 }
 
 /// Post-1989 headroom: two-level adaptive predictors (the "future work"
@@ -379,17 +355,17 @@ pub fn delay_slot_study(
 /// Returns [`ExperimentError`] on pipeline failure.
 pub fn beyond_1989(bench: &Benchmark, config: &ExperimentConfig) -> Result<Table, ExperimentError> {
     let mut batch = SweepBatch::new(bench, config);
-    let ticket = plan_beyond_1989(&mut batch);
+    let ticket = batch.eval(plan_beyond_1989());
     let results = batch.run()?;
     Ok(render_beyond_1989(bench, results.stats(ticket)))
 }
 
-fn plan_beyond_1989(batch: &mut SweepBatch<'_>) -> PredTicket {
-    batch.eval(vec![
+fn plan_beyond_1989() -> Vec<Box<dyn BranchPredictor>> {
+    vec![
         Box::new(Cbtb::paper()),
         Box::new(Gshare::default()),
         Box::new(LocalHistory::default()),
-    ])
+    ]
 }
 
 fn render_beyond_1989(bench: &Benchmark, stats: &[PredStats]) -> Table {
@@ -448,10 +424,9 @@ impl Default for StudySpec<'_> {
 }
 
 /// Run the complete ablation study set on one benchmark, scoring every
-/// sweep configuration in a *single* pass over the captured trace (one
-/// capture + one replay per benchmark; in baseline mode the batch
-/// falls back to per-study or per-point live interpretation). Tables
-/// are returned in the `ablation` binary's print order and are
+/// sweep configuration in a *single* batch over the captured trace
+/// (one capture per benchmark, one decode per work item). Tables are
+/// returned in the `ablation` binary's print order and are
 /// bit-identical to calling each study function on its own.
 ///
 /// # Errors
@@ -477,17 +452,18 @@ pub fn full_study_traced(
     parent: Option<&SpanLink>,
 ) -> Result<Vec<Table>, ExperimentError> {
     let span = parent.map(|p| p.child(bench.name));
+    let profile = cached_profile(bench, config)?;
     let mut batch = SweepBatch::new(bench, config);
     if let Some(s) = &span {
         batch.set_trace_parent(s.link());
     }
-    let size = plan_btb_size(&mut batch, spec.btb_sizes);
-    let assoc = plan_associativity(&mut batch, spec.assoc_entries, spec.assoc_ways);
-    let counters = plan_counters(&mut batch, spec.counter_variants);
-    let context = plan_context_switch(&mut batch, spec.context_intervals)?;
-    let statics = plan_static_baselines(&mut batch);
+    let size = batch.eval(plan_btb_size(spec.btb_sizes));
+    let assoc = batch.eval(plan_associativity(spec.assoc_entries, spec.assoc_ways));
+    let counters = batch.eval(plan_counters(spec.counter_variants));
+    let context = batch.eval(plan_context_switch(spec.context_intervals, &profile));
+    let statics = batch.eval(plan_static_baselines());
     let ras = batch.ras(spec.ras_depths);
-    let beyond = plan_beyond_1989(&mut batch);
+    let beyond = batch.eval(plan_beyond_1989());
     let results = batch.run()?;
     Ok(vec![
         render_btb_size(bench, spec.btb_sizes, results.stats(size)),
@@ -501,7 +477,7 @@ pub fn full_study_traced(
         render_context_switch(bench, spec.context_intervals, results.stats(context)),
         render_static_baselines(bench, results.stats(statics)),
         render_ras(bench, spec.ras_depths, results.ras(ras)),
-        delay_slot_study(bench, config, spec.delay_max_slots)?,
+        render_delay_slots(bench, &bench.compile()?, &profile, spec.delay_max_slots),
         render_beyond_1989(bench, results.stats(beyond)),
     ])
 }
@@ -520,9 +496,6 @@ pub fn full_study_traced(
 /// attribution identical to the sequential path. Tables are
 /// bit-identical to calling [`full_study`] per benchmark in order.
 ///
-/// In live (`use_trace_replay = false`) mode there is no trace to
-/// prefetch and the suite degrades to the plain sequential loop.
-///
 /// With a `parent`, each benchmark's study set is recorded under it as
 /// in [`full_study_traced`], and each prefetch as a `prefetch` span.
 pub fn full_study_suite(
@@ -531,7 +504,7 @@ pub fn full_study_suite(
     spec: &StudySpec<'_>,
     parent: Option<&SpanLink>,
 ) -> Vec<(&'static str, Result<Vec<Table>, ExperimentError>)> {
-    if !config.use_trace_replay || benches.len() < 2 {
+    if benches.len() < 2 {
         return benches
             .iter()
             .map(|b| (b.name, full_study_traced(b, config, spec, parent)))
@@ -563,6 +536,61 @@ pub fn full_study_suite(
     })
 }
 
+/// [`full_study`] without the trace: the same predictor lists scored
+/// by [`eval_predictors_live`], the stacks and the profile by their own
+/// interpreter passes, rendered through the same functions. The
+/// reference the replayed study set is held to.
+///
+/// [`eval_predictors_live`]: crate::harness::eval_predictors_live
+#[cfg(test)]
+fn full_study_live(
+    bench: &Benchmark,
+    config: &ExperimentConfig,
+    spec: &StudySpec<'_>,
+) -> Result<Vec<Table>, ExperimentError> {
+    use crate::harness::eval_predictors_live;
+    let module = bench.compile()?;
+    let runs = bench.runs(config.scale, config.seed);
+    let exec = config.exec_config();
+    let profile = branchlab_profile::profile_module_with(&module, &runs, &exec)?;
+    let program = branchlab_ir::lower(&module)?;
+    let mut stacks: Vec<ReturnAddressStack> = spec
+        .ras_depths
+        .iter()
+        .map(|&d| ReturnAddressStack::new(d))
+        .collect();
+    for r in &mut stacks {
+        for streams in &runs {
+            let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
+            branchlab_interp::run(&program, &exec, &refs, r)?;
+        }
+    }
+    let live = |preds| eval_predictors_live(bench, config, preds);
+    Ok(vec![
+        render_btb_size(bench, spec.btb_sizes, &live(plan_btb_size(spec.btb_sizes))?),
+        render_associativity(
+            bench,
+            spec.assoc_entries,
+            spec.assoc_ways,
+            &live(plan_associativity(spec.assoc_entries, spec.assoc_ways))?,
+        ),
+        render_counters(
+            bench,
+            spec.counter_variants,
+            &live(plan_counters(spec.counter_variants))?,
+        ),
+        render_context_switch(
+            bench,
+            spec.context_intervals,
+            &live(plan_context_switch(spec.context_intervals, &profile))?,
+        ),
+        render_static_baselines(bench, &live(plan_static_baselines())?),
+        render_ras(bench, spec.ras_depths, &stacks),
+        render_delay_slots(bench, &module, &profile, spec.delay_max_slots),
+        render_beyond_1989(bench, &live(plan_beyond_1989())?),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,6 +598,38 @@ mod tests {
 
     fn cfg() -> ExperimentConfig {
         ExperimentConfig::test()
+    }
+
+    /// Whole study sets, not only single evaluations: every table
+    /// `full_study` renders (BTB size, associativity, counters, context
+    /// switches, RAS, delay slots, two-level, opcode bias) must come out
+    /// the same from the replayed trace as from live interpretation.
+    #[test]
+    fn replayed_study_tables_are_byte_identical_to_live() {
+        let spec = StudySpec::default();
+        let csv = |tables: Vec<Table>| {
+            tables
+                .iter()
+                .map(Table::to_csv)
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        for name in ["compress", "cccp"] {
+            let bench = benchmark(name).unwrap();
+            let (replay_cfg, live_cfg) = (cfg(), cfg());
+            let replayed = csv(full_study(bench, &replay_cfg, &spec).unwrap());
+            let live = csv(full_study_live(bench, &live_cfg, &spec).unwrap());
+            assert_eq!(
+                replayed, live,
+                "{name}: replayed study tables differ from live"
+            );
+            // Each path really ran: the study set replays, the
+            // reference never touches a trace.
+            let count = |cfg: &ExperimentConfig, name| cfg.metrics.counter(name).get();
+            assert!(count(&replay_cfg, "suite.trace.replays") > 0, "{name}");
+            assert_eq!(count(&live_cfg, "suite.trace.replays"), 0, "{name}");
+            assert_eq!(count(&live_cfg, "suite.trace.captures"), 0, "{name}");
+        }
     }
 
     #[test]

@@ -1,61 +1,57 @@
 //! Deferred sweep evaluation: studies enqueue their predictor and
-//! return-address-stack configurations into a [`SweepBatch`], then one
-//! pass over the benchmark's event stream scores every configuration
-//! point at once — the paper's own trace-driven shape (trace the
-//! program once, score all schemes off the recording).
+//! return-address-stack configurations into a [`SweepBatch`], then
+//! every configuration point is scored off the benchmark's captured
+//! trace — the paper's own trace-driven shape (trace the program once,
+//! score all schemes off the recording). A whole ablation study set
+//! costs one capture plus one decode per work item.
 //!
-//! With [`ExperimentConfig::use_trace_replay`] set, the pass replays
-//! the cached trace, so a whole ablation study set costs one capture
-//! plus one decode per benchmark. With it off, each enqueued group
-//! keeps its own live interpreter pass: the reference path that tests
-//! hold replay to.
+//! ## One executor
 //!
-//! ## Parallel scoring
+//! Scoring is a walk over work items. An item holds any of a chunk of
+//! scalar evaluators, packed lane families and the return-address
+//! stacks; it decodes the shared, read-only [`TraceBuf`]s through its
+//! own [`BlockIter`] and hands every block to each part it holds, so
+//! every sweep point observes the complete event sequence in capture
+//! order. Each item is recorded as a `score_shard` span over the
+//! decoder's `block_replay` span.
 //!
-//! With more than one sweep thread resolved
-//! ([`ExperimentConfig::resolved_sweep_threads`]), the replay pass
-//! shards its sweep points across `std::thread::scope` workers. The
-//! captured [`TraceBuf`]s are shared read-only; each work batch (a
-//! chunk of predictors, or the return-address-stack set) re-decodes
-//! the stream through its own [`BlockIter`], so every sweep point
-//! still observes the complete event sequence in capture order — which
-//! makes the merged results **bit-identical to the serial path by
-//! construction**, independent of worker count and scheduling. Workers
-//! claim batches from a shared queue (dynamic load balancing; the
-//! claims beyond each worker's first are counted as
-//! `stolen_batches`), and results are merged back in plan order.
+//! With one sweep worker resolved
+//! ([`ExperimentConfig::resolved_sweep_threads`]) the whole batch is
+//! one item, scored on the calling thread in a single decode. With
+//! more, the stack set and each lane family become items of their own,
+//! the scalar evaluators are chunked, and `std::thread::scope` workers
+//! claim items from a shared queue (dynamic load balancing; the claims
+//! beyond each worker's first are counted as `stolen_batches`). Results
+//! merge back in plan order, so they are **bit-identical at every
+//! worker count by construction**, independent of scheduling.
 //!
 //! ## Lane planning
 //!
-//! Before scoring, the replay pass consults every sweep point's
+//! Before scoring, the batch consults every sweep point's
 //! [`BranchPredictor::lane_spec`]: compatible fresh configurations
 //! (same [`LaneFamilyKey`]) are packed — up to [`MAX_LANES`] at a
-//! time — into bit-parallel [`LaneFamily`] work items that score all
-//! their lanes in one walk of the event stream, while incompatible or
-//! stateful points keep today's scalar path. Families ride the same
-//! work queue as scalar chunks (thread parallelism multiplies lane
-//! parallelism), and results merge back by flattened plan index, so
-//! every table is byte-identical to the scalar path at any thread
-//! count. [`ExperimentConfig::use_lane_scoring`] (on by default)
-//! gates the planner for baseline measurements.
+//! time — into bit-parallel [`LaneFamily`] work that scores all its
+//! lanes in one walk of the event stream, while incompatible or
+//! stateful points stay scalar. Families ride the same work queue as
+//! scalar chunks (thread parallelism multiplies lane parallelism), and
+//! results merge back by flattened plan index, so every table is
+//! byte-identical to scoring each point on its own.
 //!
 //! [`TraceBuf`]: branchlab_trace::TraceBuf
 
 use std::sync::Mutex;
 use std::time::Instant;
 
-use branchlab_interp::run;
-use branchlab_ir::{lower, Addr, FuncId};
 use branchlab_predict::{
     BranchPredictor, Evaluator, LaneFamily, LaneFamilyKey, LaneSpec, PredStats, ReturnAddressStack,
     MAX_LANES,
 };
 use branchlab_telemetry::SpanLink;
-use branchlab_trace::{BlockIter, BranchEvent, CallRet, ExecHooks, TraceBuf};
+use branchlab_trace::{BlockIter, CallRet, ExecHooks, TraceBuf};
 use branchlab_workloads::Benchmark;
 
-use crate::harness::{eval_predictors_live, ExperimentConfig, ExperimentError};
-use crate::trace_replay::{captured_runs, micros_since, note_replay, replay_runs_traced};
+use crate::harness::{ExperimentConfig, ExperimentError};
+use crate::trace_replay::{captured_runs, micros_since, note_replay};
 
 /// The `suite.sweep.parallel.*` counters the parallel executor bumps in
 /// [`ExperimentConfig::metrics`] on every parallel scoring pass, in
@@ -147,30 +143,19 @@ impl<'a> SweepBatch<'a> {
         }
     }
 
-    /// Record this batch's capture/score/merge phases — and each
-    /// parallel scoring shard — as child spans under `parent` (see
-    /// [`branchlab_telemetry::trace`]). Off by default, so offline
-    /// sweeps pay nothing.
+    /// Record this batch's phases as child spans under `parent` (see
+    /// [`branchlab_telemetry::trace`]): `sweep_capture`, one
+    /// `score_shard` per work item with its decoder's `block_replay`,
+    /// and `sweep_merge`. Off by default, so offline sweeps pay
+    /// nothing.
     pub fn set_trace_parent(&mut self, parent: SpanLink) {
         self.trace = Some(parent);
     }
 
-    /// The benchmark this batch evaluates.
-    #[must_use]
-    pub fn bench(&self) -> &'a Benchmark {
-        self.bench
-    }
-
-    /// The configuration this batch evaluates under.
-    #[must_use]
-    pub fn config(&self) -> &'a ExperimentConfig {
-        self.config
-    }
-
     /// Enqueue one group of predictors (typically one study's sweep
-    /// points), scored identically to [`eval_predictors`].
+    /// points), scored identically to [`eval_predictors_live`].
     ///
-    /// [`eval_predictors`]: crate::harness::eval_predictors
+    /// [`eval_predictors_live`]: crate::harness::eval_predictors_live
     pub fn eval(&mut self, predictors: Vec<Box<dyn BranchPredictor>>) -> PredTicket {
         self.groups.push(predictors);
         PredTicket(self.groups.len() - 1)
@@ -188,22 +173,14 @@ impl<'a> SweepBatch<'a> {
         }
     }
 
-    /// Execute every enqueued evaluation and hand back the results.
+    /// Score every enqueued evaluation off the benchmark's captured
+    /// trace and hand back the results — in one work item on the
+    /// calling thread, or sharded across sweep workers (see the module
+    /// docs); the results are bit-identical either way.
     ///
     /// # Errors
     /// Returns [`ExperimentError`] on compile/lower/run/replay failure.
     pub fn run(self) -> Result<SweepResults, ExperimentError> {
-        if self.config.use_trace_replay {
-            self.run_replay()
-        } else {
-            self.run_live()
-        }
-    }
-
-    /// One replay pass feeds every evaluator, lane family, and stack
-    /// at once — on one thread, or sharded across sweep workers (see
-    /// the module docs); the results are bit-identical either way.
-    fn run_replay(self) -> Result<SweepResults, ExperimentError> {
         let trace = self.trace;
         let runs = {
             let mut span = trace.as_ref().map(|t| t.child("sweep_capture"));
@@ -216,73 +193,53 @@ impl<'a> SweepBatch<'a> {
         let group_sizes: Vec<usize> = self.groups.iter().map(Vec::len).collect();
         let points: Vec<Box<dyn BranchPredictor>> = self.groups.into_iter().flatten().collect();
         let n_points = points.len();
+        let (scalars, families) = plan_lanes(points);
         let metrics = &self.config.metrics;
-        let (scalars, mut families) = if self.config.use_lane_scoring {
-            let (scalars, families) = plan_lanes(points);
-            metrics.counter("suite.sweep.lane.passes").inc();
-            metrics
-                .counter("suite.sweep.lane.families")
-                .add(families.len() as u64);
-            metrics
-                .counter("suite.sweep.lane.lanes")
-                .add(families.iter().map(|f| f.indices.len() as u64).sum());
-            metrics
-                .counter("suite.sweep.lane.scalar_points")
-                .add(scalars.len() as u64);
-            // Every family walks the complete stream exactly once.
-            metrics
-                .counter("suite.sweep.lane.events")
-                .add(families.len() as u64 * runs.iter().map(TraceBuf::events).sum::<u64>());
-            (scalars, families)
-        } else {
-            (points.into_iter().enumerate().collect(), Vec::new())
-        };
+        metrics.counter("suite.sweep.lane.passes").inc();
+        metrics
+            .counter("suite.sweep.lane.families")
+            .add(families.len() as u64);
+        metrics
+            .counter("suite.sweep.lane.lanes")
+            .add(families.iter().map(|f| f.indices.len() as u64).sum());
+        metrics
+            .counter("suite.sweep.lane.scalar_points")
+            .add(scalars.len() as u64);
+        // Every family walks the complete stream exactly once.
+        metrics
+            .counter("suite.sweep.lane.events")
+            .add(families.len() as u64 * runs.iter().map(TraceBuf::events).sum::<u64>());
         let (scalar_idx, boxes): (Vec<usize>, Vec<Box<dyn BranchPredictor>>) =
             scalars.into_iter().unzip();
-        let mut evals: BoxedEvals = boxes.into_iter().map(Evaluator::new).collect();
-        let mut ras = self.ras;
+        let evals = boxes.into_iter().map(Evaluator::new).collect();
         let threads = self.config.resolved_sweep_threads();
-        let work_items = evals.len() + families.len() + usize::from(!ras.is_empty());
-        if threads > 1 && work_items > 1 {
-            (evals, families, ras) = score_parallel(
-                self.config,
-                &runs,
-                evals,
-                families,
-                ras,
-                threads,
-                trace.as_ref(),
-            )?;
+        let mut items = plan_items(evals, families, self.ras, threads);
+        let parallel = items.len() > 1;
+        let done = if parallel {
+            score_parallel(self.config, &runs, items, threads, trace.as_ref())?
         } else {
-            let mut span = trace.as_ref().map(|t| t.child("sweep_score"));
-            if let Some(s) = span.as_mut() {
-                s.arg("points", (n_points + ras.len()) as u64);
-                s.add_work(runs.iter().map(TraceBuf::events).sum());
-            }
-            let mut sink = BatchSink {
-                evals: &mut evals,
-                families: &mut families,
-                ras: &mut ras,
-                block: Vec::with_capacity(EVENT_BLOCK),
-            };
-            let link = span.as_ref().map(branchlab_telemetry::SpanHandle::link);
-            let started = Instant::now();
-            let events = replay_runs_traced(&runs, &mut sink, link.as_ref())?;
-            sink.drain_block();
-            note_replay(self.config, events, started);
-        }
+            let item = items.pop().unwrap_or_default();
+            vec![score_item(self.config, &runs, item, trace.as_ref())?]
+        };
+
         // Merge scalar and lane results back by flattened plan index,
         // so the regrouped tables are independent of how the planner
-        // split the points.
+        // split the points and of which worker scored which item.
+        let merge_started = Instant::now();
+        let merge_span = trace.as_ref().map(|t| t.child("sweep_merge"));
         let mut out: Vec<Option<PredStats>> = vec![None; n_points];
-        for (pos, e) in evals.into_iter().enumerate() {
-            out[scalar_idx[pos]] = Some(e.stats);
-        }
-        for work in families {
-            let indices = work.indices;
-            for (i, s) in indices.into_iter().zip(work.family.finish()) {
-                out[i] = Some(s);
+        let mut ras = Vec::new();
+        for item in done {
+            for (pos, e) in item.evals.into_iter().enumerate() {
+                out[scalar_idx[item.start + pos]] = Some(e.stats);
             }
+            for work in item.families {
+                for (i, s) in work.indices.into_iter().zip(work.family.finish()) {
+                    out[i] = Some(s);
+                }
+            }
+            // The stacks travel as one set, in one item.
+            ras.extend(item.stacks);
         }
         let mut stats = out
             .into_iter()
@@ -291,26 +248,11 @@ impl<'a> SweepBatch<'a> {
             .into_iter()
             .map(|n| stats.by_ref().take(n).collect())
             .collect();
-        Ok(SweepResults { groups, ras })
-    }
-
-    /// The live reference path: one interpreter pass per group.
-    fn run_live(self) -> Result<SweepResults, ExperimentError> {
-        let mut groups = Vec::with_capacity(self.groups.len());
-        for preds in self.groups {
-            groups.push(eval_predictors_live(self.bench, self.config, preds)?);
-        }
-        let mut ras = self.ras;
-        if !ras.is_empty() {
-            let module = self.bench.compile()?;
-            let program = lower(&module)?;
-            let exec_cfg = self.config.exec_config();
-            for r in &mut ras {
-                for streams in self.bench.runs(self.config.scale, self.config.seed) {
-                    let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
-                    run(&program, &exec_cfg, &refs, r)?;
-                }
-            }
+        drop(merge_span);
+        if parallel {
+            metrics
+                .counter("suite.sweep.parallel.merge_us")
+                .add(micros_since(merge_started));
         }
         Ok(SweepResults { groups, ras })
     }
@@ -405,195 +347,154 @@ fn plan_lanes(
     (scalars, families)
 }
 
-/// Branch events buffered per fan-out block. Each evaluator consumes a
-/// long run of events with its tables cache-hot — round-robining tens
-/// of predictors per event thrashes L1 and costs several times the
-/// per-event work of a dedicated live pass.
-const EVENT_BLOCK: usize = 16 * 1024;
-
-/// Fans one event stream out to every enqueued sink, block-wise for
-/// the branch evaluators.
-///
-/// Blocking is invisible to the results: each evaluator still sees the
-/// exact event sequence in order, and branch events never interact with
-/// the call/return stream (predictors consume only `branch`, stacks
-/// only `call`/`ret`), so delivering them on different schedules cannot
-/// change any statistic.
-struct BatchSink<'a> {
-    evals: &'a mut [Evaluator<Box<dyn BranchPredictor>>],
-    families: &'a mut [LaneFamilyWork],
-    ras: &'a mut [ReturnAddressStack],
-    block: Vec<BranchEvent>,
-}
-
-impl BatchSink<'_> {
-    fn drain_block(&mut self) {
-        for e in self.evals.iter_mut() {
-            e.branch_block(&self.block);
-        }
-        for f in self.families.iter_mut() {
-            f.family.eval_block(&self.block);
-        }
-        self.block.clear();
-    }
-}
-
-impl ExecHooks for BatchSink<'_> {
-    fn branch(&mut self, ev: &BranchEvent) {
-        self.block.push(*ev);
-        if self.block.len() == EVENT_BLOCK {
-            self.drain_block();
-        }
-    }
-
-    fn call(&mut self, from: Addr, callee: FuncId) {
-        for r in self.ras.iter_mut() {
-            r.call(from, callee);
-        }
-    }
-
-    fn ret(&mut self, from: Addr, to: Addr) {
-        for r in self.ras.iter_mut() {
-            r.ret(from, to);
-        }
-    }
-}
-
-/// The flattened evaluator list the executor shards and reassembles.
+/// The flattened scalar evaluator list the executor shards and
+/// reassembles.
 type BoxedEvals = Vec<Evaluator<Box<dyn BranchPredictor>>>;
 
-/// One unit of parallel sweep work. Each item owns its sinks and
-/// re-decodes the shared trace through its own [`BlockIter`], so items
-/// never contend on anything but the queue lock.
-enum WorkItem {
-    /// A chunk of the scalar evaluator list, with the index of its
-    /// first evaluator for plan-order reassembly.
-    Preds { start: usize, evals: BoxedEvals },
-    /// One packed lane family — all its lanes score in a single walk
-    /// of the stream, so it travels as one indivisible item.
-    Lanes { work: LaneFamilyWork },
-    /// The full return-address-stack set (stacks consume only the
-    /// call/return half of the stream, so they travel as one item).
-    Ras { stacks: Vec<ReturnAddressStack> },
+/// One unit of sweep work: whatever part of the plan it holds is
+/// scored in one walk of the shared trace through the item's own
+/// [`BlockIter`], so items never contend on anything but the queue
+/// lock. Branch events never interact with the call/return stream
+/// (predictors consume only branches, stacks only calls and returns),
+/// so splitting the plan across items cannot change any statistic.
+#[derive(Default)]
+struct WorkItem {
+    /// Flattened scalar index of `evals[0]`, for plan-order reassembly.
+    start: usize,
+    /// A chunk of the scalar evaluator list.
+    evals: BoxedEvals,
+    /// Packed lane families — each scores all its lanes in one walk,
+    /// so a family is never split.
+    families: Vec<LaneFamilyWork>,
+    /// The return-address stacks (never split either).
+    stacks: Vec<ReturnAddressStack>,
 }
 
-/// What a worker hands back after scoring an item.
-enum DoneItem {
-    Preds { start: usize, evals: BoxedEvals },
-    Lanes { work: LaneFamilyWork },
-    Ras { stacks: Vec<ReturnAddressStack> },
+impl WorkItem {
+    /// Predictor sweep points this item scores (stacks aside).
+    fn points(&self) -> usize {
+        self.evals.len()
+            + self
+                .families
+                .iter()
+                .map(|f| f.family.lanes())
+                .sum::<usize>()
+    }
 }
 
-/// Score one work item over the shared trace. Every item consumes the
-/// complete event stream in capture order, so its statistics are
-/// independent of which worker runs it and when.
-fn score_item(
-    config: &ExperimentConfig,
-    runs: &[TraceBuf],
-    item: WorkItem,
-    trace: Option<&SpanLink>,
-) -> Result<DoneItem, ExperimentError> {
-    let started = Instant::now();
-    let points = match &item {
-        WorkItem::Preds { evals, .. } => evals.len(),
-        WorkItem::Lanes { work } => work.family.lanes(),
-        WorkItem::Ras { stacks } => stacks.len(),
-    };
-    let mut span = trace.map(|t| t.child("score_shard"));
-    if let Some(s) = span.as_mut() {
-        s.arg("points", points as u64);
-    }
-    let mut iter = BlockIter::with_block_events(runs, EVENT_BLOCK);
-    if let Some(s) = span.as_ref() {
-        iter.set_trace_parent(&s.link());
-    }
-    let done = match item {
-        WorkItem::Preds { start, mut evals } => {
-            while let Some(block) = iter
-                .next_block()
-                .map_err(|e| ExperimentError::Trace(e.to_string()))?
-            {
-                for e in &mut evals {
-                    e.branch_block(block.branches);
-                }
-            }
-            DoneItem::Preds { start, evals }
-        }
-        WorkItem::Lanes { mut work } => {
-            while let Some(block) = iter
-                .next_block()
-                .map_err(|e| ExperimentError::Trace(e.to_string()))?
-            {
-                work.family.eval_block(block.branches);
-            }
-            DoneItem::Lanes { work }
-        }
-        WorkItem::Ras { mut stacks } => {
-            while let Some(block) = iter
-                .next_block()
-                .map_err(|e| ExperimentError::Trace(e.to_string()))?
-            {
-                for &cr in block.callrets {
-                    for r in &mut stacks {
-                        match cr {
-                            CallRet::Call { from, callee } => r.call(from, callee),
-                            CallRet::Ret { from, to } => r.ret(from, to),
-                        }
-                    }
-                }
-            }
-            DoneItem::Ras { stacks }
-        }
-    };
-    if let Some(s) = span.as_mut() {
-        s.add_work(iter.delivered());
-    }
-    note_replay(config, iter.delivered(), started);
-    Ok(done)
-}
-
-/// The parallel sweep executor: shard the scalar evaluators (plus the
-/// lane families and the RAS set) into work items, score them on
-/// `threads` scoped workers claiming from a shared queue, and merge
-/// the results back into the original order.
-///
-/// Chunking targets ~3 batches per worker so a slow chunk can be
-/// balanced out by the queue, without paying a per-point decode.
-/// Lane families are already event-walk-sized items and are sharded
-/// as-is — thread parallelism multiplies lane parallelism.
-#[allow(clippy::type_complexity)]
-fn score_parallel(
-    config: &ExperimentConfig,
-    runs: &[TraceBuf],
+/// Partition a planned sweep into work items. With one worker the
+/// whole plan is one item: one decode feeds everything. With more,
+/// the stack set and each lane family are items of their own, and the
+/// scalar evaluators are chunked to ~3 items per worker so a slow
+/// chunk can be balanced out by the queue without paying a per-point
+/// decode.
+fn plan_items(
     evals: BoxedEvals,
     families: Vec<LaneFamilyWork>,
-    ras: Vec<ReturnAddressStack>,
+    stacks: Vec<ReturnAddressStack>,
     threads: usize,
-    trace: Option<&SpanLink>,
-) -> Result<(BoxedEvals, Vec<LaneFamilyWork>, Vec<ReturnAddressStack>), ExperimentError> {
-    let n_scalar = evals.len();
-    let total_points = n_scalar + families.iter().map(|f| f.indices.len()).sum::<usize>();
-    let chunk = n_scalar.div_ceil(threads * 3).max(1);
-    let mut queue: Vec<WorkItem> = Vec::new();
-    if !ras.is_empty() {
-        queue.push(WorkItem::Ras { stacks: ras });
+) -> Vec<WorkItem> {
+    if threads <= 1 {
+        return vec![WorkItem {
+            start: 0,
+            evals,
+            families,
+            stacks,
+        }];
+    }
+    let mut items = Vec::new();
+    if !stacks.is_empty() {
+        items.push(WorkItem {
+            stacks,
+            ..WorkItem::default()
+        });
     }
     for work in families {
-        queue.push(WorkItem::Lanes { work });
+        items.push(WorkItem {
+            families: vec![work],
+            ..WorkItem::default()
+        });
     }
+    let chunk = evals.len().div_ceil(threads * 3).max(1);
     let mut rest = evals;
     let mut start = 0;
     while !rest.is_empty() {
         let tail = rest.split_off(chunk.min(rest.len()));
-        queue.push(WorkItem::Preds { start, evals: rest });
+        items.push(WorkItem {
+            start,
+            evals: rest,
+            ..WorkItem::default()
+        });
         start += chunk;
         rest = tail;
     }
-    let n_batches = queue.len() as u64;
-    let workers = threads.min(queue.len()).max(1);
+    items
+}
 
-    let queue = Mutex::new(queue);
-    let done: Mutex<Vec<DoneItem>> = Mutex::new(Vec::new());
+/// Score one work item over the shared trace, recorded as a
+/// `score_shard` span over the decoder's `block_replay`. Every item
+/// consumes the complete event stream in capture order, so its
+/// statistics are independent of which worker runs it and when. Each
+/// evaluator takes a whole decoded block at a time with its tables
+/// cache-hot; round-robining tens of predictors per event would
+/// thrash L1.
+fn score_item(
+    config: &ExperimentConfig,
+    runs: &[TraceBuf],
+    mut item: WorkItem,
+    trace: Option<&SpanLink>,
+) -> Result<WorkItem, ExperimentError> {
+    let started = Instant::now();
+    let mut span = trace.map(|t| t.child("score_shard"));
+    if let Some(s) = span.as_mut() {
+        s.arg("points", (item.points() + item.stacks.len()) as u64);
+    }
+    let mut iter = BlockIter::new(runs);
+    if let Some(s) = span.as_ref() {
+        iter.set_trace_parent(&s.link());
+    }
+    while let Some(block) = iter
+        .next_block()
+        .map_err(|e| ExperimentError::Trace(e.to_string()))?
+    {
+        for e in &mut item.evals {
+            e.branch_block(block.branches);
+        }
+        for work in &mut item.families {
+            work.family.eval_block(block.branches);
+        }
+        for &cr in block.callrets {
+            for r in &mut item.stacks {
+                match cr {
+                    CallRet::Call { from, callee } => r.call(from, callee),
+                    CallRet::Ret { from, to } => r.ret(from, to),
+                }
+            }
+        }
+    }
+    if let Some(s) = span.as_mut() {
+        s.add_work(iter.delivered());
+    }
+    note_replay(config, iter.delivered(), started);
+    Ok(item)
+}
+
+/// The parallel sweep executor: score `items` on `threads` scoped
+/// workers claiming from a shared queue, and hand back the scored
+/// items in completion order (they carry their own plan positions).
+fn score_parallel(
+    config: &ExperimentConfig,
+    runs: &[TraceBuf],
+    items: Vec<WorkItem>,
+    threads: usize,
+    trace: Option<&SpanLink>,
+) -> Result<Vec<WorkItem>, ExperimentError> {
+    let total_points: usize = items.iter().map(WorkItem::points).sum();
+    let n_batches = items.len() as u64;
+    let workers = threads.min(items.len()).max(1);
+
+    let queue = Mutex::new(items);
+    let done: Mutex<Vec<WorkItem>> = Mutex::new(Vec::new());
     let first_error: Mutex<Option<ExperimentError>> = Mutex::new(None);
     let metrics = &config.metrics;
 
@@ -639,34 +540,6 @@ fn score_parallel(
     {
         return Err(e);
     }
-
-    let merge_started = Instant::now();
-    let _merge_span = trace.map(|t| t.child("sweep_merge"));
-    let done = done
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut out_evals: Vec<Option<Evaluator<Box<dyn BranchPredictor>>>> = Vec::new();
-    out_evals.resize_with(n_scalar, || None);
-    let mut out_families = Vec::new();
-    let mut out_ras = Vec::new();
-    for item in done {
-        match item {
-            DoneItem::Preds { start, evals } => {
-                for (i, e) in evals.into_iter().enumerate() {
-                    out_evals[start + i] = Some(e);
-                }
-            }
-            // Families carry their own flattened plan indices, so
-            // completion order is irrelevant to the merged tables.
-            DoneItem::Lanes { work } => out_families.push(work),
-            DoneItem::Ras { stacks } => out_ras = stacks,
-        }
-    }
-    let out_evals: Vec<_> = out_evals
-        .into_iter()
-        .map(|e| e.expect("every scored work item was merged"))
-        .collect();
-
     metrics.counter("suite.sweep.parallel.sweeps").inc();
     metrics
         .counter("suite.sweep.parallel.workers")
@@ -677,16 +550,15 @@ fn score_parallel(
     metrics
         .counter("suite.sweep.parallel.batches")
         .add(n_batches);
-    metrics
-        .counter("suite.sweep.parallel.merge_us")
-        .add(micros_since(merge_started));
-    Ok((out_evals, out_families, out_ras))
+    Ok(done
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::eval_predictors;
+    use crate::harness::{eval_predictors, eval_predictors_live};
     use branchlab_predict::{AlwaysTaken, Cbtb, Sbtb};
     use branchlab_workloads::benchmark;
 
@@ -812,9 +684,13 @@ mod tests {
         assert!(shards.iter().all(|s| s.work > 0), "shards carry event work");
         let points: u64 = shards.iter().filter_map(|s| s.arg_value("points")).sum();
         assert_eq!(points, 3, "2 predictors + 1 RAS across shards");
+    }
 
-        // Serial path: one sweep_score span with per-run replay spans
-        // recorded by the trace crate underneath it.
+    #[test]
+    fn one_worker_sweep_decodes_the_trace_once() {
+        use branchlab_predict::Gshare;
+        use branchlab_telemetry::TraceContext;
+        let bench = benchmark("wc").unwrap();
         let cfg = ExperimentConfig {
             sweep_threads: Some(1),
             ..ExperimentConfig::test()
@@ -823,13 +699,48 @@ mod tests {
         let root = ctx.root("compute");
         let mut batch = SweepBatch::new(bench, &cfg);
         batch.set_trace_parent(root.link());
-        let _ = batch.eval(vec![Box::new(Sbtb::paper())]);
+        // Scalar points, a lane family (the two gshares) and stacks.
+        let _ = batch.eval(vec![
+            Box::new(Sbtb::paper()) as Box<dyn BranchPredictor>,
+            Box::new(AlwaysTaken),
+            Box::new(Gshare::new(12, 8)),
+            Box::new(Gshare::new(10, 4)),
+        ]);
+        let _ = batch.ras(&[4, 64]);
         batch.run().unwrap();
         drop(root);
         let trace = ctx.finish();
+
+        let count = |name| cfg.metrics.counter(name).get();
+        let events: u64 = captured_runs(bench, &cfg)
+            .unwrap()
+            .iter()
+            .map(TraceBuf::events)
+            .sum();
+        assert_eq!(count("suite.sweep.lane.families"), 1);
+        assert_eq!(count("suite.trace.replays"), 1);
+        assert_eq!(count("suite.trace.events_replayed"), events);
+        assert_eq!(count("suite.sweep.parallel.sweeps"), 0);
+        // The parallel path's span shape, with a single shard.
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
-        assert!(names.contains(&"sweep_score"), "{names:?}");
-        assert!(names.contains(&"replay_run"), "{names:?}");
+        for phase in ["sweep_capture", "sweep_merge"] {
+            assert!(names.contains(&phase), "missing {phase} in {names:?}");
+        }
+        let shards: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "score_shard")
+            .collect();
+        assert_eq!(shards.len(), 1, "{:?}", trace.spans);
+        assert_eq!(shards[0].arg_value("points"), Some(6));
+        let decodes: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "block_replay")
+            .collect();
+        assert_eq!(decodes.len(), 1, "{:?}", trace.spans);
+        assert_eq!(decodes[0].parent, Some(shards[0].id));
+        assert_eq!(decodes[0].work, events);
     }
 
     /// A lane-heavy plan: a CBTB counter family, a gshare pair, a
@@ -870,24 +781,22 @@ mod tests {
 
     #[test]
     fn lane_scoring_is_bit_identical_to_scalar() {
+        // The scalar reference: each group scored event by event by
+        // live interpretation. (The every-benchmark × thread-count
+        // cross product runs in tests/replay_fidelity.rs.)
         let bench = benchmark("wc").unwrap();
-        let scalar_cfg = ExperimentConfig {
-            use_lane_scoring: false,
-            sweep_threads: Some(1),
-            ..ExperimentConfig::test()
-        };
-        let (batch, sa, sb) = lane_plan(bench, &scalar_cfg);
-        let scalar = batch.run().unwrap();
-        // Serial path here (the parallel × lanes cross product runs in
-        // tests/replay_fidelity.rs).
         let cfg = ExperimentConfig {
             sweep_threads: Some(1),
             ..ExperimentConfig::test()
         };
         let (batch, la, lb) = lane_plan(bench, &cfg);
         let laned = batch.run().unwrap();
-        assert_eq!(laned.stats(la), scalar.stats(sa));
-        assert_eq!(laned.stats(lb), scalar.stats(sb));
+        let scalar_cfg = ExperimentConfig::test();
+        let (batch, _, _) = lane_plan(bench, &scalar_cfg);
+        for (ticket, group) in [la, lb].into_iter().zip(batch.groups) {
+            let scalar = eval_predictors_live(bench, &scalar_cfg, group).unwrap();
+            assert_eq!(laned.stats(ticket), scalar.as_slice());
+        }
         let count = |name| cfg.metrics.counter(name).get();
         let events: u64 = captured_runs(bench, &cfg)
             .unwrap()
@@ -957,13 +866,9 @@ mod tests {
         let t = batch.eval(build());
         let replayed = batch.run().unwrap();
 
-        let live_cfg = ExperimentConfig {
-            use_trace_replay: false,
-            ..ExperimentConfig::test()
-        };
-        let mut batch = SweepBatch::new(bench, &live_cfg);
-        let lt = batch.eval(build());
-        let live = batch.run().unwrap();
-        assert_eq!(live.stats(lt), replayed.stats(t));
+        let live_cfg = ExperimentConfig::test();
+        let live = eval_predictors_live(bench, &live_cfg, build()).unwrap();
+        assert_eq!(replayed.stats(t), live.as_slice());
+        assert_eq!(live_cfg.metrics.counter("suite.trace.replays").get(), 0);
     }
 }

@@ -6,9 +6,15 @@
 //! Every stage of [`run_benchmark`] runs inside a child of one root
 //! span of the benchmark's own trace, so each [`BenchResult`] carries
 //! a per-phase wall-clock (and work-count) breakdown anchored in wall
-//! time; with [`ExperimentConfig::collect_site_telemetry`] set,
-//! the SBTB/CBTB per-branch-site hit/miss/evict/alias/mispredict
-//! counters are published as [`SiteProbe`]s.
+//! time, plus the SBTB/CBTB per-branch-site
+//! hit/miss/evict/alias/mispredict counters as [`SiteProbe`]s.
+//!
+//! [`eval_predictors`] scores any predictor set off the benchmark's
+//! captured trace through a one-group [`SweepBatch`];
+//! [`eval_predictors_live`] scores it by direct interpretation, the
+//! oracle the replay-fidelity tests hold every replayed pass to.
+//!
+//! [`SweepBatch`]: crate::SweepBatch
 
 use std::sync::Arc;
 
@@ -60,15 +66,6 @@ pub struct ExperimentConfig {
     /// Use the paper's literal "predicted taken when C > T" counter rule
     /// (see DESIGN.md); `false` selects the Smith-style `C ≥ T` reading.
     pub cbtb_strict: bool,
-    /// Report per-branch-site BTB telemetry (hits, misses, evictions,
-    /// aliases, mispredicts) in [`BenchResult::sbtb_sites`] and
-    /// [`BenchResult::cbtb_sites`]. The natural pass keeps these
-    /// counters per pc either way and the flag only decides whether
-    /// they are published, so it costs no evaluation throughput: at
-    /// scale small on 2 cores the suite's `natural_eval` phases summed
-    /// to 1.9–2.5 s with it off and 2.0–2.6 s with it on (6 runs each).
-    /// Off by default, since only telemetry exports read the probes.
-    pub collect_site_telemetry: bool,
     /// Interpreter data memory in words (globals + frame stack); small
     /// values surface `MemoryTooSmall`/`StackOverflow` through the
     /// harness, which the robustness tests rely on.
@@ -77,31 +74,20 @@ pub struct ExperimentConfig {
     pub max_call_depth: usize,
     /// Deterministic fault injection (disabled by default).
     pub fault: FaultConfig,
-    /// Feed sweep-style evaluations ([`eval_predictors`] and the
-    /// ablation studies) from captured traces instead of
-    /// re-interpreting every configuration point. Replay is
-    /// bit-identical to live interpretation; tests turn it off to
-    /// select the live reference path they compare replay against.
-    pub use_trace_replay: bool,
     /// Directory for the on-disk trace cache (`--trace-cache DIR`);
     /// `None` keeps traces in memory only.
     pub trace_cache_dir: Option<std::path::PathBuf>,
-    /// Worker threads for parallel sweep scoring in [`SweepBatch`]-driven
-    /// studies (`--sweep-threads N`). `None` uses
-    /// `available_parallelism`; an explicit value may exceed the core
-    /// count (useful for scheduling experiments). Results are
+    /// Worker threads for [`SweepBatch`] scoring — [`eval_predictors`]
+    /// and the ablation studies (`ablation --sweep-threads N`); at 1
+    /// the batch is one work item scored on the calling thread. `None`
+    /// uses `available_parallelism`; an explicit value may exceed the
+    /// core count (useful for scheduling experiments). Results are
     /// bit-identical at every thread count — each sweep point consumes
     /// the complete event stream in capture order regardless of which
     /// worker scores it.
     ///
     /// [`SweepBatch`]: crate::batch::SweepBatch
     pub sweep_threads: Option<usize>,
-    /// Let [`SweepBatch`](crate::SweepBatch) pack compatible sweep
-    /// points into bit-parallel lane families
-    /// ([`LaneFamily`](branchlab_predict::LaneFamily)) during replay
-    /// scoring. On by default; results are bit-identical either way,
-    /// and tests turn it off to select the scalar reference path.
-    pub use_lane_scoring: bool,
     /// The run's registry: trace capture/replay, parallel-sweep and
     /// lane-planner counters (`suite.trace.*`, `suite.sweep.parallel.*`,
     /// `suite.sweep.lane.*`) accumulate here. Clones share it, so a
@@ -121,14 +107,11 @@ impl Default for ExperimentConfig {
             max_insts_per_run: 2_000_000_000,
             verify_equivalence: true,
             cbtb_strict: true,
-            collect_site_telemetry: false,
             memory_words: exec.memory_words,
             max_call_depth: exec.max_call_depth,
             fault: FaultConfig::default(),
-            use_trace_replay: true,
             trace_cache_dir: None,
             sweep_threads: None,
-            use_lane_scoring: true,
             metrics: Arc::new(MetricsRegistry::new()),
         }
     }
@@ -199,11 +182,11 @@ pub struct BenchResult {
     /// `run_benchmark` span with one child per entry of [`PHASES`], in
     /// pipeline order, each carrying its wall-clock time and work.
     pub phases: RequestTrace,
-    /// Per-branch-site SBTB telemetry (empty unless
-    /// [`ExperimentConfig::collect_site_telemetry`] was set).
+    /// Per-branch-site SBTB telemetry (hits, misses, evictions,
+    /// aliases, mispredicts), from the natural pass's per-pc tallies.
     pub sbtb_sites: SiteProbe,
-    /// Per-branch-site CBTB telemetry (empty unless
-    /// [`ExperimentConfig::collect_site_telemetry`] was set).
+    /// Per-branch-site CBTB telemetry, as for
+    /// [`BenchResult::sbtb_sites`].
     pub cbtb_sites: SiteProbe,
 }
 
@@ -471,11 +454,6 @@ pub fn run_benchmark_with_budget(
         code_expansion(&module, &profile, &[1, 2, 4, 8])?
     };
 
-    let (sbtb_sites, cbtb_sites) = if config.collect_site_telemetry {
-        (natural_pass.sbtb_sites(), natural_pass.cbtb_sites())
-    } else {
-        (SiteProbe::disabled(), SiteProbe::disabled())
-    };
     let outcomes = natural_pass.outcomes();
     drop(root);
     Ok(BenchResult {
@@ -492,8 +470,8 @@ pub fn run_benchmark_with_budget(
         btfn: outcomes.btfn(),
         expansion,
         phases: ctx.finish(),
-        sbtb_sites,
-        cbtb_sites,
+        sbtb_sites: natural_pass.sbtb_sites(),
+        cbtb_sites: natural_pass.cbtb_sites(),
     })
 }
 
@@ -584,7 +562,8 @@ pub fn run_suite(config: &ExperimentConfig) -> SuiteResult {
     run_suite_supervised(config, &SupervisorConfig::default())
 }
 
-/// All configured predictors scored off one event stream.
+/// All configured predictors scored off one live event stream, event
+/// by event.
 struct Many {
     evals: Vec<Evaluator<Box<dyn BranchPredictor>>>,
 }
@@ -598,15 +577,14 @@ impl ExecHooks for Many {
 }
 
 /// Evaluate an arbitrary set of predictors over every run of a
-/// benchmark's conventional binary (the ablation workhorse).
-///
-/// With [`ExperimentConfig::use_trace_replay`] set (the default), the
-/// event stream comes from the benchmark's cached trace — captured at
-/// most once per (benchmark, program, scale, seed) — and is replayed
-/// into the predictors at memory speed. Replay delivers the exact
-/// sequence live interpretation would, so the statistics are
-/// bit-identical to [`eval_predictors_live`] (enforced by the
-/// `replay_fidelity` integration test).
+/// benchmark's conventional binary: a one-group
+/// [`SweepBatch`](crate::SweepBatch) run. The event stream comes from
+/// the benchmark's cached trace — captured at most once per
+/// (benchmark, program, scale, seed) — and is replayed into the
+/// predictors at memory speed. Replay delivers the exact sequence live
+/// interpretation would, so the statistics are bit-identical to
+/// [`eval_predictors_live`] (enforced by the `replay_fidelity`
+/// integration test).
 ///
 /// # Errors
 /// Returns [`ExperimentError`] on compile/lower/run/replay failure.
@@ -615,17 +593,9 @@ pub fn eval_predictors(
     config: &ExperimentConfig,
     predictors: Vec<Box<dyn BranchPredictor>>,
 ) -> Result<Vec<PredStats>, ExperimentError> {
-    if !config.use_trace_replay {
-        return eval_predictors_live(bench, config, predictors);
-    }
-    let runs = crate::trace_replay::captured_runs(bench, config)?;
-    let mut many = Many {
-        evals: predictors.into_iter().map(Evaluator::new).collect(),
-    };
-    let started = std::time::Instant::now();
-    let events = crate::trace_replay::replay_runs(&runs, &mut many)?;
-    crate::trace_replay::note_replay(config, events, started);
-    Ok(many.evals.into_iter().map(|e| e.stats).collect())
+    let mut batch = crate::SweepBatch::new(bench, config);
+    let ticket = batch.eval(predictors);
+    Ok(batch.run()?.stats(ticket).to_vec())
 }
 
 /// [`eval_predictors`] by direct interpretation, one interpreter pass
@@ -701,18 +671,14 @@ mod tests {
         // The evaluation spans carry instruction counts as work.
         assert_eq!(r.phase("natural_eval").unwrap().work, r.stats.insts);
         assert!(r.phase("fs_eval").unwrap().work > 0);
-        // Site telemetry is off by default.
-        assert!(r.sbtb_sites.sites().is_empty());
-        assert!(r.cbtb_sites.sites().is_empty());
+        // Site telemetry is always published.
+        assert!(!r.sbtb_sites.sites().is_empty());
+        assert!(!r.cbtb_sites.sites().is_empty());
     }
 
     #[test]
     fn site_telemetry_attributes_mispredicts_to_sites() {
-        let config = ExperimentConfig {
-            collect_site_telemetry: true,
-            ..ExperimentConfig::test()
-        };
-        let r = run_benchmark(benchmark("wc").unwrap(), &config).unwrap();
+        let r = run_benchmark(benchmark("wc").unwrap(), &ExperimentConfig::test()).unwrap();
         use branchlab_telemetry::ProbeKind;
         // The probe's view must agree with the evaluator's scoring.
         assert_eq!(
@@ -775,12 +741,9 @@ mod tests {
         assert_eq!(count("suite.trace.replays"), 1);
         assert_eq!(count("suite.trace.events_replayed"), events);
 
-        // The live path replays nothing.
-        let live = ExperimentConfig {
-            use_trace_replay: false,
-            ..ExperimentConfig::test()
-        };
-        eval_predictors(bench, &live, vec![Box::new(Sbtb::paper())]).unwrap();
+        // The live oracle replays nothing.
+        let live = ExperimentConfig::test();
+        eval_predictors_live(bench, &live, vec![Box::new(Sbtb::paper())]).unwrap();
         assert_eq!(live.metrics.counter("suite.trace.replays").get(), 0);
     }
 

@@ -315,15 +315,6 @@ pub fn run_suite_supervised(config: &ExperimentConfig, sup: &SupervisorConfig) -
         .unwrap_or(1);
     let budget = Arc::new(CoreBudget::new(cores));
     let n_workers = cores.min(SUITE.len());
-    // Divide the sweep-thread budget across the supervisor workers:
-    // each in-flight benchmark gets an equal share (at least 1), so
-    // supervisor threads × sweep workers never exceeds the configured
-    // budget — without this, every concurrent benchmark would spawn a
-    // full complement of sweep workers and oversubscribe the machine.
-    let config = &ExperimentConfig {
-        sweep_threads: Some((config.resolved_sweep_threads() / n_workers.max(1)).max(1)),
-        ..config.clone()
-    };
     let slots: Mutex<Vec<Option<Slot>>> = Mutex::new(vec![None; SUITE.len()]);
     let cursor = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|s| {

@@ -15,13 +15,17 @@
 //!   hash + scale + seed ([`TraceKey`]), so a source edit or input
 //!   change can never serve a stale trace.
 //! * [`replay_runs`]: drive any [`ExecHooks`] sink from the buffers,
-//!   run by run, exactly as the live interpreter would have.
+//!   run by run, exactly as the live interpreter would have. Sweep
+//!   scoring does not come through here: [`SweepBatch`] decodes the
+//!   buffers block-wise through `BlockIter`.
 //! * [`cached_profile`]: the benchmark's profile, derived once per key
 //!   from its captured trace and shared by the studies that need
 //!   branch-site statistics.
 //! * [`TRACE_COUNTERS`]: the `suite.trace.*` counters recording cache
 //!   traffic and capture/replay wall-clock in the run's registry
 //!   ([`ExperimentConfig::metrics`]).
+//!
+//! [`SweepBatch`]: crate::SweepBatch
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -31,8 +35,7 @@ use branchlab_interp::run;
 use branchlab_ir::lower;
 use branchlab_profile::Profile;
 use branchlab_trace::{
-    hash_bytes, load_trace, replay_traced, save_trace, Capture, ExecHooks, PcCounts, TraceBuf,
-    TraceKey,
+    hash_bytes, load_trace, replay, save_trace, Capture, ExecHooks, PcCounts, TraceBuf, TraceKey,
 };
 use branchlab_workloads::{Benchmark, Scale};
 
@@ -75,7 +78,7 @@ fn profile_map() -> &'static ProfileMap {
 }
 
 /// The `suite.trace.*` counters that [`captured_runs`],
-/// [`cached_profile`] and the sweep paths bump in
+/// [`cached_profile`] and [`SweepBatch`](crate::SweepBatch) bump in
 /// [`ExperimentConfig::metrics`], in export order.
 pub const TRACE_COUNTERS: [&str; 11] = [
     "suite.trace.captures",
@@ -186,39 +189,23 @@ pub fn captured_runs(
 /// Replay every run's buffer into `hooks`, in run order, with no state
 /// reset between runs — exactly the event sequence the live
 /// interpreter would have delivered. Returns the total event count.
-/// Counts nothing: [`eval_predictors`](crate::eval_predictors) and
-/// [`SweepBatch`](crate::SweepBatch) credit their replays to the run's
-/// registry.
+/// Counts nothing: [`SweepBatch`](crate::SweepBatch) credits its
+/// replays to the run's registry.
 ///
 /// # Errors
 /// Returns [`ExperimentError::Trace`] on a malformed buffer (impossible
 /// for buffers produced by [`Capture`]; reachable only through cache
 /// corruption that slipped past the checksum).
 pub fn replay_runs<H: ExecHooks>(runs: &[TraceBuf], hooks: &mut H) -> Result<u64, ExperimentError> {
-    replay_runs_traced(runs, hooks, None)
-}
-
-/// [`replay_runs`], recording one `replay_run` child span per buffer
-/// under `parent` (see [`branchlab_telemetry::trace`]). With `parent`
-/// `None` this is exactly [`replay_runs`].
-///
-/// # Errors
-/// Returns [`ExperimentError::Trace`] on a corrupt or truncated buffer.
-pub fn replay_runs_traced<H: ExecHooks>(
-    runs: &[TraceBuf],
-    hooks: &mut H,
-    parent: Option<&branchlab_telemetry::SpanLink>,
-) -> Result<u64, ExperimentError> {
     let mut events = 0u64;
     for buf in runs {
-        events +=
-            replay_traced(buf, hooks, parent).map_err(|e| ExperimentError::Trace(e.to_string()))?;
+        events += replay(buf, hooks).map_err(|e| ExperimentError::Trace(e.to_string()))?;
     }
     Ok(events)
 }
 
-/// Credit one replay pass of `events` events, begun at `started`, to
-/// the run's `suite.trace.*` counters.
+/// Credit one replay pass (one work item's decode) of `events` events,
+/// begun at `started`, to the run's `suite.trace.*` counters.
 pub(crate) fn note_replay(config: &ExperimentConfig, events: u64, started: Instant) {
     bump(config, "suite.trace.replays", 1);
     bump(config, "suite.trace.events_replayed", events);

@@ -50,10 +50,7 @@ fn assert_same(serial: &BenchResult, shared: &BenchResult, ctx: &str) {
 fn every_benchmark_reports_the_same_result_at_every_budget() {
     let mut benches = 0;
     for bench in all_benchmarks() {
-        let cfg = ExperimentConfig {
-            collect_site_telemetry: true,
-            ..ExperimentConfig::test()
-        };
+        let cfg = ExperimentConfig::test();
         // The FS binary's outputs are checked against the natural
         // binary's on every run, whichever thread ran either.
         assert!(cfg.verify_equivalence);

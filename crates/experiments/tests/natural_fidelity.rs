@@ -88,10 +88,6 @@ fn result(bench: &'static Benchmark, cfg: &ExperimentConfig) -> BenchResult {
 #[test]
 fn natural_pass_equals_the_scalar_evaluators_for_every_benchmark() {
     let cfg = ExperimentConfig::test();
-    let with_sites = ExperimentConfig {
-        collect_site_telemetry: true,
-        ..cfg.clone()
-    };
     for bench in SUITE {
         let name = bench.name;
         let r = result(bench, &cfg);
@@ -103,21 +99,13 @@ fn natural_pass_equals_the_scalar_evaluators_for_every_benchmark() {
         assert_eq!(r.always_not_taken, o.ant.stats, "{name}: always-not-taken");
         assert_eq!(r.btfn, o.btfn.stats, "{name}: BTFN");
         assert_eq!(r.fs, fs_oracle(bench, &cfg).stats, "{name}: FS");
-        assert!(r.sbtb_sites.sites().is_empty() && r.cbtb_sites.sites().is_empty());
-
-        let t = result(bench, &with_sites);
         assert_eq!(
-            (t.sbtb, t.cbtb),
-            (r.sbtb, r.cbtb),
-            "{name}: telemetry moved stats"
-        );
-        assert_eq!(
-            t.sbtb_sites.sites(),
+            r.sbtb_sites.sites(),
             o.sbtb.predictor.sink().sites(),
             "{name}: SBTB sites"
         );
         assert_eq!(
-            t.cbtb_sites.sites(),
+            r.cbtb_sites.sites(),
             o.cbtb.predictor.sink().sites(),
             "{name}: CBTB sites"
         );

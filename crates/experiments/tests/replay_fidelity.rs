@@ -1,16 +1,15 @@
 //! Replay-fidelity acceptance tests: trace replay must be
 //! *bit-identical* to live interpretation — same `PredStats` for every
 //! predictor, same `BranchMix` — for every benchmark (the 1989 suite
-//! plus the generated large-footprint synthetics), and same rendered
-//! tables for whole ablation study sets; lane-packed scoring
-//! must be bit-identical to the scalar path for every benchmark at
-//! every thread count; capture itself must be deterministic in the
+//! plus the generated large-footprint synthetics; whole ablation study
+//! sets are checked against their live reference in
+//! `ablation::tests`); lane-packed scoring must be bit-identical to
+//! scalar live scoring for every benchmark at every thread count; capture itself must be deterministic in the
 //! seed; and a corrupt or stale on-disk cache entry must degrade to a
 //! clean re-capture, never to wrong numbers.
 
 use std::collections::BTreeSet;
 
-use branchlab_experiments::ablation::{full_study, StudySpec};
 use branchlab_experiments::trace_replay::{captured_runs, clear_cache, replay_runs};
 use branchlab_experiments::{eval_predictors, eval_predictors_live, ExperimentConfig, SweepBatch};
 use branchlab_interp::{run, ExecConfig};
@@ -60,44 +59,6 @@ fn replayed_pred_stats_are_bit_identical_to_live_for_every_benchmark() {
     }
 }
 
-/// Whole study sets, not only single evaluations: every table
-/// `full_study` renders (BTB size, associativity, counters, context
-/// switches, RAS, delay slots, two-level, opcode bias) must come out
-/// the same from replayed traces as from live interpretation.
-#[test]
-fn replayed_study_tables_are_byte_identical_to_live() {
-    let spec = StudySpec::default();
-    let csv = |cfg: &ExperimentConfig, name: &str| {
-        let bench = benchmark(name).expect("suite benchmark");
-        full_study(bench, cfg, &spec)
-            .unwrap_or_else(|e| panic!("{name}: {e}"))
-            .iter()
-            .map(branchlab_experiments::Table::to_csv)
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    for name in ["compress", "cccp"] {
-        let replay_cfg = ExperimentConfig::test();
-        let live_cfg = ExperimentConfig {
-            use_trace_replay: false,
-            ..ExperimentConfig::test()
-        };
-        let replayed = csv(&replay_cfg, name);
-        let live = csv(&live_cfg, name);
-        assert_eq!(
-            replayed, live,
-            "{name}: replayed study tables differ from live"
-        );
-        // Each path really ran: the default replays, the live one never does.
-        let replays = |cfg: &ExperimentConfig| cfg.metrics.counter("suite.trace.replays").get();
-        assert!(
-            replays(&replay_cfg) > 0,
-            "{name}: default path replayed nothing"
-        );
-        assert_eq!(replays(&live_cfg), 0, "{name}: live path replayed a trace");
-    }
-}
-
 /// A lane-eligible mixed sweep: a CBTB counter family across two
 /// widths, a second CBTB geometry pair, gshare/local geometry pairs,
 /// and scalar-only points interleaved between them.
@@ -135,19 +96,13 @@ fn lane_scoring_is_bit_identical_to_scalar_for_every_benchmark() {
     let mut passes = 0u64;
     let mut events = 0u64;
     for bench in all_benchmarks() {
-        let scalar_cfg = ExperimentConfig {
-            use_lane_scoring: false,
-            sweep_threads: Some(1),
-            ..ExperimentConfig::test()
-        };
-        let mut batch = SweepBatch::new(bench, &scalar_cfg);
-        let st = batch.eval(lane_sweep());
-        let scalar = batch
-            .run()
+        // The scalar reference: every point scored event by event by
+        // live interpretation.
+        let scalar = eval_predictors_live(bench, &ExperimentConfig::test(), lane_sweep())
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
 
-        // Lane planning on, across serial and parallel executors: the
-        // family items ride the same work queue as scalar chunks.
+        // Lanes through the one executor, on one worker and on three:
+        // the family items ride the same work queue as scalar chunks.
         for threads in [1usize, 3] {
             let cfg = ExperimentConfig {
                 sweep_threads: Some(threads),
@@ -160,7 +115,7 @@ fn lane_scoring_is_bit_identical_to_scalar_for_every_benchmark() {
                 .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
             assert_eq!(
                 laned.stats(lt),
-                scalar.stats(st),
+                scalar.as_slice(),
                 "{}: lane-scored PredStats differ from scalar (threads={threads})",
                 bench.name
             );

@@ -188,14 +188,17 @@ fn sweep_trace_decomposes_wall_time_into_phase_spans() {
             "span `{name}` must be a child of the root"
         );
     }
-    // Inside compute: capture, scoring, and render. (Scoring is
-    // `sweep_score` serially or per-shard `score_shard` spans when the
-    // executor parallelises — accept either.)
+    // Inside compute: capture, scoring (one `score_shard` per sweep
+    // work item, each over its `block_replay` decode), and render.
     assert_eq!(spans_named(spans, "sweep_capture").len(), 1);
     assert!(
-        !spans_named(spans, "sweep_score").is_empty()
-            || !spans_named(spans, "score_shard").is_empty(),
+        !spans_named(spans, "score_shard").is_empty(),
         "scoring spans missing: {spans:?}"
+    );
+    assert_eq!(
+        spans_named(spans, "block_replay").len(),
+        spans_named(spans, "score_shard").len(),
+        "one decode per shard: {spans:?}"
     );
     let render = spans_named(spans, "render");
     assert_eq!(render.len(), 1);

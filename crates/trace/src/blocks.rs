@@ -6,16 +6,16 @@
 //! events (consumed by return-address stacks). The input slice is read-only,
 //! so any number of iterators — one per sweep worker — can walk the same
 //! shared trace concurrently, and every consumer observes the complete
-//! stream in capture order. That ordering is what makes the parallel sweep
-//! executor in `branchlab-experiments` bit-identical to the serial path.
+//! stream in capture order. That ordering is what makes the sweep executor
+//! in `branchlab-experiments` bit-identical at every worker count.
 
 use branchlab_ir::{Addr, FuncId};
 
 use crate::event::BranchEvent;
 use crate::replay::{ReplayError, TraceBuf, TraceEvent, TraceReader};
 
-/// Default number of events per delivered [`EventBlock`]. Matches the
-/// sweep executor's scoring-block size: large enough to amortize dispatch,
+/// Default number of events per delivered [`EventBlock`], the sweep
+/// executor's scoring-block size: large enough to amortize dispatch,
 /// small enough to stay cache-resident.
 pub const DEFAULT_BLOCK_EVENTS: usize = 16 * 1024;
 

@@ -40,5 +40,5 @@ pub use blocks::{BlockIter, CallRet, EventBlock, DEFAULT_BLOCK_EVENTS};
 pub use cache::{hash_bytes, load_trace, publish_atomically, save_trace, TraceKey};
 pub use counts::PcCounts;
 pub use event::{BranchEvent, BranchKind, ExecHooks};
-pub use replay::{replay, replay_traced, Capture, ReplayError, TraceBuf, TraceEvent, TraceReader};
+pub use replay::{replay, Capture, ReplayError, TraceBuf, TraceEvent, TraceReader};
 pub use stats::{BranchMix, SiteCounts, SiteStats, TraceRecorder};

@@ -468,25 +468,6 @@ pub fn replay<H: ExecHooks>(buf: &TraceBuf, hooks: &mut H) -> Result<u64, Replay
     Ok(reader.delivered())
 }
 
-/// [`replay`], recorded as a `replay_run` child span of `parent`
-/// carrying the delivered event count as work. With `parent` `None`
-/// this is exactly [`replay`] — no span, no overhead.
-///
-/// # Errors
-/// Returns [`ReplayError`] on a truncated or corrupt buffer.
-pub fn replay_traced<H: ExecHooks>(
-    buf: &TraceBuf,
-    hooks: &mut H,
-    parent: Option<&branchlab_telemetry::SpanLink>,
-) -> Result<u64, ReplayError> {
-    let mut span = parent.map(|p| p.child("replay_run"));
-    let delivered = replay(buf, hooks)?;
-    if let Some(s) = span.as_mut() {
-        s.add_work(delivered);
-    }
-    Ok(delivered)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,15 +17,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# Both test passes run every crate's doctests as well.
 echo "==> cargo test"
 cargo test --workspace -q
 
 # The fidelity proofs must not depend on how many tests run at once.
 echo "==> cargo test, one test thread"
 cargo test --workspace -q -- --test-threads=1
-
-echo "==> cargo test --doc (runnable examples in the API docs)"
-cargo test --workspace --doc -q
 
 # perfbench is a package of its own, outside the workspace: without this
 # stage a change to the public API it calls would break the benchmark
