@@ -28,7 +28,8 @@
 //! [--trace-cache DIR] [--benches A,B,...]`
 //!
 //! (Own argument parser: `--out`/`--benches` are not part of the
-//! shared suite `Options`.)
+//! shared suite `Options`.) A bad command line prints the error and the
+//! usage line to stderr and exits 2, like the suite binaries.
 
 use branchlab::experiments::trace_replay::{cached_profile, captured_runs, replay_runs};
 use branchlab::experiments::{eval_predictors, eval_predictors_live, ExperimentConfig};
@@ -39,57 +40,53 @@ use branchlab::predict::{
 };
 use branchlab::telemetry::JsonValue;
 use branchlab::workloads::{benchmark, Benchmark, Scale};
+use branchlab_bench::EXIT_USAGE;
+
+const USAGE: &str = "usage: btb_bench [-h|--help] [--scale test|small|paper] [--seed N] \
+[--out FILE] [--trace-cache DIR] [--benches A,B,...]";
 
 struct Args {
     config: ExperimentConfig,
     out: std::path::PathBuf,
-    benches: Vec<String>,
+    benches: Vec<&'static Benchmark>,
 }
 
-fn parse_args() -> Args {
-    const USAGE: &str = "usage: btb_bench [-h|--help] [--scale test|small|paper] [--seed N] \
-[--out FILE] [--trace-cache DIR] [--benches A,B,...]";
-    if std::env::args().skip(1).any(|a| a == "-h" || a == "--help") {
-        println!("{USAGE}");
-        std::process::exit(0);
-    }
+/// Parse the command line (everything after the binary name).
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut config = ExperimentConfig::default();
     let mut out = std::path::PathBuf::from("BENCH_btb.json");
-    let mut benches: Vec<String> = vec!["dispatch".into(), "router".into()];
-    let mut args = std::env::args().skip(1);
+    let mut names = "dispatch,router".to_string();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        let mut value = |what: &str| args.next().ok_or_else(|| format!("{arg} needs {what}"));
         match arg.as_str() {
             "--scale" => {
-                config.scale = match args.next().unwrap_or_default().as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => panic!("unknown scale `{other}` (test|small|paper)"),
-                };
+                let v = value("a value")?;
+                config.scale = Scale::from_name(&v)
+                    .ok_or_else(|| format!("unknown scale `{v}` (test|small|paper)"))?;
             }
             "--seed" => {
-                config.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs an integer");
+                let v = value("an integer")?;
+                config.seed = v
+                    .parse()
+                    .map_err(|_| format!("--seed needs an integer, not `{v}`"))?;
             }
-            "--out" => out = args.next().expect("--out needs a file path").into(),
-            "--trace-cache" => {
-                config.trace_cache_dir =
-                    Some(args.next().expect("--trace-cache needs a directory").into());
-            }
-            "--benches" => {
-                let list = args.next().expect("--benches needs a comma list");
-                benches = list.split(',').map(str::trim).map(String::from).collect();
-            }
-            other => panic!("unknown argument `{other}`\n{USAGE}"),
+            "--out" => out = value("a file path")?.into(),
+            "--trace-cache" => config.trace_cache_dir = Some(value("a directory")?.into()),
+            "--benches" => names = value("a comma list")?,
+            _ => return Err(format!("unknown argument `{arg}`")),
         }
     }
-    Args {
+    let benches = names
+        .split(',')
+        .map(str::trim)
+        .map(|name| benchmark(name).ok_or_else(|| format!("benchmark `{name}` not found")))
+        .collect::<Result<_, _>>()?;
+    Ok(Args {
         config,
         out,
         benches,
-    }
+    })
 }
 
 /// One study point: a scheme at a geometry, rebuildable on demand so
@@ -292,11 +289,18 @@ fn study_bench(bench: &Benchmark, config: &ExperimentConfig) -> (JsonValue, bool
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "-h" || a == "--help") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
+    let args = parse_args(argv).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(EXIT_USAGE);
+    });
     let mut benches = Vec::new();
     let mut all_match = true;
-    for name in &args.benches {
-        let bench = benchmark(name).unwrap_or_else(|| panic!("benchmark `{name}` not found"));
+    for bench in &args.benches {
         let (report, matched) = study_bench(bench, &args.config);
         benches.push(report);
         all_match &= matched;
@@ -312,10 +316,7 @@ fn main() {
     };
     let report = JsonValue::obj(vec![
         ("tool", "btb_bench".into()),
-        (
-            "scale",
-            format!("{:?}", args.config.scale).to_lowercase().into(),
-        ),
+        ("scale", args.config.scale.name().into()),
         ("seed", args.config.seed.into()),
         ("stats_match", all_match.into()),
         (

@@ -197,12 +197,9 @@ impl Options {
             };
             match flag.as_str() {
                 "--scale" => {
-                    config.scale = match value()?.as_str() {
-                        "test" => Scale::Test,
-                        "small" => Scale::Small,
-                        "paper" => Scale::Paper,
-                        other => return Err(format!("unknown scale `{other}` (test|small|paper)")),
-                    };
+                    let v = value()?;
+                    config.scale = Scale::from_name(&v)
+                        .ok_or_else(|| format!("unknown scale `{v}` (test|small|paper)"))?;
                 }
                 "--seed" => config.seed = int(value()?)?,
                 "--markdown" => format = Format::Markdown,
@@ -432,7 +429,7 @@ pub fn write_telemetry(
 ) -> std::io::Result<PathBuf> {
     let mut manifest = RunManifest::new(tool);
     let cfg = &options.config;
-    manifest.set_config("scale", format!("{:?}", cfg.scale).to_lowercase().as_str());
+    manifest.set_config("scale", cfg.scale.name());
     manifest.set_config("seed", cfg.seed);
     manifest.set_config("fs_slots", u64::from(cfg.fs_slots));
     manifest.set_config("cbtb_strict", cfg.cbtb_strict);

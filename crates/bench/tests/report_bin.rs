@@ -2,8 +2,8 @@
 //! a clean `report` run writes, how a run degrades when injected faults
 //! kill one benchmark on every attempt, the Chrome traces `report` and
 //! `ablation` export, `--help`, and bad flags (including the sweep
-//! flags the paper binaries do not take and the suite flags `ablation`
-//! does not take).
+//! flags the paper binaries do not take, the suite flags `ablation`
+//! does not take, and `btb_bench`'s own command line).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -212,6 +212,38 @@ fn a_bad_flag_is_a_usage_error() {
         String::from_utf8_lossy(&out.stderr),
         format!("unknown argument `--resume`\n{USAGE}\n")
     );
+
+    // `btb_bench` parses its own command line, with the same contract.
+    let btb_bench = env!("CARGO_BIN_EXE_btb_bench");
+    let help = Command::new(btb_bench)
+        .arg("--help")
+        .output()
+        .expect("run btb_bench");
+    assert_eq!(help.status.code(), Some(0));
+    let usage = String::from_utf8_lossy(&help.stdout);
+    assert!(usage.starts_with("usage: btb_bench"), "{usage}");
+    for (args, message) in [
+        (&["--bogus"][..], "unknown argument `--bogus`"),
+        (&["--seed"], "--seed needs an integer"),
+        (&["--seed", "abc"], "--seed needs an integer, not `abc`"),
+        (
+            &["--scale", "huge"],
+            "unknown scale `huge` (test|small|paper)",
+        ),
+        (&["--benches", "wc,nope"], "benchmark `nope` not found"),
+    ] {
+        let out = Command::new(btb_bench)
+            .args(args)
+            .output()
+            .expect("run btb_bench");
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("{message}\n{usage}"),
+            "{args:?}"
+        );
+    }
 }
 
 #[test]

@@ -37,20 +37,9 @@ use branchlab_profile::Profile;
 use branchlab_trace::{
     hash_bytes, load_trace, replay, save_trace, Capture, ExecHooks, PcCounts, TraceBuf, TraceKey,
 };
-use branchlab_workloads::{Benchmark, Scale};
+use branchlab_workloads::Benchmark;
 
 use crate::harness::{ExperimentConfig, ExperimentError};
-
-/// The canonical short name for a scale (`"test"` / `"small"` /
-/// `"paper"`), as used in trace keys and request canonicalization.
-#[must_use]
-pub fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    }
-}
 
 /// The cache key identifying one benchmark's trace under one input
 /// configuration.
@@ -59,7 +48,7 @@ pub fn trace_key(bench: &Benchmark, config: &ExperimentConfig) -> TraceKey {
     TraceKey {
         bench: bench.name.to_string(),
         program_hash: hash_bytes(bench.source.as_bytes()),
-        scale: scale_name(config.scale).to_string(),
+        scale: config.scale.name().to_string(),
         seed: config.seed,
     }
 }

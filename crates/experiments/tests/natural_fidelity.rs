@@ -46,8 +46,8 @@ fn oracle(bench: &Benchmark, cfg: &ExperimentConfig) -> Oracle {
     };
     let mut oracle = Oracle {
         mix: BranchMix::new(),
-        sbtb: Evaluator::new(Sbtb::with_sink(SbtbConfig::paper(), SiteProbe::enabled())),
-        cbtb: Evaluator::new(Cbtb::with_sink(cbtb, SiteProbe::enabled())),
+        sbtb: Evaluator::new(Sbtb::with_sink(SbtbConfig::paper(), SiteProbe::default())),
+        cbtb: Evaluator::new(Cbtb::with_sink(cbtb, SiteProbe::default())),
         at: Evaluator::new(AlwaysTaken),
         ant: Evaluator::new(AlwaysNotTaken),
         btfn: Evaluator::new(BackwardTakenForwardNot),

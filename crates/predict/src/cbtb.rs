@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn site_probe_sees_residence_and_mispredicts() {
         use branchlab_telemetry::SiteProbe;
-        let mut e = Evaluator::new(Cbtb::with_sink(CbtbConfig::paper(), SiteProbe::enabled()));
+        let mut e = Evaluator::new(Cbtb::with_sink(CbtbConfig::paper(), SiteProbe::default()));
         e.branch(&cond_to(10, true, 50)); // miss (wrong), insert at T
         e.branch(&cond_to(10, true, 50)); // hit, correct
         e.branch(&cond_to(10, false, 50)); // hit, predicted taken → wrong

@@ -40,7 +40,10 @@ use branchlab_trace::{BranchEvent, BranchKind};
 
 use crate::assoc::{AssocBuffer, BuildKeyHasher};
 use crate::cbtb::CbtbConfig;
+use crate::config::assert_valid;
+use crate::mlbtb::MlBtbConfig;
 use crate::predictor::PredStats;
+use crate::twolevel::validate_two_level;
 
 /// Maximum configurations per lane family — one bit per lane in the
 /// `u64` masks, capped at 32 so per-entry plane state stays compact.
@@ -294,8 +297,9 @@ impl CbtbLanes {
     ///
     /// # Panics
     /// Panics if `configs` is empty or longer than [`MAX_LANES`], if
-    /// geometries differ, or on any configuration [`crate::Cbtb::new`]
-    /// would reject (plus counters wider than the packed planes).
+    /// geometries differ, with the [`ConfigError`](crate::ConfigError)
+    /// text on any configuration that does not validate, or on counters
+    /// wider than the packed planes.
     #[must_use]
     pub fn new(configs: &[CbtbConfig]) -> Self {
         assert!(
@@ -310,19 +314,11 @@ impl CbtbLanes {
         let mut planes_used = 0usize;
         for (j, c) in configs.iter().enumerate() {
             assert_eq!((c.entries, c.ways), geom, "lanes must share geometry");
-            assert!(
-                c.ways > 0 && c.entries.is_multiple_of(c.ways),
-                "entries must be a multiple of ways"
-            );
+            assert_valid(MlBtbConfig::from(*c).validate());
             let bits = usize::from(c.counter_bits);
             assert!(
-                (1..=MAX_COUNTER_PLANES).contains(&bits),
+                bits <= MAX_COUNTER_PLANES,
                 "lane counter bits must be in 1..={MAX_COUNTER_PLANES}"
-            );
-            let max = (1u16 << bits) - 1;
-            assert!(
-                c.threshold >= 1 && u16::from(c.threshold) <= max,
-                "threshold must be in 1..=counter max"
             );
             planes_used = planes_used.max(bits);
             let bit = 1u64 << j;
@@ -470,11 +466,7 @@ struct PatternLane {
 }
 
 fn pattern_lane(table_bits: u32, history_bits: u32) -> PatternLane {
-    assert!(
-        (1..=24).contains(&table_bits),
-        "table bits must be in 1..=24"
-    );
-    assert!(history_bits <= table_bits, "history wider than the table");
+    assert_valid(validate_two_level(table_bits, history_bits));
     PatternLane {
         counters: vec![1; 1 << table_bits], // weakly not-taken
         index_mask: (1u32 << table_bits) - 1,

@@ -48,6 +48,7 @@
 
 mod assoc;
 mod cbtb;
+mod config;
 mod lanes;
 mod mlbtb;
 mod natural;
@@ -59,6 +60,7 @@ mod twolevel;
 
 pub use assoc::AssocBuffer;
 pub use cbtb::{Cbtb, CbtbConfig};
+pub use config::ConfigError;
 pub use lanes::{
     CbtbLanes, GshareLanes, LaneFamily, LaneFamilyKey, LaneSpec, LocalLanes, MAX_LANES,
 };
@@ -73,4 +75,4 @@ pub use statics::{
     AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, ForwardSemantic, LikelyBit, OpcodeBias,
     OpcodeCounts,
 };
-pub use twolevel::{Gshare, LocalHistory};
+pub use twolevel::{validate_two_level, Gshare, LocalHistory};

@@ -26,6 +26,7 @@ use branchlab_trace::BranchEvent;
 
 use crate::assoc::AssocBuffer;
 use crate::cbtb::CbtbConfig;
+use crate::config::{assert_valid, validate_geometry, ConfigError};
 use crate::lanes::{saturating_step, LaneSpec};
 use crate::predictor::{BranchPredictor, Prediction, TargetInfo};
 
@@ -130,16 +131,29 @@ impl MlBtbConfig {
         }
     }
 
-    /// Check the counter parameters (geometry is the buffers' concern).
-    pub(crate) fn assert_valid_counters(&self) {
-        assert!(
-            (1..=7).contains(&self.counter_bits),
-            "counter bits must be in 1..=7"
-        );
-        assert!(
-            self.threshold >= 1 && self.threshold <= self.counter_max(),
-            "threshold must be in 1..=counter max"
-        );
+    /// Check the configuration: at least one level, each level's
+    /// geometry (`ways` in 1..=`entries`, a power-of-two set count),
+    /// counters of 1..=7 bits and a threshold in 1..=counter max. The
+    /// levels of a hierarchy are named `l1_`, `l2_`, …; a single level
+    /// (the CBTB) is not.
+    ///
+    /// # Errors
+    /// The [`ConfigError`] naming the offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.levels.is_empty() {
+            return Err(ConfigError::NoLevels);
+        }
+        let named = self.levels.len() > 1;
+        for (i, lvl) in self.levels.iter().enumerate() {
+            validate_geometry(named.then_some(i), lvl.entries, lvl.ways)?;
+        }
+        if !(1..=7).contains(&self.counter_bits) {
+            return Err(ConfigError::CounterBits);
+        }
+        if self.threshold == 0 || self.threshold > self.counter_max() {
+            return Err(ConfigError::Threshold);
+        }
+        Ok(())
     }
 }
 
@@ -246,9 +260,8 @@ impl MlBtb {
     /// single-level CBTB from a [`CbtbConfig`].
     ///
     /// # Panics
-    /// Panics on an empty level list, invalid per-level geometry,
-    /// zero-width or >7-bit counters, or a threshold outside the
-    /// counter range.
+    /// Panics with the [`ConfigError`] text if
+    /// [`MlBtbConfig::validate`] refuses the configuration.
     #[must_use]
     pub fn new(config: impl Into<MlBtbConfig>) -> Self {
         Self::with_sink(config, NoopSink)
@@ -271,20 +284,12 @@ impl<S: TelemetrySink> MlBtb<S> {
     /// Build a BTB that publishes probe events to `sink`.
     ///
     /// # Panics
-    /// Panics on an empty level list, invalid per-level geometry,
-    /// zero-width or >7-bit counters, or a threshold outside the
-    /// counter range.
+    /// Panics with the [`ConfigError`] text if
+    /// [`MlBtbConfig::validate`] refuses the configuration.
     #[must_use]
     pub fn with_sink(config: impl Into<MlBtbConfig>, sink: S) -> Self {
         let config = config.into();
-        assert!(!config.levels.is_empty(), "at least one level required");
-        for (i, lvl) in config.levels.iter().enumerate() {
-            assert!(
-                lvl.ways > 0 && lvl.entries.is_multiple_of(lvl.ways),
-                "level {i}: entries must be a multiple of ways"
-            );
-        }
-        config.assert_valid_counters();
+        assert_valid(config.validate());
         let mut levels = config
             .levels
             .iter()
@@ -805,7 +810,7 @@ mod tests {
     #[test]
     fn dropped_entries_probe_evict() {
         use branchlab_telemetry::SiteProbe;
-        let mut e = Evaluator::new(MlBtb::with_sink(tiny(FillPolicy::L1), SiteProbe::enabled()));
+        let mut e = Evaluator::new(MlBtb::with_sink(tiny(FillPolicy::L1), SiteProbe::default()));
         // Capacity is 1 + 2 = 3; the fourth distinct branch drops one.
         for pc in [10, 20, 30, 40] {
             e.branch(&cond_to(pc, true, pc + 5));
@@ -857,6 +862,27 @@ mod tests {
             Some(LaneSpec::Cbtb(CbtbConfig::paper()))
         );
         assert!(MlBtb::server().lane_spec().is_none());
+    }
+
+    #[test]
+    fn config_errors_name_the_level_of_a_hierarchy() {
+        let mut config = MlBtbConfig::server();
+        config.levels[1].ways = 0;
+        assert_eq!(config.validate(), Err(ConfigError::Ways { level: Some(1) }));
+        assert_eq!(
+            config.validate().unwrap_err().to_string(),
+            "`l2_ways` must be in 1..=entries"
+        );
+        // A single level is the CBTB, whose fields carry no level.
+        let cbtb = MlBtbConfig::from(CbtbConfig {
+            entries: 24,
+            ways: 2,
+            ..CbtbConfig::paper()
+        });
+        assert_eq!(
+            cbtb.validate().unwrap_err().to_string(),
+            "`entries` / `ways` must give a set count that is a power of two"
+        );
     }
 
     #[test]

@@ -26,6 +26,7 @@ use branchlab_telemetry::{SiteCounters, SiteProbe};
 use branchlab_trace::{BranchEvent, BranchKind, BranchMix, ExecHooks, PcCounts};
 
 use crate::cbtb::CbtbConfig;
+use crate::config::assert_valid;
 use crate::lanes::saturating_step;
 use crate::mlbtb::{BtbEntry, MlBtbConfig};
 use crate::predictor::PredStats;
@@ -367,14 +368,16 @@ impl NaturalPass {
     /// A pass over the binary whose instruction stream is `code`.
     ///
     /// # Panics
-    /// Panics unless both buffers are fully associative
-    /// (`ways == entries`), or on invalid CBTB counter parameters.
+    /// Panics with the [`ConfigError`](crate::ConfigError) text if
+    /// either configuration does not validate, and unless both buffers
+    /// are fully associative (`ways == entries`).
     #[must_use]
     pub fn new(code: &[Inst], sbtb: SbtbConfig, cbtb: CbtbConfig) -> Self {
+        let cbtb_config = MlBtbConfig::from(cbtb);
+        assert_valid(sbtb.validate());
+        assert_valid(cbtb_config.validate());
         assert_eq!(sbtb.ways, sbtb.entries, "SBTB must be fully associative");
         assert_eq!(cbtb.ways, cbtb.entries, "CBTB must be fully associative");
-        let cbtb_config = MlBtbConfig::from(cbtb);
-        cbtb_config.assert_valid_counters();
         let pcs = code.len();
         NaturalPass {
             outcomes: SiteOutcomes::new(code),

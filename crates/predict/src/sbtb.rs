@@ -11,10 +11,11 @@ use branchlab_telemetry::{NoopSink, ProbeEvent, ProbeKind, TelemetrySink};
 use branchlab_trace::BranchEvent;
 
 use crate::assoc::AssocBuffer;
+use crate::config::{assert_valid, validate_geometry, ConfigError};
 use crate::predictor::{BranchPredictor, Prediction, TargetInfo};
 
 /// SBTB geometry.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SbtbConfig {
     /// Total entries.
     pub entries: usize,
@@ -30,6 +31,15 @@ impl SbtbConfig {
             entries: 256,
             ways: 256,
         }
+    }
+
+    /// Check the geometry: `ways` in 1..=`entries`, splitting `entries`
+    /// into a power-of-two number of sets.
+    ///
+    /// # Errors
+    /// The [`ConfigError`] naming the offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        validate_geometry(None, self.entries, self.ways)
     }
 }
 
@@ -83,8 +93,8 @@ impl Sbtb {
     /// Build an SBTB with the given geometry.
     ///
     /// # Panics
-    /// Panics if the geometry is invalid (`entries` not divisible by
-    /// `ways`, set count not a power of two, zero sizes).
+    /// Panics with the [`ConfigError`] text if
+    /// [`SbtbConfig::validate`] refuses `config`.
     #[must_use]
     pub fn new(config: SbtbConfig) -> Self {
         Self::with_sink(config, NoopSink)
@@ -101,14 +111,11 @@ impl<S: TelemetrySink> Sbtb<S> {
     /// Build an SBTB that publishes probe events to `sink`.
     ///
     /// # Panics
-    /// Panics if the geometry is invalid (`entries` not divisible by
-    /// `ways`, set count not a power of two, zero sizes).
+    /// Panics with the [`ConfigError`] text if
+    /// [`SbtbConfig::validate`] refuses `config`.
     #[must_use]
     pub fn with_sink(config: SbtbConfig, sink: S) -> Self {
-        assert!(
-            config.ways > 0 && config.entries.is_multiple_of(config.ways),
-            "entries must be a multiple of ways"
-        );
+        assert_valid(config.validate());
         Sbtb {
             buf: AssocBuffer::new(config.entries / config.ways, config.ways),
             sink,
@@ -344,7 +351,7 @@ mod tests {
                 entries: 1,
                 ways: 1,
             },
-            SiteProbe::enabled(),
+            SiteProbe::default(),
         ));
         e.branch(&cond_to(10, true, 50)); // miss, insert
         e.branch(&cond_to(10, true, 50)); // hit, correct

@@ -17,12 +17,29 @@
 use std::collections::HashMap;
 
 use branchlab_ir::Addr;
-use branchlab_telemetry::{NoopSink, ProbeEvent, ProbeKind, TelemetrySink};
 use branchlab_trace::{BranchEvent, BranchKind};
 
 use crate::assoc::BuildKeyHasher;
+use crate::config::{assert_valid, ConfigError};
 use crate::lanes::{saturating_step, LaneSpec};
 use crate::predictor::{BranchPredictor, Prediction, TargetInfo};
+
+/// Check a two-level predictor's geometry, shared by [`Gshare`],
+/// [`LocalHistory`] and their lane families: a pattern table of
+/// 2^`table_bits` counters with `table_bits` in 1..=24, indexed by at
+/// most `table_bits` bits of history.
+///
+/// # Errors
+/// The [`ConfigError`] naming the offending field.
+pub fn validate_two_level(table_bits: u32, history_bits: u32) -> Result<(), ConfigError> {
+    if !(1..=24).contains(&table_bits) {
+        Err(ConfigError::TableBits)
+    } else if history_bits > table_bits {
+        Err(ConfigError::HistoryBits)
+    } else {
+        Ok(())
+    }
+}
 
 /// Shared 2-bit-counter pattern table.
 #[derive(Clone, Debug)]
@@ -32,11 +49,16 @@ struct PatternTable {
 }
 
 impl PatternTable {
-    fn new(bits: u32) -> Self {
-        assert!((1..=24).contains(&bits), "table bits must be in 1..=24");
+    /// The table of a predictor with this geometry.
+    ///
+    /// # Panics
+    /// Panics with the [`ConfigError`] text if [`validate_two_level`]
+    /// refuses the geometry.
+    fn new(table_bits: u32, history_bits: u32) -> Self {
+        assert_valid(validate_two_level(table_bits, history_bits));
         PatternTable {
-            counters: vec![1; 1 << bits], // weakly not-taken
-            mask: (1u32 << bits) - 1,
+            counters: vec![1; 1 << table_bits], // weakly not-taken
+            mask: (1u32 << table_bits) - 1,
         }
     }
 
@@ -70,11 +92,8 @@ impl TargetMap {
 }
 
 /// GShare: global history XOR PC indexes a shared 2-bit counter table.
-///
-/// Generic over a [`TelemetrySink`] like the BTBs; the default
-/// [`NoopSink`] compiles the probes away.
 #[derive(Clone, Debug)]
-pub struct Gshare<S: TelemetrySink = NoopSink> {
+pub struct Gshare {
     table: PatternTable,
     targets: TargetMap,
     history: u32,
@@ -83,43 +102,24 @@ pub struct Gshare<S: TelemetrySink = NoopSink> {
     /// untouched predictor is exactly its [`LaneSpec`] and may be
     /// packed into a lane family.
     dirty: bool,
-    sink: S,
 }
 
 impl Gshare {
-    /// A gshare predictor with `table_bits` counters and
+    /// A gshare predictor with 2^`table_bits` counters and
     /// `history_bits` of global history.
     ///
     /// # Panics
-    /// Panics if `table_bits` ∉ 1..=24 or `history_bits` > `table_bits`.
+    /// Panics with the [`ConfigError`] text if [`validate_two_level`]
+    /// refuses the geometry.
     #[must_use]
     pub fn new(table_bits: u32, history_bits: u32) -> Self {
-        Self::with_sink(table_bits, history_bits, NoopSink)
-    }
-}
-
-impl<S: TelemetrySink> Gshare<S> {
-    /// A gshare predictor that publishes probe events to `sink`.
-    ///
-    /// # Panics
-    /// Panics if `table_bits` ∉ 1..=24 or `history_bits` > `table_bits`.
-    #[must_use]
-    pub fn with_sink(table_bits: u32, history_bits: u32, sink: S) -> Self {
-        assert!(history_bits <= table_bits, "history wider than the table");
         Gshare {
-            table: PatternTable::new(table_bits),
+            table: PatternTable::new(table_bits, history_bits),
             targets: TargetMap::default(),
             history: 0,
             history_bits,
             dirty: false,
-            sink,
         }
-    }
-
-    /// The telemetry sink.
-    #[must_use]
-    pub fn sink(&self) -> &S {
-        &self.sink
     }
 
     fn index(&self, pc: Addr) -> u32 {
@@ -134,7 +134,7 @@ impl Default for Gshare {
     }
 }
 
-impl<S: TelemetrySink> BranchPredictor for Gshare<S> {
+impl BranchPredictor for Gshare {
     fn name(&self) -> &'static str {
         "gshare"
     }
@@ -166,11 +166,8 @@ impl<S: TelemetrySink> BranchPredictor for Gshare<S> {
         }
     }
 
-    fn update(&mut self, ev: &BranchEvent, pred: &Prediction) {
+    fn update(&mut self, ev: &BranchEvent, _pred: &Prediction) {
         self.dirty = true;
-        if self.sink.enabled() {
-            emit_direction_probes(&mut self.sink, &self.targets, ev, pred);
-        }
         self.targets.update(ev);
         if ev.kind == BranchKind::Cond {
             self.table.update(self.index(ev.pc), ev.taken);
@@ -179,113 +176,49 @@ impl<S: TelemetrySink> BranchPredictor for Gshare<S> {
     }
 
     fn flush(&mut self) {
-        self.table = PatternTable::new((self.table.mask + 1).trailing_zeros());
+        self.table = PatternTable::new((self.table.mask + 1).trailing_zeros(), self.history_bits);
         self.targets = TargetMap::default();
         self.history = 0;
         self.dirty = false;
     }
 
     fn lane_spec(&self) -> Option<LaneSpec> {
-        (!self.sink.enabled() && !self.dirty).then(|| LaneSpec::Gshare {
+        (!self.dirty).then(|| LaneSpec::Gshare {
             table_bits: (self.table.mask + 1).trailing_zeros(),
             history_bits: self.history_bits,
         })
     }
 }
 
-/// Shared probe emission for the two-level predictors: direction
-/// tallies, mispredicts, target-map residence (hit/miss), and stale
-/// targets (alias).
-fn emit_direction_probes<S: TelemetrySink>(
-    sink: &mut S,
-    targets: &TargetMap,
-    ev: &BranchEvent,
-    pred: &Prediction,
-) {
-    let site = ev.pc.0;
-    let kind = if ev.taken {
-        ProbeKind::Taken
-    } else {
-        ProbeKind::NotTaken
-    };
-    sink.emit(ProbeEvent { site, kind });
-    if !pred.is_correct(ev) {
-        sink.emit(ProbeEvent {
-            site,
-            kind: ProbeKind::Mispredict,
-        });
-    }
-    match targets.predict(ev.pc) {
-        Some(old) => {
-            sink.emit(ProbeEvent {
-                site,
-                kind: ProbeKind::Hit,
-            });
-            if ev.taken && old != ev.target {
-                sink.emit(ProbeEvent {
-                    site,
-                    kind: ProbeKind::Alias,
-                });
-            }
-        }
-        None => sink.emit(ProbeEvent {
-            site,
-            kind: ProbeKind::Miss,
-        }),
-    }
-}
-
 /// Per-branch local-history predictor (PAg-style): each branch's own
 /// outcome history, concatenated with low PC bits, indexes the shared
 /// counter table.
-///
-/// Generic over a [`TelemetrySink`] like the BTBs; the default
-/// [`NoopSink`] compiles the probes away.
 #[derive(Clone, Debug)]
-pub struct LocalHistory<S: TelemetrySink = NoopSink> {
+pub struct LocalHistory {
     table: PatternTable,
     targets: TargetMap,
     histories: HashMap<u32, u32, BuildKeyHasher>,
     history_bits: u32,
     /// See [`Gshare`]: tracks divergence from the fresh [`LaneSpec`].
     dirty: bool,
-    sink: S,
 }
 
 impl LocalHistory {
-    /// A local-history predictor with `table_bits` counters and
+    /// A local-history predictor with 2^`table_bits` counters and
     /// `history_bits` of per-branch history.
     ///
     /// # Panics
-    /// Panics if `table_bits` ∉ 1..=24 or `history_bits` > `table_bits`.
+    /// Panics with the [`ConfigError`] text if [`validate_two_level`]
+    /// refuses the geometry.
     #[must_use]
     pub fn new(table_bits: u32, history_bits: u32) -> Self {
-        Self::with_sink(table_bits, history_bits, NoopSink)
-    }
-}
-
-impl<S: TelemetrySink> LocalHistory<S> {
-    /// A local-history predictor that publishes probe events to `sink`.
-    ///
-    /// # Panics
-    /// Panics if `table_bits` ∉ 1..=24 or `history_bits` > `table_bits`.
-    #[must_use]
-    pub fn with_sink(table_bits: u32, history_bits: u32, sink: S) -> Self {
-        assert!(history_bits <= table_bits, "history wider than the table");
         LocalHistory {
-            table: PatternTable::new(table_bits),
+            table: PatternTable::new(table_bits, history_bits),
             targets: TargetMap::default(),
             histories: HashMap::default(),
             history_bits,
             dirty: false,
-            sink,
         }
-    }
-
-    /// The telemetry sink.
-    #[must_use]
-    pub fn sink(&self) -> &S {
-        &self.sink
     }
 
     fn index(&self, pc: Addr) -> u32 {
@@ -301,7 +234,7 @@ impl Default for LocalHistory {
     }
 }
 
-impl<S: TelemetrySink> BranchPredictor for LocalHistory<S> {
+impl BranchPredictor for LocalHistory {
     fn name(&self) -> &'static str {
         "local-2level"
     }
@@ -333,11 +266,8 @@ impl<S: TelemetrySink> BranchPredictor for LocalHistory<S> {
         }
     }
 
-    fn update(&mut self, ev: &BranchEvent, pred: &Prediction) {
+    fn update(&mut self, ev: &BranchEvent, _pred: &Prediction) {
         self.dirty = true;
-        if self.sink.enabled() {
-            emit_direction_probes(&mut self.sink, &self.targets, ev, pred);
-        }
         self.targets.update(ev);
         if ev.kind == BranchKind::Cond {
             let idx = self.index(ev.pc);
@@ -348,14 +278,14 @@ impl<S: TelemetrySink> BranchPredictor for LocalHistory<S> {
     }
 
     fn flush(&mut self) {
-        self.table = PatternTable::new((self.table.mask + 1).trailing_zeros());
+        self.table = PatternTable::new((self.table.mask + 1).trailing_zeros(), self.history_bits);
         self.targets = TargetMap::default();
         self.histories.clear();
         self.dirty = false;
     }
 
     fn lane_spec(&self) -> Option<LaneSpec> {
-        (!self.sink.enabled() && !self.dirty).then(|| LaneSpec::Local {
+        (!self.dirty).then(|| LaneSpec::Local {
             table_bits: (self.table.mask + 1).trailing_zeros(),
             history_bits: self.history_bits,
         })

@@ -157,8 +157,8 @@ fn natural_pass_matches_the_scalar_engines() {
         let mut pass = NaturalPass::new(&code, sbtb_cfg, cbtb_cfg);
         let mut fs = SiteOutcomes::new(&code);
         let mut oracle = Oracle {
-            sbtb: Evaluator::new(Sbtb::with_sink(sbtb_cfg, SiteProbe::enabled())),
-            cbtb: Evaluator::new(Cbtb::with_sink(cbtb_cfg, SiteProbe::enabled())),
+            sbtb: Evaluator::new(Sbtb::with_sink(sbtb_cfg, SiteProbe::default())),
+            cbtb: Evaluator::new(Cbtb::with_sink(cbtb_cfg, SiteProbe::default())),
             at: Evaluator::new(AlwaysTaken),
             ant: Evaluator::new(AlwaysNotTaken),
             btfn: Evaluator::new(BackwardTakenForwardNot),
@@ -222,7 +222,7 @@ fn paper_geometry_evicts_once_sites_outnumber_entries() {
         })
         .collect();
     let mut pass = NaturalPass::new(&code, SbtbConfig::paper(), CbtbConfig::paper());
-    let mut sbtb = Evaluator::new(Sbtb::with_sink(SbtbConfig::paper(), SiteProbe::enabled()));
+    let mut sbtb = Evaluator::new(Sbtb::with_sink(SbtbConfig::paper(), SiteProbe::default()));
     for _lap in 0..3 {
         for pc in 0..300u32 {
             let ev = BranchEvent {

@@ -13,12 +13,11 @@
 
 use std::sync::Arc;
 
-use branchlab_experiments::trace_replay::scale_name;
 use branchlab_experiments::{ExperimentConfig, SweepBatch};
 use branchlab_predict::{
-    AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, BranchPredictor, Cbtb, CbtbConfig,
-    FillPolicy, Gshare, LocalHistory, MlBtb, MlBtbConfig, MlBtbLevel, OpcodeBias, PredStats,
-    ReturnAddressStack, Sbtb, SbtbConfig,
+    validate_two_level, AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, BranchPredictor,
+    Cbtb, CbtbConfig, FillPolicy, Gshare, LocalHistory, MlBtb, MlBtbConfig, MlBtbLevel, OpcodeBias,
+    PredStats, ReturnAddressStack, Sbtb, SbtbConfig,
 };
 use branchlab_telemetry::{json, JsonValue, SpanLink};
 use branchlab_trace::hash_bytes;
@@ -102,30 +101,28 @@ impl ApiError {
     }
 }
 
+/// Most entries the wire accepts per buffer level: bounds the table
+/// memory one request can allocate.
+const MAX_ENTRIES: usize = 1 << 20;
+/// Largest per-level lookup latency the wire accepts, in cycles.
+const MAX_LATENCY: u32 = 1000;
+/// How `/v1/sweep` spells an `mlbtb` spec's two levels: entries, ways
+/// and latency of L1, then of L2.
+const LEVEL_FIELDS: [[&str; 3]; 2] = [
+    ["l1_entries", "l1_ways", "l1_latency"],
+    ["l2_entries", "l2_ways", "l2_latency"],
+];
+
 /// One predictor configuration, fully resolved (defaults applied at
-/// parse time so the canonical form is unambiguous).
+/// parse time so the canonical form is unambiguous). The buffer kinds
+/// carry the engine's own configuration, whose `validate` is the rule
+/// a spec must pass.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PredictorSpec {
     /// Simple Branch Target Buffer.
-    Sbtb {
-        /// Total entries.
-        entries: usize,
-        /// Ways per set.
-        ways: usize,
-    },
+    Sbtb(SbtbConfig),
     /// Counter-based Branch Target Buffer.
-    Cbtb {
-        /// Total entries.
-        entries: usize,
-        /// Ways per set.
-        ways: usize,
-        /// Counter width in bits.
-        counter_bits: u8,
-        /// Prediction threshold.
-        threshold: u8,
-        /// `C > T` (paper-literal) instead of `C ≥ T`.
-        strict_greater: bool,
-    },
+    Cbtb(CbtbConfig),
     /// Always predict taken.
     AlwaysTaken,
     /// Always predict not taken.
@@ -148,27 +145,10 @@ pub enum PredictorSpec {
         /// Local history length (at most `table_bits`).
         history_bits: u32,
     },
-    /// Two-level BTB hierarchy (small L1 backed by a larger L2).
-    Mlbtb {
-        /// L1 entries.
-        l1_entries: usize,
-        /// L1 ways per set.
-        l1_ways: usize,
-        /// L1 lookup-latency penalty in cycles.
-        l1_latency: u32,
-        /// L2 entries.
-        l2_entries: usize,
-        /// L2 ways per set.
-        l2_ways: usize,
-        /// L2 lookup-latency penalty in cycles.
-        l2_latency: u32,
-        /// `staged` fill/promotion policy instead of inclusive-L1.
-        staged: bool,
-        /// Direction counter width in bits.
-        counter_bits: u8,
-        /// Predict-taken threshold.
-        threshold: u8,
-    },
+    /// Two-level BTB hierarchy (small L1 backed by a larger L2), as
+    /// parsed from the `l1_*`/`l2_*` fields: always two levels and the
+    /// `C ≥ T` counter reading.
+    Mlbtb(MlBtbConfig),
 }
 
 fn field_usize(v: &JsonValue, key: &str, default: usize) -> Result<usize, ApiError> {
@@ -201,40 +181,12 @@ fn field_bool(v: &JsonValue, key: &str, default: bool) -> Result<bool, ApiError>
     }
 }
 
-fn bad(message: &str) -> Result<(), ApiError> {
-    Err(ApiError::BadRequest(message.to_string()))
-}
-
-/// The buffer geometry the engines accept: `{prefix}entries` in
-/// 1..=2^20, `{prefix}ways` in 1..=entries, and a power-of-two set
-/// count.
-fn validate_geometry(prefix: &str, entries: usize, ways: usize) -> Result<(), ApiError> {
-    if entries == 0 || entries > 1 << 20 {
+/// The wire's own bound on a buffer level's size.
+fn within_max_entries(field: &str, entries: usize) -> Result<(), ApiError> {
+    if entries > MAX_ENTRIES {
         return Err(ApiError::BadRequest(format!(
-            "`{prefix}entries` must be in 1..=1048576"
+            "`{field}` must be in 1..={MAX_ENTRIES}"
         )));
-    }
-    if ways == 0 || ways > entries {
-        return Err(ApiError::BadRequest(format!(
-            "`{prefix}ways` must be in 1..=entries"
-        )));
-    }
-    if !entries.is_multiple_of(ways) || !(entries / ways).is_power_of_two() {
-        return Err(ApiError::BadRequest(format!(
-            "`{prefix}entries` / `{prefix}ways` must give a power-of-two set count"
-        )));
-    }
-    Ok(())
-}
-
-/// The counter rule the engines accept: 1..=7 bits and a threshold in
-/// 1..=counter max.
-fn validate_counters(counter_bits: u8, threshold: u8) -> Result<(), ApiError> {
-    if counter_bits == 0 || counter_bits > 7 {
-        return bad("`counter_bits` must be in 1..=7");
-    }
-    if threshold == 0 || u16::from(threshold) >= 1 << counter_bits {
-        return bad("`threshold` must be in 1..=counter max");
     }
     Ok(())
 }
@@ -243,9 +195,10 @@ impl PredictorSpec {
     /// Parse one entry of the request's `predictors` array.
     ///
     /// # Errors
-    /// [`ApiError::BadRequest`] for unknown kinds or out-of-range
-    /// geometry (bounds keep a single request from allocating
-    /// unbounded table memory).
+    /// [`ApiError::BadRequest`] for unknown kinds, a configuration the
+    /// engine's `validate` refuses, or one past the wire's limits
+    /// (which keep a single request from allocating unbounded table
+    /// memory).
     pub fn parse(v: &JsonValue) -> Result<Self, ApiError> {
         let kind = v
             .get("kind")
@@ -254,20 +207,20 @@ impl PredictorSpec {
         let spec = match kind {
             "sbtb" => {
                 let entries = field_usize(v, "entries", 256)?;
-                PredictorSpec::Sbtb {
+                PredictorSpec::Sbtb(SbtbConfig {
                     entries,
                     ways: field_usize(v, "ways", entries)?,
-                }
+                })
             }
             "cbtb" => {
                 let entries = field_usize(v, "entries", 256)?;
-                PredictorSpec::Cbtb {
+                PredictorSpec::Cbtb(CbtbConfig {
                     entries,
                     ways: field_usize(v, "ways", entries)?,
                     counter_bits: field_u8(v, "counter_bits", 2)?,
                     threshold: field_u8(v, "threshold", 2)?,
                     strict_greater: field_bool(v, "strict_greater", false)?,
-                }
+                })
             }
             "always_taken" => PredictorSpec::AlwaysTaken,
             "always_not_taken" => PredictorSpec::AlwaysNotTaken,
@@ -282,26 +235,35 @@ impl PredictorSpec {
                 history_bits: field_u32(v, "history_bits", 8)?,
             },
             "mlbtb" => {
-                let staged = match v.get("policy").and_then(JsonValue::as_str) {
-                    None | Some("l1") => false,
-                    Some("staged") => true,
+                let policy = match v.get("policy").and_then(JsonValue::as_str) {
+                    None | Some("l1") => FillPolicy::L1,
+                    Some("staged") => FillPolicy::Staged,
                     Some(other) => {
                         return Err(ApiError::BadRequest(format!(
                             "unknown mlbtb policy `{other}` (expected `l1` or `staged`)"
                         )))
                     }
                 };
-                PredictorSpec::Mlbtb {
-                    l1_entries: field_usize(v, "l1_entries", 64)?,
-                    l1_ways: field_usize(v, "l1_ways", 4)?,
-                    l1_latency: field_u32(v, "l1_latency", 0)?,
-                    l2_entries: field_usize(v, "l2_entries", 2048)?,
-                    l2_ways: field_usize(v, "l2_ways", 8)?,
-                    l2_latency: field_u32(v, "l2_latency", 2)?,
-                    staged,
-                    counter_bits: field_u8(v, "counter_bits", 2)?,
-                    threshold: field_u8(v, "threshold", 2)?,
-                }
+                // Unset fields take `MlBtbConfig::server()`'s values.
+                let defaults = MlBtbConfig::server();
+                let levels = LEVEL_FIELDS
+                    .iter()
+                    .zip(&defaults.levels)
+                    .map(|([entries, ways, latency], d)| {
+                        Ok(MlBtbLevel {
+                            entries: field_usize(v, entries, d.entries)?,
+                            ways: field_usize(v, ways, d.ways)?,
+                            latency: field_u32(v, latency, d.latency)?,
+                        })
+                    })
+                    .collect::<Result<_, ApiError>>()?;
+                PredictorSpec::Mlbtb(MlBtbConfig {
+                    levels,
+                    policy,
+                    counter_bits: field_u8(v, "counter_bits", defaults.counter_bits)?,
+                    threshold: field_u8(v, "threshold", defaults.threshold)?,
+                    strict_greater: false,
+                })
             }
             other => {
                 return Err(ApiError::BadRequest(format!(
@@ -313,18 +275,16 @@ impl PredictorSpec {
         Ok(spec)
     }
 
+    /// The wire's limits, then the engine's own `validate`.
     fn validate(&self) -> Result<(), ApiError> {
-        match *self {
-            PredictorSpec::Sbtb { entries, ways } => validate_geometry("", entries, ways),
-            PredictorSpec::Cbtb {
-                entries,
-                ways,
-                counter_bits,
-                threshold,
-                ..
-            } => {
-                validate_geometry("", entries, ways)?;
-                validate_counters(counter_bits, threshold)
+        let engine = match self {
+            PredictorSpec::Sbtb(c) => {
+                within_max_entries("entries", c.entries)?;
+                c.validate()
+            }
+            PredictorSpec::Cbtb(c) => {
+                within_max_entries("entries", c.entries)?;
+                MlBtbConfig::from(*c).validate()
             }
             PredictorSpec::Gshare {
                 table_bits,
@@ -333,50 +293,36 @@ impl PredictorSpec {
             | PredictorSpec::Local {
                 table_bits,
                 history_bits,
-            } => {
-                if table_bits == 0 || table_bits > 24 {
-                    return bad("`table_bits` must be in 1..=24");
+            } => validate_two_level(*table_bits, *history_bits),
+            PredictorSpec::Mlbtb(c) => {
+                for (level, [entries, ..]) in c.levels.iter().zip(LEVEL_FIELDS) {
+                    within_max_entries(entries, level.entries)?;
                 }
-                if history_bits > table_bits {
-                    return bad("`history_bits` must be in 0..=table_bits");
+                if c.levels.iter().any(|l| l.latency > MAX_LATENCY) {
+                    return Err(ApiError::BadRequest(format!(
+                        "level latencies must be in 0..={MAX_LATENCY}"
+                    )));
                 }
-                Ok(())
-            }
-            PredictorSpec::Mlbtb {
-                l1_entries,
-                l1_ways,
-                l1_latency,
-                l2_entries,
-                l2_ways,
-                l2_latency,
-                counter_bits,
-                threshold,
-                ..
-            } => {
-                validate_geometry("l1_", l1_entries, l1_ways)?;
-                validate_geometry("l2_", l2_entries, l2_ways)?;
-                if l1_latency > 1000 || l2_latency > 1000 {
-                    return bad("level latencies must be in 0..=1000");
-                }
-                validate_counters(counter_bits, threshold)
+                c.validate()
             }
             _ => Ok(()),
-        }
+        };
+        engine.map_err(|e| ApiError::BadRequest(e.to_string()))
     }
 
     /// The short kind name used in canonical forms and responses.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
-            PredictorSpec::Sbtb { .. } => "sbtb",
-            PredictorSpec::Cbtb { .. } => "cbtb",
+            PredictorSpec::Sbtb(_) => "sbtb",
+            PredictorSpec::Cbtb(_) => "cbtb",
             PredictorSpec::AlwaysTaken => "always_taken",
             PredictorSpec::AlwaysNotTaken => "always_not_taken",
             PredictorSpec::Btfn => "btfn",
             PredictorSpec::OpcodeBias => "opcode_bias",
             PredictorSpec::Gshare { .. } => "gshare",
             PredictorSpec::Local { .. } => "local",
-            PredictorSpec::Mlbtb { .. } => "mlbtb",
+            PredictorSpec::Mlbtb(_) => "mlbtb",
         }
     }
 
@@ -385,23 +331,17 @@ impl PredictorSpec {
     #[must_use]
     pub fn canonical(&self) -> JsonValue {
         let mut fields: Vec<(&str, JsonValue)> = vec![("kind", self.kind().into())];
-        match *self {
-            PredictorSpec::Sbtb { entries, ways } => {
-                fields.push(("entries", entries.into()));
-                fields.push(("ways", ways.into()));
+        match self {
+            PredictorSpec::Sbtb(c) => {
+                fields.push(("entries", c.entries.into()));
+                fields.push(("ways", c.ways.into()));
             }
-            PredictorSpec::Cbtb {
-                entries,
-                ways,
-                counter_bits,
-                threshold,
-                strict_greater,
-            } => {
-                fields.push(("entries", entries.into()));
-                fields.push(("ways", ways.into()));
-                fields.push(("counter_bits", u64::from(counter_bits).into()));
-                fields.push(("threshold", u64::from(threshold).into()));
-                fields.push(("strict_greater", strict_greater.into()));
+            PredictorSpec::Cbtb(c) => {
+                fields.push(("entries", c.entries.into()));
+                fields.push(("ways", c.ways.into()));
+                fields.push(("counter_bits", u64::from(c.counter_bits).into()));
+                fields.push(("threshold", u64::from(c.threshold).into()));
+                fields.push(("strict_greater", c.strict_greater.into()));
             }
             PredictorSpec::Gshare {
                 table_bits,
@@ -411,29 +351,22 @@ impl PredictorSpec {
                 table_bits,
                 history_bits,
             } => {
-                fields.push(("table_bits", table_bits.into()));
-                fields.push(("history_bits", history_bits.into()));
+                fields.push(("table_bits", (*table_bits).into()));
+                fields.push(("history_bits", (*history_bits).into()));
             }
-            PredictorSpec::Mlbtb {
-                l1_entries,
-                l1_ways,
-                l1_latency,
-                l2_entries,
-                l2_ways,
-                l2_latency,
-                staged,
-                counter_bits,
-                threshold,
-            } => {
-                fields.push(("l1_entries", l1_entries.into()));
-                fields.push(("l1_ways", l1_ways.into()));
-                fields.push(("l1_latency", l1_latency.into()));
-                fields.push(("l2_entries", l2_entries.into()));
-                fields.push(("l2_ways", l2_ways.into()));
-                fields.push(("l2_latency", l2_latency.into()));
-                fields.push(("policy", if staged { "staged" } else { "l1" }.into()));
-                fields.push(("counter_bits", u64::from(counter_bits).into()));
-                fields.push(("threshold", u64::from(threshold).into()));
+            PredictorSpec::Mlbtb(c) => {
+                for (level, [entries, ways, latency]) in c.levels.iter().zip(LEVEL_FIELDS) {
+                    fields.push((entries, level.entries.into()));
+                    fields.push((ways, level.ways.into()));
+                    fields.push((latency, level.latency.into()));
+                }
+                let policy = match c.policy {
+                    FillPolicy::L1 => "l1",
+                    FillPolicy::Staged => "staged",
+                };
+                fields.push(("policy", policy.into()));
+                fields.push(("counter_bits", u64::from(c.counter_bits).into()));
+                fields.push(("threshold", u64::from(c.threshold).into()));
             }
             _ => {}
         }
@@ -443,23 +376,9 @@ impl PredictorSpec {
     /// Construct the predictor this spec describes.
     #[must_use]
     pub fn build(&self) -> Box<dyn BranchPredictor> {
-        match *self {
-            PredictorSpec::Sbtb { entries, ways } => {
-                Box::new(Sbtb::new(SbtbConfig { entries, ways }))
-            }
-            PredictorSpec::Cbtb {
-                entries,
-                ways,
-                counter_bits,
-                threshold,
-                strict_greater,
-            } => Box::new(Cbtb::new(CbtbConfig {
-                entries,
-                ways,
-                counter_bits,
-                threshold,
-                strict_greater,
-            })),
+        match self {
+            PredictorSpec::Sbtb(c) => Box::new(Sbtb::new(*c)),
+            PredictorSpec::Cbtb(c) => Box::new(Cbtb::new(*c)),
             PredictorSpec::AlwaysTaken => Box::new(AlwaysTaken),
             PredictorSpec::AlwaysNotTaken => Box::new(AlwaysNotTaken),
             PredictorSpec::Btfn => Box::new(BackwardTakenForwardNot),
@@ -467,43 +386,12 @@ impl PredictorSpec {
             PredictorSpec::Gshare {
                 table_bits,
                 history_bits,
-            } => Box::new(Gshare::new(table_bits, history_bits)),
+            } => Box::new(Gshare::new(*table_bits, *history_bits)),
             PredictorSpec::Local {
                 table_bits,
                 history_bits,
-            } => Box::new(LocalHistory::new(table_bits, history_bits)),
-            PredictorSpec::Mlbtb {
-                l1_entries,
-                l1_ways,
-                l1_latency,
-                l2_entries,
-                l2_ways,
-                l2_latency,
-                staged,
-                counter_bits,
-                threshold,
-            } => Box::new(MlBtb::new(MlBtbConfig {
-                levels: vec![
-                    MlBtbLevel {
-                        entries: l1_entries,
-                        ways: l1_ways,
-                        latency: l1_latency,
-                    },
-                    MlBtbLevel {
-                        entries: l2_entries,
-                        ways: l2_ways,
-                        latency: l2_latency,
-                    },
-                ],
-                policy: if staged {
-                    FillPolicy::Staged
-                } else {
-                    FillPolicy::L1
-                },
-                counter_bits,
-                threshold,
-                strict_greater: false,
-            })),
+            } => Box::new(LocalHistory::new(*table_bits, *history_bits)),
+            PredictorSpec::Mlbtb(c) => Box::new(MlBtb::new(c.clone())),
         }
     }
 }
@@ -526,14 +414,9 @@ pub struct SweepRequest {
 }
 
 fn parse_scale(v: &JsonValue) -> Result<Scale, ApiError> {
-    match v.as_str() {
-        Some("test") => Ok(Scale::Test),
-        Some("small") => Ok(Scale::Small),
-        Some("paper") => Ok(Scale::Paper),
-        _ => Err(ApiError::BadRequest(
-            "`scale` must be \"test\", \"small\", or \"paper\"".into(),
-        )),
-    }
+    v.as_str().and_then(Scale::from_name).ok_or_else(|| {
+        ApiError::BadRequest("`scale` must be \"test\", \"small\", or \"paper\"".into())
+    })
 }
 
 impl SweepRequest {
@@ -657,7 +540,7 @@ impl SweepRequest {
                 "program_hash",
                 format!("{:016x}", self.program_hash()).into(),
             ),
-            ("scale", scale_name(self.scale).into()),
+            ("scale", self.scale.name().into()),
             ("seed", self.seed.into()),
             (
                 "predictors",
@@ -765,7 +648,7 @@ pub fn render_sweep_response(
         .collect();
     let body = JsonValue::obj(vec![
         ("bench", req.bench.name.into()),
-        ("scale", scale_name(req.scale).into()),
+        ("scale", req.scale.name().into()),
         ("seed", req.seed.into()),
         (
             "program_hash",
@@ -795,13 +678,13 @@ mod tests {
         assert_eq!(req.seed, 1989);
         assert_eq!(
             req.predictors[0],
-            PredictorSpec::Cbtb {
+            PredictorSpec::Cbtb(CbtbConfig {
                 entries: 256,
                 ways: 256,
                 counter_bits: 2,
                 threshold: 2,
                 strict_greater: false,
-            }
+            })
         );
         // Spelling differences disappear in the canonical key.
         let spelled = br#"{"predictors": [{"entries":256,"kind":"cbtb"},{"kind":"btfn"}],
@@ -817,17 +700,24 @@ mod tests {
         assert_eq!(req.bench.name, "dispatch");
         assert_eq!(
             req.predictors[0],
-            PredictorSpec::Mlbtb {
-                l1_entries: 64,
-                l1_ways: 4,
-                l1_latency: 0,
-                l2_entries: 2048,
-                l2_ways: 8,
-                l2_latency: 2,
-                staged: false,
+            PredictorSpec::Mlbtb(MlBtbConfig {
+                levels: vec![
+                    MlBtbLevel {
+                        entries: 64,
+                        ways: 4,
+                        latency: 0,
+                    },
+                    MlBtbLevel {
+                        entries: 2048,
+                        ways: 8,
+                        latency: 2,
+                    },
+                ],
+                policy: FillPolicy::L1,
                 counter_bits: 2,
                 threshold: 2,
-            }
+                strict_greater: false,
+            })
         );
         assert_eq!(req.predictors[0].kind(), "mlbtb");
         assert_eq!(req.predictors[0].build().name(), "MLBTB");
@@ -875,9 +765,13 @@ mod tests {
         assert!(matches!(err, ApiError::UnknownBenchmark(_)), "{err:?}");
     }
 
+    /// `parse` accepts exactly the specs that pass the wire limits and
+    /// that the engines' constructors build without panicking, and every
+    /// spec it accepts builds.
     #[test]
     fn every_spec_that_validates_builds() {
         use branchlab_telemetry::Rng;
+        use std::panic::{catch_unwind, set_hook, take_hook, AssertUnwindSafe, PanicHookInfo};
         // A buffer size: a power of two or any value up to `max`.
         fn size(rng: &mut Rng, max: usize) -> usize {
             if rng.gen_bool(0.5) {
@@ -897,34 +791,118 @@ mod tests {
             "btfn",
             "opcode_bias",
         ];
-        let mut built = [0usize; 9];
+        // The refused specs' constructor panics are expected: keep them
+        // off stderr on this thread, and forward every other thread's.
+        let quiet = std::thread::current().id();
+        let hook: Arc<dyn Fn(&PanicHookInfo<'_>) + Send + Sync> = Arc::from(take_hook());
+        let forward = Arc::clone(&hook);
+        set_hook(Box::new(move |info| {
+            if std::thread::current().id() != quiet {
+                forward(info);
+            }
+        }));
         let mut rng = Rng::seed_from_u64(2024);
+        let mut specs = Vec::new();
         for _ in 0..3000 {
             let k = rng.gen_range(0..kinds.len());
             let mut fields = vec![("kind", kinds[k].into())];
-            for (entries_key, ways_key) in [
+            let mut geometry = [(0, 0); 3];
+            for (i, (entries_key, ways_key)) in [
                 ("entries", "ways"),
                 ("l1_entries", "l1_ways"),
                 ("l2_entries", "l2_ways"),
-            ] {
+            ]
+            .into_iter()
+            .enumerate()
+            {
                 let entries = size(&mut rng, 4096);
+                let ways = size(&mut rng, entries + 1);
                 fields.push((entries_key, entries.into()));
-                fields.push((ways_key, size(&mut rng, entries + 1).into()));
+                fields.push((ways_key, ways.into()));
+                geometry[i] = (entries, ways);
             }
-            fields.push(("counter_bits", rng.gen_range(0..=9u32).into()));
-            fields.push(("threshold", rng.gen_range(0..=9u32).into()));
-            fields.push(("strict_greater", rng.gen_bool(0.5).into()));
-            let policy = if rng.gen_bool(0.5) { "l1" } else { "staged" };
-            fields.push(("policy", policy.into()));
-            fields.push(("table_bits", rng.gen_range(0..=12u32).into()));
-            fields.push(("history_bits", rng.gen_range(0..=13u32).into()));
-            if let Ok(spec) = PredictorSpec::parse(&JsonValue::obj(fields)) {
-                let _ = spec.build();
-                built[k] += 1;
+            let counter_bits = rng.gen_range(0..=9u8);
+            let threshold = rng.gen_range(0..=9u8);
+            let strict_greater = rng.gen_bool(0.5);
+            fields.push(("counter_bits", u64::from(counter_bits).into()));
+            fields.push(("threshold", u64::from(threshold).into()));
+            fields.push(("strict_greater", strict_greater.into()));
+            let staged = rng.gen_bool(0.5);
+            fields.push(("policy", if staged { "staged" } else { "l1" }.into()));
+            let table_bits = rng.gen_range(0..=12u32);
+            let history_bits = rng.gen_range(0..=13u32);
+            fields.push(("table_bits", table_bits.into()));
+            fields.push(("history_bits", history_bits.into()));
+
+            // The wire's limits on the fields this kind reads (the
+            // `mlbtb` latencies keep their defaults), then the engine's
+            // constructor, built straight from the generated values.
+            let [(entries, ways), l1, l2] = geometry;
+            let wire_ok = match kinds[k] {
+                "sbtb" | "cbtb" => entries <= 1 << 20,
+                "mlbtb" => l1.0 <= 1 << 20 && l2.0 <= 1 << 20,
+                _ => true,
+            };
+            let level = |(entries, ways), latency| MlBtbLevel {
+                entries,
+                ways,
+                latency,
+            };
+            let engine_ok = catch_unwind(|| -> Box<dyn BranchPredictor> {
+                match kinds[k] {
+                    "sbtb" => Box::new(Sbtb::new(SbtbConfig { entries, ways })),
+                    "cbtb" => Box::new(Cbtb::new(CbtbConfig {
+                        entries,
+                        ways,
+                        counter_bits,
+                        threshold,
+                        strict_greater,
+                    })),
+                    "mlbtb" => Box::new(MlBtb::new(MlBtbConfig {
+                        levels: vec![level(l1, 0), level(l2, 2)],
+                        policy: if staged {
+                            FillPolicy::Staged
+                        } else {
+                            FillPolicy::L1
+                        },
+                        counter_bits,
+                        threshold,
+                        strict_greater: false,
+                    })),
+                    "gshare" => Box::new(Gshare::new(table_bits, history_bits)),
+                    "local" => Box::new(LocalHistory::new(table_bits, history_bits)),
+                    "always_taken" => Box::new(AlwaysTaken),
+                    "always_not_taken" => Box::new(AlwaysNotTaken),
+                    "btfn" => Box::new(BackwardTakenForwardNot),
+                    _ => Box::new(OpcodeBias::heuristic()),
+                }
+            })
+            .is_ok();
+            let parsed = PredictorSpec::parse(&JsonValue::obj(fields));
+            let builds = parsed
+                .as_ref()
+                .ok()
+                .map(|spec| catch_unwind(AssertUnwindSafe(|| spec.build())).is_ok());
+            specs.push((k, wire_ok && engine_ok, parsed, builds));
+        }
+        let _ = take_hook();
+        set_hook(Box::new(move |info| hook(info)));
+
+        let mut accepted = [0usize; 9];
+        let mut refused = [0usize; 9];
+        for (k, expected, parsed, builds) in specs {
+            assert_eq!(parsed.is_ok(), expected, "{}: {parsed:?}", kinds[k]);
+            if let Some(built) = builds {
+                assert!(built, "an accepted `{}` spec failed to build", kinds[k]);
+                accepted[k] += 1;
+            } else {
+                refused[k] += 1;
             }
         }
-        for (kind, n) in kinds.iter().zip(built) {
-            assert!(n > 0, "no `{kind}` spec validated");
+        for (k, kind) in kinds.iter().enumerate() {
+            assert!(accepted[k] > 0, "no `{kind}` spec validated");
+            // The static kinds take no parameters, so nothing refuses them.
+            assert!(k >= 5 || refused[k] > 0, "no `{kind}` spec was refused");
         }
     }
 

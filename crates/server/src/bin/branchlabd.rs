@@ -32,7 +32,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use branchlab_server::{parse_scale_arg, Server, ServerConfig};
+use branchlab_server::{Server, ServerConfig};
+use branchlab_workloads::Scale;
 
 /// Set from the signal handler; polled by the main loop.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -115,7 +116,7 @@ fn parse_args() -> (
             "--addr-file" => addr_file = Some(std::path::PathBuf::from(value("--addr-file"))),
             "--scale" => {
                 let s = value("--scale");
-                config.experiment.scale = parse_scale_arg(&s).unwrap_or_else(|| {
+                config.experiment.scale = Scale::from_name(&s).unwrap_or_else(|| {
                     eprintln!("branchlabd: bad --scale `{s}`");
                     usage()
                 });

@@ -99,7 +99,7 @@ use branchlab_experiments::ExperimentConfig;
 use branchlab_telemetry::{
     FlightRecorder, JsonValue, MetricsRegistry, SpanHandle, SpanLink, TraceContext, TraceId,
 };
-use branchlab_workloads::{all_benchmarks, benchmark, Scale};
+use branchlab_workloads::{all_benchmarks, benchmark};
 
 use api::{ApiError, SweepRequest};
 use chaos::{Chaos, ChaosConfig};
@@ -1158,7 +1158,7 @@ fn handle_benchmarks(state: &Arc<State>) -> Response {
 }
 
 fn scale_field(state: &Arc<State>) -> JsonValue {
-    branchlab_experiments::trace_replay::scale_name(state.config.experiment.scale).into()
+    state.config.experiment.scale.name().into()
 }
 
 /// `GET /metrics`: the server registry as Prometheus text.
@@ -1173,15 +1173,4 @@ fn render_metrics(state: &Arc<State>) -> String {
 /// Same failure modes as the server's compute path.
 pub fn evaluate_direct(req: &SweepRequest, base: &ExperimentConfig) -> Result<Arc<str>, ApiError> {
     api::evaluate(req, base)
-}
-
-/// Parse a `--scale` argument (`test` / `small` / `paper`).
-#[must_use]
-pub fn parse_scale_arg(s: &str) -> Option<Scale> {
-    match s {
-        "test" => Some(Scale::Test),
-        "small" => Some(Scale::Small),
-        "paper" => Some(Scale::Paper),
-        _ => None,
-    }
 }

@@ -10,6 +10,8 @@
 //!    the pre-crash sweep comes back from the cache, byte for byte;
 //! 4. `SIGTERM` drains and exits 0, leaving a valid Chrome trace and
 //!    a slow log behind.
+//!
+//! A bad command line exits 2 with the usage text before anything boots.
 
 #![cfg(unix)]
 
@@ -206,4 +208,18 @@ fn daemon_survives_sigkill_warm_and_drains_on_sigterm() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_bad_scale_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_branchlabd"))
+        .args(["--scale", "huge"])
+        .output()
+        .expect("run branchlabd");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("branchlabd: bad --scale `huge`\nusage: branchlabd"),
+        "{stderr}"
+    );
 }

@@ -108,33 +108,14 @@ impl SiteCounters {
     }
 }
 
-/// Collects [`ProbeEvent`]s into per-site [`SiteCounters`].
-///
-/// Carries a runtime `enabled` flag so a single harness code path can
-/// serve both instrumented and plain runs; disabled probes never touch
-/// the map.
+/// Collects [`ProbeEvent`]s into per-site [`SiteCounters`]; every
+/// probe records (`SiteProbe::default()` starts empty).
 #[derive(Clone, Debug, Default)]
 pub struct SiteProbe {
-    enabled: bool,
     sites: HashMap<u32, SiteCounters>,
 }
 
 impl SiteProbe {
-    /// A probe that records events.
-    #[must_use]
-    pub fn enabled() -> Self {
-        SiteProbe {
-            enabled: true,
-            sites: HashMap::new(),
-        }
-    }
-
-    /// A probe that ignores events (same type, no collection).
-    #[must_use]
-    pub fn disabled() -> Self {
-        SiteProbe::default()
-    }
-
     /// Per-site tallies collected so far.
     #[must_use]
     pub fn sites(&self) -> &HashMap<u32, SiteCounters> {
@@ -214,13 +195,12 @@ impl SiteProbe {
     }
 }
 
-/// An enabled probe holding the given per-site tallies — how a scorer
-/// that counts per site itself (rather than emitting one event at a
-/// time) publishes the same view.
+/// A probe holding the given per-site tallies — how a scorer that
+/// counts per site itself (rather than emitting one event at a time)
+/// publishes the same view.
 impl FromIterator<(u32, SiteCounters)> for SiteProbe {
     fn from_iter<I: IntoIterator<Item = (u32, SiteCounters)>>(iter: I) -> Self {
         SiteProbe {
-            enabled: true,
             sites: iter.into_iter().collect(),
         }
     }
@@ -229,21 +209,19 @@ impl FromIterator<(u32, SiteCounters)> for SiteProbe {
 impl TelemetrySink for SiteProbe {
     #[inline]
     fn enabled(&self) -> bool {
-        self.enabled
+        true
     }
 
     #[inline]
     fn emit(&mut self, event: ProbeEvent) {
-        if self.enabled {
-            self.sites.entry(event.site).or_default().bump(event.kind);
-        }
+        self.sites.entry(event.site).or_default().bump(event.kind);
     }
 }
 
 impl TelemetrySink for &mut SiteProbe {
     #[inline]
     fn enabled(&self) -> bool {
-        self.enabled
+        true
     }
 
     #[inline]
@@ -267,16 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_probe_collects_nothing() {
-        let mut probe = SiteProbe::disabled();
-        probe.emit(ProbeEvent {
-            site: 1,
-            kind: ProbeKind::Hit,
-        });
-        assert!(probe.sites().is_empty());
-    }
-
-    #[test]
     fn collected_probe_is_enabled_and_keeps_its_tallies() {
         let site = SiteCounters {
             hits: 3,
@@ -295,7 +263,7 @@ mod tests {
 
     #[test]
     fn probe_tallies_per_site() {
-        let mut probe = SiteProbe::enabled();
+        let mut probe = SiteProbe::default();
         for kind in [
             ProbeKind::Hit,
             ProbeKind::Hit,
@@ -316,7 +284,7 @@ mod tests {
 
     #[test]
     fn top_mispredicted_sorts_and_truncates() {
-        let mut probe = SiteProbe::enabled();
+        let mut probe = SiteProbe::default();
         for (site, n) in [(10u32, 3u64), (20, 7), (30, 7), (40, 1)] {
             for _ in 0..n {
                 probe.emit(ProbeEvent {
@@ -334,8 +302,8 @@ mod tests {
 
     #[test]
     fn merge_sums_counters() {
-        let mut a = SiteProbe::enabled();
-        let mut b = SiteProbe::enabled();
+        let mut a = SiteProbe::default();
+        let mut b = SiteProbe::default();
         a.emit(ProbeEvent {
             site: 1,
             kind: ProbeKind::Hit,
@@ -355,7 +323,7 @@ mod tests {
 
     #[test]
     fn json_summary_shape() {
-        let mut probe = SiteProbe::enabled();
+        let mut probe = SiteProbe::default();
         probe.emit(ProbeEvent {
             site: 5,
             kind: ProbeKind::Mispredict,

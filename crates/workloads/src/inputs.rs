@@ -20,6 +20,25 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The scale's name on command lines, in trace keys and in
+    /// `/v1/sweep` requests: `"test"`, `"small"` or `"paper"`.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Small => "small",
+            Scale::Paper => "paper",
+        }
+    }
+
+    /// The scale whose [`Scale::name`] is `name`.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Self> {
+        [Scale::Test, Scale::Small, Scale::Paper]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
+
     /// A size knob: roughly the number of "units" (lines, records,
     /// expressions…) a generator should produce.
     #[must_use]
