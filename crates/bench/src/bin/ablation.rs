@@ -16,8 +16,7 @@
 //! item over its `block_replay` decode, and `sweep_merge` — and writes
 //! it as Chrome trace-event JSON (open at ui.perfetto.dev). The command
 //! line is [`branchlab_bench::ABLATION_USAGE`]: the suite binaries'
-//! telemetry, verification, supervision and fault flags are usage
-//! errors here.
+//! telemetry, verification and watchdog flags are usage errors here.
 use std::sync::Arc;
 
 use branchlab::experiments::ablation::{self, StudySpec};
@@ -54,7 +53,7 @@ fn main() {
                 }
             }
             Err(e) => {
-                eprintln!("ablation: {name} study set failed ({}): {e}", e.class());
+                eprintln!("ablation: {name} study set failed: {e}");
                 failed += 1;
             }
         }

@@ -28,8 +28,10 @@
 //! [--trace-cache DIR] [--benches A,B,...]`
 //!
 //! (Own argument parser: `--out`/`--benches` are not part of the
-//! shared suite `Options`.) A bad command line prints the error and the
-//! usage line to stderr and exits 2, like the suite binaries.
+//! shared suite `Options`.) A bad command line, or an `--out` file
+//! whose directory does not exist, prints the error and the usage line
+//! to stderr and exits 2 before the study runs, like the suite
+//! binaries.
 
 use branchlab::experiments::trace_replay::{cached_profile, captured_runs, replay_runs};
 use branchlab::experiments::{eval_predictors, eval_predictors_live, ExperimentConfig};
@@ -40,7 +42,7 @@ use branchlab::predict::{
 };
 use branchlab::telemetry::JsonValue;
 use branchlab::workloads::{benchmark, Benchmark, Scale};
-use branchlab_bench::EXIT_USAGE;
+use branchlab_bench::{check_file_destination, exit_write_failed, EXIT_USAGE};
 
 const USAGE: &str = "usage: btb_bench [-h|--help] [--scale test|small|paper] [--seed N] \
 [--out FILE] [--trace-cache DIR] [--benches A,B,...]";
@@ -294,10 +296,12 @@ fn main() {
         println!("{USAGE}");
         std::process::exit(0);
     }
-    let args = parse_args(argv).unwrap_or_else(|e| {
-        eprintln!("{e}\n{USAGE}");
-        std::process::exit(EXIT_USAGE);
-    });
+    let args = parse_args(argv)
+        .and_then(|a| check_file_destination("--out", &a.out).map(|()| a))
+        .unwrap_or_else(|e| {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(EXIT_USAGE);
+        });
     let mut benches = Vec::new();
     let mut all_match = true;
     for bench in &args.benches {
@@ -328,8 +332,9 @@ fn main() {
         ),
         ("benches", JsonValue::Arr(benches)),
     ]);
-    std::fs::write(&args.out, report.to_json_pretty() + "\n")
-        .unwrap_or_else(|e| panic!("writing {} failed: {e}", args.out.display()));
+    if let Err(e) = std::fs::write(&args.out, report.to_json_pretty() + "\n") {
+        exit_write_failed("btb_bench", "the report", &args.out, &e);
+    }
     eprintln!("btb_bench: wrote {}", args.out.display());
     if !all_match {
         eprintln!("btb_bench: MISMATCH between replayed, live, and FDIP-scored stats");

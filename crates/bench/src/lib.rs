@@ -20,8 +20,8 @@
 //! The paper-suite binaries (tables, figures, `report`; [`USAGE`]) also
 //! take `--telemetry-out DIR` — write a run manifest (`manifest.json`)
 //! plus metrics snapshots (`metrics.jsonl`, `metrics.prom`) with
-//! per-benchmark phase timings and per-site predictor counters — and
-//! the verification, supervision and fault-injection flags. `ablation`
+//! per-benchmark phase timings and per-site predictor counters — plus
+//! `--no-verify` and the `--watchdog-ms N` deadline. `ablation`
 //! ([`ABLATION_USAGE`]) instead takes the flags that steer its trace
 //! replay:
 //!
@@ -30,6 +30,11 @@
 //! * `--sweep-threads N` — score sweep points on N worker threads
 //!   (default: the machine's available parallelism); results are
 //!   bit-identical at any thread count
+//!
+//! Output destinations are checked before any work starts: a
+//! `--trace-out` file's directory must exist, and `--telemetry-out` is
+//! created. A bad one is a usage error; a write that still fails at the
+//! end prints one line and exits 1.
 
 #![warn(missing_docs)]
 
@@ -64,9 +69,9 @@ pub enum Format {
 /// Parsed command-line options shared by all bench binaries.
 #[derive(Clone, Debug)]
 pub struct Options {
-    /// Experiment configuration (scale, seed, fault injection, …).
+    /// Experiment configuration (scale, seed, verification, …).
     pub config: ExperimentConfig,
-    /// Supervision policy (retries, watchdog).
+    /// Supervision policy (the watchdog deadline).
     pub supervisor: SupervisorConfig,
     /// Output format.
     pub format: Format,
@@ -83,14 +88,10 @@ pub struct Options {
 /// `--sweep-threads` are unknown arguments here.
 pub const USAGE: &str =
     "usage: [-h|--help] [--scale test|small|paper] [--seed N] [--markdown|--csv] [--no-verify] \
-[--telemetry-out DIR] [--trace-out FILE] \
-[--max-attempts N] \
-[--backoff-ms N] [--watchdog-ms N] [--fault-exec-rate R] \
-[--fault-panic-rate R] [--fault-delay-rate R] [--fault-delay-ms N] [--fault-seed N] \
-[--fault-benches A,B,...]";
+[--telemetry-out DIR] [--trace-out FILE] [--watchdog-ms N]";
 
 /// The flags [`USAGE`] lists, `-h`/`--help` aside.
-pub const PAPER_FLAGS: [&str; 16] = [
+pub const PAPER_FLAGS: [&str; 8] = [
     "--scale",
     "--seed",
     "--markdown",
@@ -98,22 +99,14 @@ pub const PAPER_FLAGS: [&str; 16] = [
     "--no-verify",
     "--telemetry-out",
     "--trace-out",
-    "--max-attempts",
-    "--backoff-ms",
     "--watchdog-ms",
-    "--fault-exec-rate",
-    "--fault-panic-rate",
-    "--fault-delay-rate",
-    "--fault-delay-ms",
-    "--fault-seed",
-    "--fault-benches",
 ];
 
 /// `ablation`'s command line, listing [`ABLATION_FLAGS`]: the output
 /// flags plus those that steer its trace replay and sweeps. The paper
-/// suite's (`--telemetry-out`, `--no-verify`, supervision and fault
-/// injection) act on the supervised suite, which `ablation` does not
-/// run, so there they are unknown arguments.
+/// suite's (`--telemetry-out`, `--no-verify`, `--watchdog-ms`) act on
+/// the supervised suite, which `ablation` does not run, so there they
+/// are unknown arguments.
 pub const ABLATION_USAGE: &str =
     "usage: ablation [-h|--help] [--scale test|small|paper] [--seed N] \
 [--markdown|--csv] [--trace-out FILE] [--trace-cache DIR] [--sweep-threads N]";
@@ -143,8 +136,9 @@ impl Options {
     /// Parse `std::env::args` for a binary whose command line is
     /// `usage` and which takes only the flags in `honoured`. With `-h`
     /// or `--help` among them, print `usage` to stdout and exit 0
-    /// before parsing anything; on a bad command line, print the error
-    /// and `usage` to stderr and exit [`EXIT_USAGE`].
+    /// before parsing anything; on a bad command line or an output
+    /// destination that cannot be written ([`Options::prepare_outputs`]),
+    /// print the error and `usage` to stderr and exit [`EXIT_USAGE`].
     #[must_use]
     pub fn from_args_for(usage: &str, honoured: &[&str]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -152,10 +146,29 @@ impl Options {
             println!("{usage}");
             std::process::exit(0);
         }
-        Self::parse_for(args, honoured).unwrap_or_else(|e| {
-            eprintln!("{e}\n{usage}");
-            std::process::exit(EXIT_USAGE);
-        })
+        Self::parse_for(args, honoured)
+            .and_then(|o| o.prepare_outputs().map(|()| o))
+            .unwrap_or_else(|e| {
+                eprintln!("{e}\n{usage}");
+                std::process::exit(EXIT_USAGE);
+            })
+    }
+
+    /// Make sure the run's outputs can be written before any work
+    /// starts: create the `--telemetry-out` directory and check that
+    /// the `--trace-out` file's directory exists.
+    ///
+    /// # Errors
+    /// One line naming the flag, the path and the I/O error.
+    pub fn prepare_outputs(&self) -> Result<(), String> {
+        if let Some(dir) = &self.telemetry_out {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("--telemetry-out {}: {e}", dir.display()))?;
+        }
+        if let Some(path) = &self.trace_out {
+            check_file_destination("--trace-out", path)?;
+        }
+        Ok(())
     }
 
     /// Parse an explicit paper-suite argument list (everything after
@@ -189,12 +202,6 @@ impl Options {
                 v.parse::<u64>()
                     .map_err(|_| format!("{flag} needs an integer, not `{v}`"))
             };
-            let rate = |v: String| {
-                v.parse::<f64>()
-                    .ok()
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .ok_or_else(|| format!("{flag} needs a rate in [0, 1], not `{v}`"))
-            };
             match flag.as_str() {
                 "--scale" => {
                     let v = value()?;
@@ -209,22 +216,12 @@ impl Options {
                 "--trace-out" => trace_out = Some(PathBuf::from(value()?)),
                 "--trace-cache" => config.trace_cache_dir = Some(PathBuf::from(value()?)),
                 "--sweep-threads" => config.sweep_threads = Some((int(value()?)? as usize).max(1)),
-                "--max-attempts" => supervisor.max_attempts = int(value()?)?.max(1) as u32,
-                "--backoff-ms" => supervisor.backoff_base = Duration::from_millis(int(value()?)?),
                 "--watchdog-ms" => {
-                    supervisor.watchdog = Some(Duration::from_millis(int(value()?)?));
-                }
-                "--fault-exec-rate" => config.fault.exec_error_rate = rate(value()?)?,
-                "--fault-panic-rate" => config.fault.panic_rate = rate(value()?)?,
-                "--fault-delay-rate" => config.fault.delay_rate = rate(value()?)?,
-                "--fault-delay-ms" => config.fault.delay = Duration::from_millis(int(value()?)?),
-                "--fault-seed" => config.fault.seed = int(value()?)?,
-                "--fault-benches" => {
-                    config.fault.benches = value()?
-                        .split(',')
-                        .map(str::trim)
-                        .map(String::from)
-                        .collect();
+                    let ms = int(value()?)?;
+                    if ms == 0 {
+                        return Err(format!("{flag} needs a positive integer, not `0`"));
+                    }
+                    supervisor.watchdog = Some(Duration::from_millis(ms));
                 }
                 other => return Err(format!("unknown argument `{other}`")),
             }
@@ -263,26 +260,16 @@ pub fn suite(options: &Options) -> SuiteResult {
         "running 12-benchmark suite (scale {:?}, seed {}) …",
         options.config.scale, options.config.seed
     );
-    if options.config.fault.enabled() {
-        eprintln!(
-            "fault injection armed: exec {:.2} / panic {:.2} / delay {:.2} (seed {})",
-            options.config.fault.exec_error_rate,
-            options.config.fault.panic_rate,
-            options.config.fault.delay_rate,
-            options.config.fault.seed
-        );
-    }
     let start = std::time::Instant::now();
     let suite = run_suite_supervised(&options.config, &options.supervisor);
     let insts: u64 = suite.benches.iter().map(|b| b.stats.insts).sum();
     let sup = &suite.supervisor;
     eprintln!(
-        "done in {:.1}s ({:.1}M dynamic instructions; {} completed, {} failed, {} retries)",
+        "done in {:.1}s ({:.1}M dynamic instructions; {} completed, {} failed)",
         start.elapsed().as_secs_f64(),
         insts as f64 / 1e6,
         sup.completed,
         sup.failed,
-        sup.retries,
     );
     for f in &suite.failures {
         eprintln!("  {f}");
@@ -290,23 +277,32 @@ pub fn suite(options: &Options) -> SuiteResult {
     suite
 }
 
+/// The exit code of a suite binary's run: 0 when every benchmark
+/// completed, [`EXIT_PARTIAL`] when any failed.
+#[must_use]
+pub fn exit_code(suite: &SuiteResult) -> i32 {
+    if suite.is_complete() {
+        0
+    } else {
+        EXIT_PARTIAL
+    }
+}
+
 /// The shared main of every table/figure binary: parse the command
 /// line, run the supervised suite, hand it to `emit` for rendering,
 /// and — when `--telemetry-out` was given — write the run manifest and
-/// metrics snapshots. Exits with [`EXIT_PARTIAL`] (after rendering the
-/// partial tables and telemetry) when any benchmark failed.
-///
-/// # Panics
-/// Panics on an unwritable telemetry directory (these binaries are
-/// terminal tools); benchmark failures degrade instead of panicking.
+/// metrics snapshots. Exits with [`exit_code`] (after rendering the
+/// partial tables and telemetry), or through [`exit_write_failed`]
+/// when an output cannot be written.
 pub fn artifact_main(tool: &str, emit: impl FnOnce(&Options, &SuiteResult)) {
     let options = Options::from_args();
     let suite = suite(&options);
     emit(&options, &suite);
     if let Some(dir) = &options.telemetry_out {
-        let path = write_telemetry(tool, &options, &suite, dir)
-            .unwrap_or_else(|e| panic!("writing telemetry to {} failed: {e}", dir.display()));
-        eprintln!("telemetry manifest written to {}", path.display());
+        match write_telemetry(tool, &options, &suite, dir) {
+            Ok(path) => eprintln!("telemetry manifest written to {}", path.display()),
+            Err(e) => exit_write_failed(tool, "telemetry", dir, &e),
+        }
     }
     if let Some(path) = &options.trace_out {
         let traces: Vec<_> = suite
@@ -316,14 +312,37 @@ pub fn artifact_main(tool: &str, emit: impl FnOnce(&Options, &SuiteResult)) {
             .collect();
         write_chrome_trace(tool, path, &traces);
     }
-    if !suite.is_complete() {
+    let code = exit_code(&suite);
+    if code != 0 {
         eprintln!(
             "{tool}: partial results — {} of {} benchmarks failed",
             suite.failures.len(),
             suite.failures.len() + suite.benches.len()
         );
-        std::process::exit(EXIT_PARTIAL);
+        std::process::exit(code);
     }
+}
+
+/// Check, before any work starts, that a file can be created at `path`
+/// for `flag`: its directory must exist.
+///
+/// # Errors
+/// One line naming the flag, the path and the I/O error.
+pub fn check_file_destination(flag: &str, path: &Path) -> Result<(), String> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::read_dir(dir)
+        .map(drop)
+        .map_err(|e| format!("{flag} {}: {e}", path.display()))
+}
+
+/// Report an output that could not be written at the end of a run, in
+/// one line, and exit 1.
+pub fn exit_write_failed(tool: &str, what: &str, path: &Path, e: &std::io::Error) -> ! {
+    eprintln!("{tool}: writing {what} to {} failed: {e}", path.display());
+    std::process::exit(1);
 }
 
 /// Everything `report` prints: Tables 1–5, the cost-growth and
@@ -368,14 +387,12 @@ pub fn render_report(options: &Options, suite: &SuiteResult) -> String {
 }
 
 /// Write `traces` to `path` as a Chrome trace-event document
-/// (openable in Perfetto / `chrome://tracing`).
-///
-/// # Panics
-/// Panics on an unwritable `path`, like the rest of the bench
-/// binaries' outputs.
+/// (openable in Perfetto / `chrome://tracing`); on failure, exit
+/// through [`exit_write_failed`].
 pub fn write_chrome_trace(tool: &str, path: &Path, traces: &[Arc<RequestTrace>]) {
-    std::fs::write(path, chrome_trace(traces).to_json_pretty())
-        .unwrap_or_else(|e| panic!("writing Chrome trace to {} failed: {e}", path.display()));
+    if let Err(e) = std::fs::write(path, chrome_trace(traces).to_json_pretty()) {
+        exit_write_failed(tool, "Chrome trace", path, &e);
+    }
     eprintln!("{tool}: Chrome trace written to {}", path.display());
 }
 
@@ -434,13 +451,6 @@ pub fn write_telemetry(
     manifest.set_config("fs_slots", u64::from(cfg.fs_slots));
     manifest.set_config("cbtb_strict", cfg.cbtb_strict);
     manifest.set_config("verify_equivalence", cfg.verify_equivalence);
-    if cfg.fault.enabled() {
-        manifest.set_config("fault_seed", cfg.fault.seed);
-        manifest.set_config("fault_exec_rate", cfg.fault.exec_error_rate);
-        manifest.set_config("fault_panic_rate", cfg.fault.panic_rate);
-        manifest.set_config("fault_delay_rate", cfg.fault.delay_rate);
-    }
-    manifest.set_config("max_attempts", u64::from(options.supervisor.max_attempts));
 
     let registry = &cfg.metrics;
     for (name, value) in suite.supervisor.counters() {
@@ -467,8 +477,6 @@ pub fn write_telemetry(
                     JsonValue::obj(vec![
                         ("bench", f.name.as_str().into()),
                         ("error", f.error.as_str().into()),
-                        ("class", f.class.to_string().into()),
-                        ("attempts", u64::from(f.attempts).into()),
                         ("elapsed_ms", (f.elapsed.as_millis() as u64).into()),
                     ])
                 })
@@ -477,9 +485,6 @@ pub fn write_telemetry(
     );
     for f in &suite.failures {
         registry.counter(&format!("bench.{}.failed", f.name)).inc();
-        registry
-            .counter(&format!("bench.{}.attempts", f.name))
-            .add(u64::from(f.attempts));
     }
     for b in &suite.benches {
         manifest.push_benchmark(bench_record(b));
@@ -510,53 +515,18 @@ mod tests {
         assert_eq!(o.config.seed, 1989);
         assert!(matches!(o.config.scale, Scale::Small));
         assert!(o.telemetry_out.is_none());
-        assert!(!o.config.fault.enabled());
         assert_eq!(o.supervisor, SupervisorConfig::default());
     }
 
     #[test]
-    fn supervisor_and_fault_flags_parse() {
-        let o = Options::parse(
-            [
-                "--max-attempts",
-                "5",
-                "--backoff-ms",
-                "7",
-                "--watchdog-ms",
-                "250",
-                "--fault-exec-rate",
-                "0.25",
-                "--fault-panic-rate",
-                "0.5",
-                "--fault-delay-rate",
-                "1.0",
-                "--fault-delay-ms",
-                "9",
-                "--fault-seed",
-                "77",
-                "--fault-benches",
-                "wc, grep",
-            ]
-            .map(String::from),
-        )
-        .unwrap();
-        assert_eq!(o.supervisor.max_attempts, 5);
-        assert_eq!(o.supervisor.backoff_base, Duration::from_millis(7));
+    fn watchdog_flag_parses() {
+        let o = Options::parse(["--watchdog-ms", "250"].map(String::from)).unwrap();
         assert_eq!(o.supervisor.watchdog, Some(Duration::from_millis(250)));
-        let fault = &o.config.fault;
-        assert!(fault.enabled());
-        assert_eq!(fault.exec_error_rate, 0.25);
-        assert_eq!(fault.panic_rate, 0.5);
-        assert_eq!(fault.delay_rate, 1.0);
-        assert_eq!(fault.delay, Duration::from_millis(9));
-        assert_eq!(fault.seed, 77);
-        assert_eq!(fault.benches, vec!["wc".to_string(), "grep".to_string()]);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate in [0, 1]")]
-    fn out_of_range_rates_rejected() {
-        Options::parse(["--fault-exec-rate", "1.5"].map(String::from)).unwrap();
+        // A zero deadline would time out every benchmark at once.
+        assert_eq!(
+            parse_err(&["--watchdog-ms", "0"]),
+            "--watchdog-ms needs a positive integer, not `0`"
+        );
     }
 
     #[test]
@@ -599,11 +569,27 @@ mod tests {
     fn retired_checkpoint_flags_are_errors() {
         assert!(parse_err(&["--checkpoint", "x"]).contains("unknown argument `--checkpoint`"));
         assert!(parse_err(&["--resume"]).contains("unknown argument `--resume`"));
+        // The flags of the retired retry policy and fault injector.
+        for flag in [
+            "--max-attempts",
+            "--backoff-ms",
+            "--fault-exec-rate",
+            "--fault-panic-rate",
+            "--fault-delay-rate",
+            "--fault-delay-ms",
+            "--fault-seed",
+            "--fault-benches",
+        ] {
+            assert_eq!(
+                parse_err(&[flag, "1"]),
+                format!("unknown argument `{flag}`")
+            );
+        }
     }
 
     #[test]
     fn flags_missing_their_value_are_errors() {
-        for flag in ["--scale", "--seed", "--telemetry-out", "--fault-benches"] {
+        for flag in ["--scale", "--seed", "--telemetry-out", "--watchdog-ms"] {
             assert_eq!(parse_err(&[flag]), format!("{flag} needs a value"));
         }
         assert!(parse_err(&["--seed", "abc"]).contains("--seed needs an integer"));
@@ -657,6 +643,17 @@ mod tests {
             o.trace_out.as_deref(),
             Some(std::path::Path::new("/tmp/run.trace.json"))
         );
+    }
+
+    #[test]
+    fn telemetry_out_is_created_before_the_run() {
+        let dir = std::env::temp_dir().join(format!("branchlab-outputs-{}", std::process::id()));
+        let telemetry = dir.join("a/b");
+        let args = ["--telemetry-out", telemetry.to_str().unwrap()];
+        let o = Options::parse(args.map(String::from)).unwrap();
+        o.prepare_outputs().unwrap();
+        assert!(telemetry.is_dir());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

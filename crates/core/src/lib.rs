@@ -76,7 +76,7 @@ pub use branchlab_workloads as workloads;
 /// The most common imports in one place.
 pub mod prelude {
     pub use branchlab_experiments::{
-        run_benchmark, run_suite, run_suite_supervised, ExperimentConfig, FaultConfig, SuiteResult,
+        run_benchmark, run_suite, run_suite_supervised, ExperimentConfig, SuiteResult,
         SupervisorConfig,
     };
     pub use branchlab_fsem::{fs_program, FsConfig};

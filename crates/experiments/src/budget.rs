@@ -437,21 +437,14 @@ mod tests {
     fn a_helpers_panic_resumes_on_the_caller_with_its_payload() {
         let budget = Arc::new(CoreBudget::new(1));
         let b = Arc::clone(&budget);
-        let sup = crate::SupervisorConfig {
-            max_attempts: 1,
-            ..crate::SupervisorConfig::default()
-        };
-        let (out, stats) = crate::supervise::<()>(
-            "t",
-            &sup,
-            Arc::new(move |_| {
+        let (out, stats) =
+            crate::supervise::<()>("t", &crate::SupervisorConfig::default(), move || {
                 one_run_each(&b, &MetricsRegistry::new(), |_| {
                     assert!(!on_helper(), "helper boom");
                     Ok(())
                 })
                 .map(|_| ())
-            }),
-        );
+            });
         let failure = out.unwrap_err();
         assert_eq!(failure.error, "benchmark panicked: helper boom");
         assert_eq!(stats.panics_caught, 1);

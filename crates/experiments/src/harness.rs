@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use branchlab_fsem::{code_expansion, fs_program, ExpansionPoint, FsConfig};
-use branchlab_interp::{run, ErrorClass, ExecConfig, ExecError, ExecStats};
+use branchlab_interp::{run, ExecConfig, ExecError, ExecStats};
 use branchlab_ir::{lower, LowerError, Program};
 use branchlab_minic::CompileError;
 use branchlab_predict::{
@@ -31,7 +31,6 @@ use branchlab_trace::{BranchEvent, BranchMix, ExecHooks};
 use branchlab_workloads::{Benchmark, Scale};
 
 use crate::budget::{share_runs, CoreBudget};
-use crate::fault::{FaultConfig, FaultInjector};
 use crate::supervisor::{
     run_suite_supervised, BenchFailure, SupervisorConfig, SupervisorStats, SUPERVISED_THREAD_PREFIX,
 };
@@ -72,8 +71,6 @@ pub struct ExperimentConfig {
     pub memory_words: usize,
     /// Interpreter call-depth limit.
     pub max_call_depth: usize,
-    /// Deterministic fault injection (disabled by default).
-    pub fault: FaultConfig,
     /// Directory for the on-disk trace cache (`--trace-cache DIR`);
     /// `None` keeps traces in memory only.
     pub trace_cache_dir: Option<std::path::PathBuf>,
@@ -109,7 +106,6 @@ impl Default for ExperimentConfig {
             cbtb_strict: true,
             memory_words: exec.memory_words,
             max_call_depth: exec.max_call_depth,
-            fault: FaultConfig::default(),
             trace_cache_dir: None,
             sweep_threads: None,
             metrics: Arc::new(MetricsRegistry::new()),
@@ -226,30 +222,8 @@ pub enum ExperimentError {
     },
     /// A captured trace failed to replay (malformed buffer). Only
     /// reachable through cache corruption that slipped past the
-    /// checksum, and deterministic given the bytes — permanent.
+    /// checksum.
     Trace(String),
-}
-
-impl ExperimentError {
-    /// Transient/permanent classification driving the supervisor's
-    /// retry policy (see the crate docs for the full taxonomy).
-    /// Compile/lower/profile errors and equivalence violations are
-    /// deterministic pipeline outcomes; interpreter errors delegate to
-    /// [`ExecError::class`] (everything real is permanent, injected
-    /// faults are transient); panics and watchdog timeouts are
-    /// environmental and therefore retry-eligible.
-    #[must_use]
-    pub fn class(&self) -> ErrorClass {
-        match self {
-            ExperimentError::Exec(e) => e.class(),
-            ExperimentError::Panic(_) | ExperimentError::Timeout { .. } => ErrorClass::Transient,
-            ExperimentError::Compile(_)
-            | ExperimentError::Lower(_)
-            | ExperimentError::Profile(_)
-            | ExperimentError::Trace(_)
-            | ExperimentError::EquivalenceViolation { .. } => ErrorClass::Permanent,
-        }
-    }
 }
 
 impl std::fmt::Display for ExperimentError {
@@ -307,26 +281,11 @@ pub fn run_benchmark(
     bench: &'static Benchmark,
     config: &ExperimentConfig,
 ) -> Result<BenchResult, ExperimentError> {
-    run_benchmark_attempt(bench, config, 1)
+    run_benchmark_with_budget(bench, config, &CoreBudget::new(0))
 }
 
-/// [`run_benchmark`] for a specific supervisor attempt number — the
-/// attempt feeds the [`FaultInjector`]'s decision hash so a retried
-/// attempt draws fresh faults (injection is transient by construction).
-///
-/// # Errors
-/// As [`run_benchmark`], plus injected faults when
-/// [`ExperimentConfig::fault`] is armed.
-pub fn run_benchmark_attempt(
-    bench: &'static Benchmark,
-    config: &ExperimentConfig,
-    attempt: u32,
-) -> Result<BenchResult, ExperimentError> {
-    run_benchmark_with_budget(bench, config, attempt, &CoreBudget::new(0))
-}
-
-/// [`run_benchmark_attempt`] whose evaluation phases share their input
-/// runs with helper threads that `budget`'s free permits pay for
+/// [`run_benchmark`] whose evaluation phases share their input runs
+/// with helper threads that `budget`'s free permits pay for
 /// ([`CoreBudget`]). Runs are independent — each starts with cold
 /// buffers — and their counts add, so the result is the same at every
 /// budget, and with no free permit every run is interpreted on the
@@ -334,23 +293,20 @@ pub fn run_benchmark_attempt(
 /// its finished workers give back help the benchmarks still running.
 ///
 /// # Errors
-/// As [`run_benchmark_attempt`]; when several runs fail, the
-/// lowest-index run's error, as a serial loop over the runs returns it.
+/// As [`run_benchmark`]; when several runs fail, the lowest-index
+/// run's error, as a serial loop over the runs returns it.
 pub fn run_benchmark_with_budget(
     bench: &'static Benchmark,
     config: &ExperimentConfig,
-    attempt: u32,
     budget: &CoreBudget,
 ) -> Result<BenchResult, ExperimentError> {
     let ctx = TraceContext::new();
     ctx.set_label(bench.name);
     let root = ctx.root("run_benchmark");
-    let injector = FaultInjector::new(&config.fault, bench.name, attempt);
     let helper_name = format!("{SUPERVISED_THREAD_PREFIX}{}:run-helper", bench.name);
 
     let module = {
         let _span = root.child("compile");
-        injector.trip("compile")?;
         bench.compile()?
     };
     let runs = bench.runs(config.scale, config.seed);
@@ -384,7 +340,6 @@ pub fn run_benchmark_with_budget(
     let mut stats = ExecStats::default();
     let (natural_pass, natural_outcomes) = {
         let mut span = root.child("natural_eval");
-        injector.trip("natural_eval")?;
         let (pass, outs) = share_runs(
             budget,
             &helper_name,
@@ -411,7 +366,6 @@ pub fn run_benchmark_with_budget(
     //    built from it.
     let profile: Profile = {
         let _span = root.child("profile");
-        injector.trip("profile")?;
         Profile::from_natural(&module, &natural, natural_pass.outcomes().counts())?
     };
     let fs_bin: Program = {
@@ -422,7 +376,6 @@ pub fn run_benchmark_with_budget(
     // 4. The FS binary runs with its likely bits steering prediction.
     let fs_outcomes = {
         let mut span = root.child("fs_eval");
-        injector.trip("fs_eval")?;
         let (outcomes, insts) = share_runs(
             budget,
             &helper_name,
@@ -476,17 +429,17 @@ pub fn run_benchmark_with_budget(
 }
 
 /// Results for the whole suite, possibly partial: benchmarks the
-/// supervisor could not complete (retries exhausted, watchdog fired,
-/// permanent pipeline error) appear as [`BenchFailure`] records instead
-/// of aborting the run, so every unaffected benchmark's data survives.
+/// supervisor could not complete (a pipeline error, a panic, the
+/// watchdog fired) appear as [`BenchFailure`] records instead of
+/// aborting the run, so every unaffected benchmark's data survives.
 #[derive(Clone, Debug)]
 pub struct SuiteResult {
     /// Completed per-benchmark results, in suite order.
     pub benches: Vec<BenchResult>,
-    /// Benchmarks that failed after supervision, in suite order.
+    /// Benchmarks that failed, in suite order.
     pub failures: Vec<BenchFailure>,
-    /// Supervisor counters for the run (retries, watchdog firings,
-    /// caught panics, …).
+    /// Supervisor counters for the run (completions, failures,
+    /// watchdog firings, caught panics).
     pub supervisor: SupervisorStats,
 }
 
@@ -550,13 +503,12 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
 
 /// Run the full 12-benchmark suite on a supervised worker pool (at
 /// most `available_parallelism` benchmarks in flight), with the default
-/// [`SupervisorConfig`] (panic isolation and transient-error retries,
-/// no watchdog).
+/// [`SupervisorConfig`] (panic isolation, no watchdog).
 ///
 /// Never aborts on a single benchmark failure: panicking or erroring
 /// benchmarks become [`SuiteResult::failures`] records and every other
-/// benchmark's result is kept. Use [`run_suite_supervised`] to
-/// configure retries and watchdog deadlines.
+/// benchmark's result is kept. Use [`run_suite_supervised`] to set a
+/// watchdog deadline.
 #[must_use]
 pub fn run_suite(config: &ExperimentConfig) -> SuiteResult {
     run_suite_supervised(config, &SupervisorConfig::default())

@@ -16,22 +16,16 @@
 //!   memory and optionally on disk) and replayed into every predictor
 //!   configuration at memory speed, bit-identical to live
 //!   interpretation.
-//! * [`supervisor`]/[`fault`] — *branchlab-guard*: the fault-tolerance
-//!   layer. Benchmarks run behind panic isolation, an optional
-//!   watchdog, and retry-with-backoff; failures degrade to per-bench
-//!   records instead of aborting the suite; and a seeded
-//!   [`FaultInjector`] proves all of it deterministically.
+//! * [`supervisor`] — *branchlab-guard*: each benchmark runs once,
+//!   behind panic isolation and an optional watchdog, and a failure
+//!   degrades to a per-bench record instead of aborting the suite.
 //!
-//! ## Error taxonomy
-//!
-//! Supervision is driven by a two-class taxonomy
-//! ([`branchlab_interp::ErrorClass`], surfaced through
-//! [`ExperimentError::class`]):
-//!
-//! | Class | Errors | Retry? |
-//! |---|---|---|
-//! | **Permanent** | every real interpreter error (`OutOfFuel`, `MemoryFault`, `StackOverflow`, `CallDepthExceeded`, `PcOutOfRange`, `MemoryTooSmall`), compile/lower/profile errors, FS equivalence violations | never — they are deterministic functions of (program, input, config) |
-//! | **Transient** | injected faults (`ExecError::Injected`), caught panics, watchdog timeouts | yes, with exponential backoff up to `max_attempts` |
+//! There are no retries. Every result is a deterministic function of
+//! (program, inputs, configuration), so every error — an interpreter
+//! error such as `OutOfFuel`, a compile/lower/profile error, an FS
+//! equivalence violation — repeats on a second run; a panic or an
+//! elapsed watchdog deadline is a defect to report, not noise to
+//! retry away.
 //!
 //! The `branchlab-bench` crate exposes one binary per table/figure; see
 //! EXPERIMENTS.md for paper-vs-measured values.
@@ -41,7 +35,6 @@
 pub mod ablation;
 pub mod batch;
 mod budget;
-pub mod fault;
 pub mod figures;
 mod harness;
 mod render;
@@ -50,16 +43,13 @@ pub mod tables;
 pub mod trace_replay;
 
 pub use batch::{PredTicket, RasTicket, SweepBatch, SweepResults, LANE_COUNTERS, SWEEP_COUNTERS};
-pub use branchlab_interp::ErrorClass;
 pub use budget::{CoreBudget, Permit, RUNS_HELPED, RUNS_INTERPRETED};
-pub use fault::{FaultConfig, FaultInjector};
 pub use harness::{
-    eval_predictors, eval_predictors_live, mean_std, run_benchmark, run_benchmark_attempt,
-    run_benchmark_with_budget, run_suite, BenchResult, ExperimentConfig, ExperimentError,
-    SuiteResult, PHASES,
+    eval_predictors, eval_predictors_live, mean_std, run_benchmark, run_benchmark_with_budget,
+    run_suite, BenchResult, ExperimentConfig, ExperimentError, SuiteResult, PHASES,
 };
 pub use render::{f2, mcount, pct, rho, Align, Table};
 pub use supervisor::{
-    run_suite_supervised, supervise, AttemptFn, BenchFailure, SupervisorConfig, SupervisorStats,
+    run_suite_supervised, supervise, BenchFailure, SupervisorConfig, SupervisorStats,
 };
 pub use trace_replay::TRACE_COUNTERS;

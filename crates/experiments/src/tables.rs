@@ -19,10 +19,7 @@ fn failure_rows<'a>(
     columns: usize,
 ) {
     for f in failures {
-        let mut row = vec![
-            f.name.clone(),
-            format!("FAILED({}, {} attempts)", f.class, f.attempts),
-        ];
+        let mut row = vec![f.name.clone(), "FAILED".to_string()];
         row.resize(columns, "-".to_string());
         t.row(row);
     }
@@ -283,9 +280,7 @@ mod tests {
         let mut suite = mini_suite();
         suite.failures.push(BenchFailure {
             name: "grep".into(),
-            error: "injected fault at compile".into(),
-            class: crate::ErrorClass::Transient,
-            attempts: 3,
+            error: "evaluation run failed: out of fuel at @000106".into(),
             elapsed: std::time::Duration::from_millis(5),
         });
         for t in [
@@ -297,7 +292,7 @@ mod tests {
         ] {
             let text = t.to_text();
             assert!(text.contains("grep"), "{text}");
-            assert!(text.contains("FAILED(transient, 3 attempts)"), "{text}");
+            assert!(text.contains("FAILED"), "{text}");
             // Completed benches keep their rows.
             assert!(text.contains("wc"), "{text}");
         }

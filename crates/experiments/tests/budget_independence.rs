@@ -62,7 +62,7 @@ fn every_benchmark_reports_the_same_result_at_every_budget() {
                 ..cfg.clone()
             };
             let budget = CoreBudget::new(permits);
-            let r = run_benchmark_with_budget(bench, &shared, 1, &budget)
+            let r = run_benchmark_with_budget(bench, &shared, &budget)
                 .unwrap_or_else(|e| panic!("{} budget {permits}: {e}", bench.name));
             let ctx = format!("{} budget {permits}", bench.name);
             assert_same(&serial, &r, &ctx);
@@ -119,7 +119,7 @@ fn runs_out_of_fuel_fail_with_the_lowest_failing_runs_error_at_every_budget() {
         };
         for permits in BUDGETS {
             let err =
-                run_benchmark_with_budget(bench, &cfg, 1, &CoreBudget::new(permits)).unwrap_err();
+                run_benchmark_with_budget(bench, &cfg, &CoreBudget::new(permits)).unwrap_err();
             assert!(
                 matches!(err, ExperimentError::Exec(ExecError::OutOfFuel { at: a }) if a == at),
                 "{} budget {permits}: {err:?}, serial failed at {at:?} (run {first})",

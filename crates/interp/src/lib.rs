@@ -130,7 +130,8 @@ pub struct Outcome {
     pub stats: ExecStats,
 }
 
-/// A runtime error.
+/// A runtime error. Each is a deterministic function of
+/// `(program, inputs, config)`: the same execution raises it again.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[allow(missing_docs)] // variant fields are described in variant docs
 pub enum ExecError {
@@ -146,63 +147,6 @@ pub enum ExecError {
     PcOutOfRange { pc: u32 },
     /// The globals do not fit in the configured memory.
     MemoryTooSmall { need: usize, have: usize },
-    /// A synthetic failure injected by a fault-injection harness at the
-    /// named site. Never produced by the interpreter itself; exists so
-    /// injected faults travel the same error paths real ones do while
-    /// remaining distinguishable (and, unlike every real [`ExecError`],
-    /// classified [`ErrorClass::Transient`]).
-    Injected { site: &'static str },
-}
-
-/// Retry-eligibility classification of an error.
-///
-/// Every error the interpreter itself raises is a deterministic function
-/// of `(program, inputs, config)`: re-running the same execution yields
-/// the same fault, so retrying is wasted work — these are
-/// [`ErrorClass::Permanent`]. Only environmental failures (injected
-/// faults, caught panics, watchdog timeouts — classified by the layers
-/// above) are [`ErrorClass::Transient`] and worth retrying.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ErrorClass {
-    /// Deterministic: retrying the identical execution cannot succeed.
-    Permanent,
-    /// Environmental: a retry may succeed.
-    Transient,
-}
-
-impl ErrorClass {
-    /// `true` for [`ErrorClass::Transient`].
-    #[must_use]
-    pub fn is_transient(self) -> bool {
-        matches!(self, ErrorClass::Transient)
-    }
-}
-
-impl std::fmt::Display for ErrorClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ErrorClass::Permanent => write!(f, "permanent"),
-            ErrorClass::Transient => write!(f, "transient"),
-        }
-    }
-}
-
-impl ExecError {
-    /// Transient/permanent classification: every genuine interpreter
-    /// error is deterministic and therefore [`ErrorClass::Permanent`];
-    /// only [`ExecError::Injected`] is retry-eligible.
-    #[must_use]
-    pub fn class(&self) -> ErrorClass {
-        match self {
-            ExecError::Injected { .. } => ErrorClass::Transient,
-            ExecError::OutOfFuel { .. }
-            | ExecError::MemoryFault { .. }
-            | ExecError::StackOverflow { .. }
-            | ExecError::CallDepthExceeded { .. }
-            | ExecError::PcOutOfRange { .. }
-            | ExecError::MemoryTooSmall { .. } => ErrorClass::Permanent,
-        }
-    }
 }
 
 impl std::fmt::Display for ExecError {
@@ -218,7 +162,6 @@ impl std::fmt::Display for ExecError {
             ExecError::MemoryTooSmall { need, have } => {
                 write!(f, "memory too small: need {need} words, have {have}")
             }
-            ExecError::Injected { site } => write!(f, "injected fault at {site}"),
         }
     }
 }
@@ -698,28 +641,6 @@ mod tests {
         run(&p, &ExecConfig::default(), &[], &mut (&mut a, &mut b)).unwrap();
         assert!(a.0 > 0);
         assert_eq!(a.0, b.0);
-    }
-
-    #[test]
-    fn every_real_error_is_permanent_and_injected_is_transient() {
-        let at = Addr(0);
-        for e in [
-            ExecError::OutOfFuel { at },
-            ExecError::MemoryFault { at, addr: -1 },
-            ExecError::StackOverflow { at },
-            ExecError::CallDepthExceeded { at },
-            ExecError::PcOutOfRange { pc: 9 },
-            ExecError::MemoryTooSmall { need: 2, have: 1 },
-        ] {
-            assert_eq!(e.class(), ErrorClass::Permanent, "{e}");
-            assert!(!e.class().is_transient());
-        }
-        let inj = ExecError::Injected { site: "compile" };
-        assert_eq!(inj.class(), ErrorClass::Transient);
-        assert!(inj.class().is_transient());
-        assert_eq!(inj.to_string(), "injected fault at compile");
-        assert_eq!(ErrorClass::Permanent.to_string(), "permanent");
-        assert_eq!(ErrorClass::Transient.to_string(), "transient");
     }
 
     #[test]

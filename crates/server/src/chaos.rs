@@ -1,10 +1,7 @@
 //! Server-side deterministic chaos injection.
 //!
-//! The experiment harness already proves fault handling offline with
-//! [`FaultInjector`]; this module promotes the same seeded-decision
-//! scheme into the serving path. Four fault classes, each behind its
-//! own `--chaos-*` rate, each exercising a different recovery
-//! mechanism:
+//! Four fault classes, each behind its own `--chaos-*` rate, each
+//! exercising a different recovery mechanism:
 //!
 //! | site            | injected trouble            | what must absorb it            |
 //! |-----------------|-----------------------------|--------------------------------|
@@ -13,20 +10,19 @@
 //! | `cache_read`    | bit-flip in a cached body   | LRU hash validation → recompute (`server.cache.corrupt`) |
 //! | `spill_write`   | snapshot write failure      | best-effort spill, retried next interval (`server.spill.errors`) |
 //!
-//! Decisions are pure hashes of `(seed, site, sequence number, lane)`
-//! via [`FaultInjector::draw`], so a chaos run at a fixed seed injects
-//! the same fault pattern every time requests arrive in the same
-//! order — which is how `tests/chaos.rs` can assert exact recovery
-//! behavior. Responses stay byte-identical to a
-//! fault-free run no matter what fires: every class either delays,
-//! is detected and recomputed, or costs one request a `500` that a
-//! retry serves correctly.
+//! Each decision is a pure hash of `(seed, site, sequence number,
+//! lane)` seeding one [`Rng`] draw, so a chaos run at a fixed seed
+//! injects the same fault pattern every time requests arrive in the
+//! same order — which is how `tests/chaos.rs` can assert exact
+//! recovery behavior. Responses stay byte-identical to a fault-free
+//! run no matter what fires: every class either delays, is detected
+//! and recomputed, or costs one request a `500` that a retry serves
+//! correctly.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-use branchlab_experiments::fault::FIRST_CUSTOM_LANE;
-use branchlab_experiments::{FaultConfig, FaultInjector};
+use branchlab_telemetry::Rng;
 
 /// Chaos rates, one per server fault class (all zero by default).
 #[derive(Clone, Debug)]
@@ -71,13 +67,34 @@ impl ChaosConfig {
     }
 }
 
-/// Custom [`FaultInjector::draw`] lanes, one per server fault class.
+/// Decision lanes, one per server fault class; a lane tag keeps two
+/// classes drawing at the same sequence number decorrelated.
 mod lane {
-    use super::FIRST_CUSTOM_LANE;
-    pub const WORKER_PANIC: u64 = FIRST_CUSTOM_LANE;
-    pub const SLOW_COMPUTE: u64 = FIRST_CUSTOM_LANE + 1;
-    pub const CACHE_CORRUPT: u64 = FIRST_CUSTOM_LANE + 2;
-    pub const SPILL_FAIL: u64 = FIRST_CUSTOM_LANE + 3;
+    pub const WORKER_PANIC: u64 = 16;
+    pub const SLOW_COMPUTE: u64 = 17;
+    pub const CACHE_CORRUPT: u64 = 18;
+    pub const SPILL_FAIL: u64 = 19;
+}
+
+/// 64-bit FNV-1a, the site and scope component of the decision key.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// One decision: does draw `seq` of `site`'s lane fire at `rate`, under
+/// `seed`? A pure function of its arguments.
+fn decide(seed: u64, site: &str, seq: u32, lane: u64, rate: f64) -> bool {
+    let key = seed
+        .wrapping_add(fnv1a(b"server").rotate_left(7))
+        .wrapping_add(fnv1a(site.as_bytes()).rotate_left(29))
+        .wrapping_add(u64::from(seq).wrapping_mul(0x9e37_79b9))
+        .wrapping_add(lane.wrapping_mul(0x517c_c1b7_2722_0a95));
+    Rng::seed_from_u64(key).gen_bool(rate)
 }
 
 /// The daemon's chaos engine: per-site sequence counters feeding the
@@ -114,16 +131,13 @@ impl Chaos {
         if rate <= 0.0 {
             return false;
         }
-        let attempt = seq.fetch_add(1, Ordering::SeqCst);
-        FaultInjector::new(
-            &FaultConfig {
-                seed: self.cfg.seed,
-                ..FaultConfig::default()
-            },
-            "server",
-            attempt,
+        decide(
+            self.cfg.seed,
+            site,
+            seq.fetch_add(1, Ordering::SeqCst),
+            lane,
+            rate,
         )
-        .draw(site, lane, rate)
     }
 
     /// Should this worker job panic? (Trips *outside* the sweep's own
@@ -219,6 +233,51 @@ mod tests {
         assert_ne!(stream(1), stream(2));
         // A 0.5 lane actually mixes both outcomes.
         assert!(stream(1).iter().any(|&b| b) && stream(1).iter().any(|&b| !b));
+    }
+
+    /// The first 64 decisions of the four lanes (worker, compute,
+    /// cache, spill) at rate 0.5, bit `i` set when draw `i` fired.
+    fn decision_bits(seed: u64) -> [u64; 4] {
+        let chaos = Chaos::new(ChaosConfig {
+            seed,
+            worker_panic_rate: 0.5,
+            slow_compute_rate: 0.5,
+            delay: Duration::ZERO,
+            cache_corrupt_rate: 0.5,
+            spill_fail_rate: 0.5,
+        });
+        let bits =
+            |draw: &dyn Fn() -> bool| (0..64).fold(0u64, |acc, i| acc | u64::from(draw()) << i);
+        [
+            bits(&|| chaos.worker_panic()),
+            bits(&|| chaos.slow_compute().is_some()),
+            bits(&|| chaos.corrupt_cache_read()),
+            bits(&|| chaos.fail_spill_write()),
+        ]
+    }
+
+    #[test]
+    fn decision_streams_are_pinned() {
+        // A chaos run at a fixed seed must inject the same faults in
+        // every build: these are the streams the daemon has always drawn.
+        assert_eq!(
+            decision_bits(42),
+            [
+                0x0995e268763c4554,
+                0x716619c583bf26fc,
+                0xaf7bb6ba7c32a376,
+                0x3dd5b0e7d4d1b3a2
+            ]
+        );
+        assert_eq!(
+            decision_bits(7),
+            [
+                0x08dd9efb2a15747f,
+                0xb0c188beb3854155,
+                0x06c26936b3231c42,
+                0x73af2c003d8d01c9
+            ]
+        );
     }
 
     #[test]

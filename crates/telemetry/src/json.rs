@@ -387,16 +387,29 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            let unit = self
+                                .hex4(self.pos + 1)
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed by our own
-                            // output; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                             self.pos += 4;
+                            // A high surrogate followed by an escaped low
+                            // one is a pair: one char outside the BMP.
+                            let low = if (0xD800..0xDC00).contains(&unit)
+                                && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                            {
+                                self.hex4(self.pos + 3)
+                                    .filter(|low| (0xDC00..0xE000).contains(low))
+                            } else {
+                                None
+                            };
+                            let c = match low {
+                                Some(low) => {
+                                    self.pos += 6;
+                                    0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                                }
+                                None => unit,
+                            };
+                            // A lone surrogate is not a char: U+FFFD.
+                            out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.err("bad escape")),
                     }
@@ -415,6 +428,14 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The code unit spelled by exactly four hex digits at `at`.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.bytes.get(at..at + 4)?;
+        digits
+            .iter()
+            .try_fold(0, |unit, &b| Some(unit << 4 | char::from(b).to_digit(16)?))
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
@@ -498,6 +519,48 @@ mod tests {
     fn escapes_round_trip() {
         let doc = JsonValue::Str("a\"b\\c\nd\te\u{1}f".to_string());
         assert_eq!(parse(&doc.to_json()).unwrap(), doc);
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap().as_str(), Some("Aé"));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04""#,
+            r#""\u004g""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} should not parse");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap().as_str(), Some("😀"));
+        assert_eq!(parse(r#""\uD834\uDD1Ex""#).unwrap().as_str(), Some("𝄞x"));
+        // Lone surrogates, or a high one before a non-low escape, are
+        // U+FFFD each.
+        for (text, want) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00a""#, "\u{fffd}a"),
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}😀"),
+        ] {
+            assert_eq!(parse(text).unwrap().as_str(), Some(want), "{text}");
+        }
+    }
+
+    #[test]
+    fn astral_plane_strings_round_trip() {
+        let doc = JsonValue::obj(vec![(
+            "😀 key",
+            JsonValue::Str("𝄞 clef, 😀 face, 🀄 tile\u{10ffff}".to_string()),
+        )]);
+        for text in [doc.to_json(), doc.to_json_pretty()] {
+            assert_eq!(parse(&text).unwrap(), doc, "{text}");
+        }
     }
 
     #[test]

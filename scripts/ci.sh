@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Offline CI gate: format, lint, docs, build, and tests. Every
-# end-to-end check (report telemetry and fault runs, the daemon's
+# end-to-end check (report telemetry and partial results, the daemon's
 # SIGKILL/SIGTERM life cycle, btb_bench's artifact) is a Tier-1 test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
