@@ -324,11 +324,15 @@ pub fn artifact_main(tool: &str, emit: impl FnOnce(&Options, &SuiteResult)) {
 }
 
 /// Check, before any work starts, that a file can be created at `path`
-/// for `flag`: its directory must exist.
+/// for `flag`: its directory must exist, and `path` must not itself be
+/// a directory.
 ///
 /// # Errors
 /// One line naming the flag, the path and the I/O error.
 pub fn check_file_destination(flag: &str, path: &Path) -> Result<(), String> {
+    if path.is_dir() {
+        return Err(format!("{flag} {}: is a directory", path.display()));
+    }
     let dir = match path.parent() {
         Some(dir) if !dir.as_os_str().is_empty() => dir,
         _ => Path::new("."),

@@ -257,8 +257,12 @@ fn a_bad_flag_is_a_usage_error() {
     let not_a_dir = std::fs::create_dir_all(&under_file).unwrap_err();
     let under_file = under_file.to_str().unwrap();
     let trace_out = format!("--trace-out {missing}: {no_dir}");
+    // A file destination that is a directory is refused up front too.
+    let a_dir = dir.to_str().unwrap();
+    let trace_to_dir = format!("--trace-out {a_dir}: is a directory");
     for bin in [report, env!("CARGO_BIN_EXE_table1")] {
         assert_usage_error(bin, &["--trace-out", missing], &trace_out, USAGE);
+        assert_usage_error(bin, &["--trace-out", a_dir], &trace_to_dir, USAGE);
         assert_usage_error(
             bin,
             &["--telemetry-out", under_file],
@@ -267,16 +271,17 @@ fn a_bad_flag_is_a_usage_error() {
         );
     }
     let ablation = env!("CARGO_BIN_EXE_ablation");
-    assert_usage_error(
-        ablation,
-        &["--trace-out", missing],
-        &trace_out,
-        ABLATION_USAGE,
-    );
+    for (path, message) in [(missing, &trace_out), (a_dir, &trace_to_dir)] {
+        assert_usage_error(ablation, &["--trace-out", path], message, ABLATION_USAGE);
+    }
 
-    // A write that still fails at the end is one line and exit 1.
+    // A write that still fails at the end is one line and exit 1: the
+    // telemetry directory exists, but its manifest path is a directory.
+    let telemetry = dir.join("telemetry");
+    std::fs::create_dir_all(telemetry.join("manifest.json")).unwrap();
     let out = Command::new(report)
-        .args(["--scale", "test", "--trace-out", dir.to_str().unwrap()])
+        .args(["--scale", "test", "--telemetry-out"])
+        .arg(&telemetry)
         .output()
         .expect("run report");
     assert_eq!(out.status.code(), Some(1));
@@ -284,8 +289,8 @@ fn a_bad_flag_is_a_usage_error() {
     let last = stderr.lines().last().unwrap_or_default();
     assert!(
         last.starts_with(&format!(
-            "report: writing Chrome trace to {} failed: ",
-            dir.display()
+            "report: writing telemetry to {} failed: ",
+            telemetry.display()
         )),
         "{stderr}"
     );
@@ -315,6 +320,8 @@ fn a_bad_flag_is_a_usage_error() {
     }
     let out_missing = format!("--out {missing}: {no_dir}");
     assert_usage_error(btb_bench, &["--out", missing], &out_missing, usage);
+    let out_to_dir = format!("--out {a_dir}: is a directory");
+    assert_usage_error(btb_bench, &["--out", a_dir], &out_to_dir, usage);
     std::fs::remove_dir_all(&dir).ok();
 }
 

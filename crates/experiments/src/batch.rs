@@ -288,8 +288,8 @@ struct LaneFamilyWork {
 }
 
 /// Group compatible sweep points into lane families. Points whose
-/// [`BranchPredictor::lane_spec`] is `None` (stateful, instrumented,
-/// or an unpackable scheme), points with no [`LaneFamilyKey`], and
+/// [`BranchPredictor::lane_spec`] is `None` (stateful or an unpackable
+/// scheme), points with no [`LaneFamilyKey`], and
 /// families that end up with a single member stay scalar — the
 /// returned `(flattened index, predictor)` list. Bucketing is
 /// first-fit in plan order and capped at [`MAX_LANES`] per family

@@ -630,23 +630,26 @@ mod tests {
 
     #[test]
     fn site_telemetry_attributes_mispredicts_to_sites() {
-        let r = run_benchmark(benchmark("wc").unwrap(), &ExperimentConfig::test()).unwrap();
-        use branchlab_telemetry::ProbeKind;
-        // The probe's view must agree with the evaluator's scoring.
-        assert_eq!(
-            r.sbtb_sites.total(ProbeKind::Mispredict),
-            r.sbtb.events - r.sbtb.correct
-        );
-        assert_eq!(
-            r.cbtb_sites.total(ProbeKind::Mispredict),
-            r.cbtb.events - r.cbtb.correct
-        );
-        assert_eq!(
-            r.sbtb_sites.total(ProbeKind::Hit),
-            r.sbtb.events - r.sbtb.btb_misses
-        );
-        assert_eq!(r.sbtb_sites.total(ProbeKind::Miss), r.sbtb.btb_misses);
-        assert!(!r.sbtb_sites.top_mispredicted(5).is_empty());
+        // The site totals must agree with each buffer's scoring.
+        let cfg = ExperimentConfig::test();
+        for name in ["wc", "grep", "cccp", "lex"] {
+            let r = run_benchmark(benchmark(name).unwrap(), &cfg).unwrap();
+            for (scheme, stats, sites) in [
+                ("SBTB", &r.sbtb, &r.sbtb_sites),
+                ("CBTB", &r.cbtb, &r.cbtb_sites),
+            ] {
+                let t = sites.totals();
+                assert_eq!(t.hits + t.misses, stats.btb_lookups, "{name} {scheme}");
+                assert_eq!(t.misses, stats.btb_misses, "{name} {scheme}");
+                assert_eq!(t.taken + t.not_taken, stats.events, "{name} {scheme}");
+                assert_eq!(
+                    t.mispredicts,
+                    stats.events - stats.correct,
+                    "{name} {scheme}"
+                );
+                assert!(!sites.top_mispredicted(5).is_empty(), "{name} {scheme}");
+            }
+        }
     }
 
     #[test]

@@ -1,28 +1,32 @@
 //! Natural-pass fidelity: for every suite benchmark, the statistics
 //! `run_benchmark` reports — SBTB, CBTB, the static baselines, the
-//! Table 2 mix, the FS likely-bit scoring and, with site telemetry on,
-//! the per-site SBTB/CBTB probes — must equal the predict crate's
-//! general evaluators driven over the same executions: cold per run
-//! over the benchmark's captured traces for the conventional binary,
-//! and `LikelyBit` over live runs of the FS binary.
+//! Table 2 mix, the FS likely-bit scoring and the per-site SBTB/CBTB
+//! counters — must equal the predict crate's general evaluators driven
+//! over the same executions: cold per run over the benchmark's captured
+//! traces for the conventional binary, with the `Sbtb` and `Cbtb`
+//! engines under the per-site oracle of `natural_prop`, and
+//! `LikelyBit` over live runs of the FS binary.
+
+#[path = "../../predict/tests/support/site_oracle.rs"]
+mod site_oracle;
 
 use branchlab_experiments::trace_replay::{cached_profile, captured_runs, replay_runs};
 use branchlab_experiments::{run_benchmark, BenchResult, ExperimentConfig};
 use branchlab_fsem::{fs_program, FsConfig};
 use branchlab_interp::{run, ExecConfig};
 use branchlab_predict::{
-    AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, BranchPredictor, Cbtb, CbtbConfig,
-    Evaluator, LikelyBit, Sbtb, SbtbConfig,
+    AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, Cbtb, CbtbConfig, Evaluator, LikelyBit,
+    Sbtb, SbtbConfig,
 };
-use branchlab_telemetry::SiteProbe;
 use branchlab_trace::{BranchEvent, BranchMix, ExecHooks};
 use branchlab_workloads::{Benchmark, SUITE};
+use site_oracle::SiteOracle;
 
 /// The scalar engines the natural pass replaced, fed event by event.
 struct Oracle {
     mix: BranchMix,
-    sbtb: Evaluator<Sbtb<SiteProbe>>,
-    cbtb: Evaluator<Cbtb<SiteProbe>>,
+    sbtb: SiteOracle<Sbtb>,
+    cbtb: SiteOracle<Cbtb>,
     at: Evaluator<AlwaysTaken>,
     ant: Evaluator<AlwaysNotTaken>,
     btfn: Evaluator<BackwardTakenForwardNot>,
@@ -46,16 +50,16 @@ fn oracle(bench: &Benchmark, cfg: &ExperimentConfig) -> Oracle {
     };
     let mut oracle = Oracle {
         mix: BranchMix::new(),
-        sbtb: Evaluator::new(Sbtb::with_sink(SbtbConfig::paper(), SiteProbe::default())),
-        cbtb: Evaluator::new(Cbtb::with_sink(cbtb, SiteProbe::default())),
+        sbtb: SiteOracle::sbtb(SbtbConfig::paper()),
+        cbtb: SiteOracle::cbtb(cbtb),
         at: Evaluator::new(AlwaysTaken),
         ant: Evaluator::new(AlwaysNotTaken),
         btfn: Evaluator::new(BackwardTakenForwardNot),
     };
     let runs = captured_runs(bench, cfg).unwrap_or_else(|e| panic!("{}: {e}", bench.name));
     for trace in runs.iter() {
-        oracle.sbtb.predictor.flush();
-        oracle.cbtb.predictor.flush();
+        oracle.sbtb.flush();
+        oracle.cbtb.flush();
         replay_runs(std::slice::from_ref(trace), &mut oracle)
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
     }
@@ -99,16 +103,8 @@ fn natural_pass_equals_the_scalar_evaluators_for_every_benchmark() {
         assert_eq!(r.always_not_taken, o.ant.stats, "{name}: always-not-taken");
         assert_eq!(r.btfn, o.btfn.stats, "{name}: BTFN");
         assert_eq!(r.fs, fs_oracle(bench, &cfg).stats, "{name}: FS");
-        assert_eq!(
-            r.sbtb_sites.sites(),
-            o.sbtb.predictor.sink().sites(),
-            "{name}: SBTB sites"
-        );
-        assert_eq!(
-            r.cbtb_sites.sites(),
-            o.cbtb.predictor.sink().sites(),
-            "{name}: CBTB sites"
-        );
+        assert_eq!(r.sbtb_sites.sites(), &o.sbtb.sites, "{name}: SBTB sites");
+        assert_eq!(r.cbtb_sites.sites(), &o.cbtb.sites, "{name}: CBTB sites");
     }
 }
 

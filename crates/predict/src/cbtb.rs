@@ -20,8 +20,6 @@
 //! and a [`CbtbConfig`] converts into a one-level
 //! [`MlBtbConfig`](crate::MlBtbConfig), which carries the counter rule.
 
-use branchlab_telemetry::NoopSink;
-
 use crate::mlbtb::MlBtb;
 
 /// CBTB geometry and counter parameters.
@@ -62,12 +60,9 @@ impl Default for CbtbConfig {
 }
 
 /// The Counter-based Branch Target Buffer: a single-level [`MlBtb`],
-/// built from a [`CbtbConfig`].
-///
-/// Generic over a [`TelemetrySink`](branchlab_telemetry::TelemetrySink);
-/// the default [`NoopSink`] keeps `enabled()` constant-false, so the
-/// uninstrumented predictor monomorphizes with no probe code on the hot
-/// path.
+/// built from a [`CbtbConfig`]. Like every engine it reports each
+/// step's outcome only through its [`Prediction`](crate::Prediction);
+/// [`NaturalPass`](crate::NaturalPass) keeps the per-site tallies.
 ///
 /// Construct with the paper's parameters and score it over a live run
 /// via [`Evaluator`](crate::Evaluator):
@@ -90,13 +85,14 @@ impl Default for CbtbConfig {
 /// # Ok(())
 /// # }
 /// ```
-pub type Cbtb<S = NoopSink> = MlBtb<S>;
+pub type Cbtb = MlBtb;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predictor::test_util::{cond, cond_to};
+    use crate::predictor::test_util::{branch_code, cond, cond_to};
     use crate::predictor::Evaluator;
+    use crate::{NaturalPass, SbtbConfig};
     use branchlab_trace::ExecHooks;
 
     fn drive(c: Cbtb, outcomes: &[bool]) -> Evaluator<Cbtb> {
@@ -210,17 +206,46 @@ mod tests {
 
     #[test]
     fn site_probe_sees_residence_and_mispredicts() {
-        use branchlab_telemetry::SiteProbe;
-        let mut e = Evaluator::new(Cbtb::with_sink(CbtbConfig::paper(), SiteProbe::default()));
-        e.branch(&cond_to(10, true, 50)); // miss (wrong), insert at T
-        e.branch(&cond_to(10, true, 50)); // hit, correct
-        e.branch(&cond_to(10, false, 50)); // hit, predicted taken → wrong
-        let probe = e.predictor.sink();
-        let c = probe.sites()[&10];
-        assert_eq!((c.hits, c.misses), (2, 1));
-        assert_eq!((c.taken, c.not_taken), (2, 1));
-        assert_eq!(c.mispredicts, 2);
-        assert_eq!(c.evicts, 0);
+        // Per-site tallies are the natural pass's; at both geometries it
+        // scores the events as the engine does.
+        let events = [
+            cond_to(10, true, 50),  // miss (wrong), insert at T
+            cond_to(10, true, 50),  // hit, correct
+            cond_to(10, false, 50), // hit, predicted taken → wrong
+            cond_to(10, true, 99),  // hit, stale target → alias, wrong
+            cond_to(26, false, 7),  // miss (right), insert (evicts site 10 from 1 entry)
+        ];
+        for entries in [1, 256] {
+            let config = CbtbConfig {
+                entries,
+                ways: entries,
+                ..CbtbConfig::paper()
+            };
+            let sbtb = SbtbConfig {
+                entries,
+                ways: entries,
+            };
+            let mut pass = NaturalPass::new(&branch_code(&[10, 26]), sbtb, config);
+            let mut e = Evaluator::new(Cbtb::new(config));
+            for ev in &events {
+                pass.branch(ev);
+                e.branch(ev);
+            }
+            assert_eq!(pass.cbtb_stats(), e.stats, "{entries} entries");
+            let probe = pass.cbtb_sites();
+            let c = probe.sites()[&10];
+            assert_eq!((c.hits, c.misses), (3, 1));
+            assert_eq!((c.taken, c.not_taken), (3, 1));
+            assert_eq!(c.mispredicts, 3);
+            assert_eq!(c.aliases, 1);
+            assert_eq!(
+                c.evicts,
+                u64::from(entries == 1),
+                "site 10 is the 1-entry buffer's eviction victim"
+            );
+            let c = probe.sites()[&26];
+            assert_eq!((c.misses, c.not_taken, c.mispredicts), (1, 1, 0));
+        }
     }
 
     #[test]

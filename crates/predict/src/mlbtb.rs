@@ -21,7 +21,6 @@
 //! only last-level victims leave the buffer.
 
 use branchlab_ir::Addr;
-use branchlab_telemetry::{NoopSink, ProbeEvent, ProbeKind, TelemetrySink};
 use branchlab_trace::BranchEvent;
 
 use crate::assoc::AssocBuffer;
@@ -212,12 +211,11 @@ pub(crate) struct BtbEntry {
 
 /// The multi-level BTB; with one level, the paper's CBTB.
 ///
-/// Generic over a [`TelemetrySink`]; the default [`NoopSink`] keeps
-/// `enabled()` constant-false so the uninstrumented predictor
-/// monomorphizes with no probe code on the hot path. A fresh
-/// single-level buffer with its sink off describes itself as a
-/// [`LaneSpec::Cbtb`] lane, so the sweep planner can pack it; deeper
-/// hierarchies have no lane form and stay on the scalar path.
+/// It reports each step's outcome only through its [`Prediction`] and
+/// its [`MlBtbStats`]; per-site tallies are the scorer's job. A fresh
+/// single-level buffer describes itself as a [`LaneSpec::Cbtb`] lane,
+/// so the sweep planner can pack it; deeper hierarchies have no lane
+/// form and stay on the scalar path.
 ///
 /// ```
 /// use branchlab_predict::{Evaluator, MlBtb};
@@ -234,7 +232,7 @@ pub(crate) struct BtbEntry {
 /// # }
 /// ```
 #[derive(Clone, Debug)]
-pub struct MlBtb<S: TelemetrySink = NoopSink> {
+pub struct MlBtb {
     /// The first level, searched on every lookup (held inline: it is
     /// the whole buffer of the CBTB).
     l1: AssocBuffer<BtbEntry>,
@@ -248,7 +246,6 @@ pub struct MlBtb<S: TelemetrySink = NoopSink> {
     lookups: u64,
     /// Lookups no level served.
     full_misses: u64,
-    sink: S,
     /// What the last `predict` found, so `update` need not search
     /// again: its pc and the L1 way it hit, or `None` when no level
     /// holds it. A promoted entry has moved, and `update` searches.
@@ -264,30 +261,6 @@ impl MlBtb {
     /// [`MlBtbConfig::validate`] refuses the configuration.
     #[must_use]
     pub fn new(config: impl Into<MlBtbConfig>) -> Self {
-        Self::with_sink(config, NoopSink)
-    }
-
-    /// The paper's 256-entry fully-associative 2-bit CBTB with T = 2.
-    #[must_use]
-    pub fn paper() -> Self {
-        Self::new(MlBtbConfig::paper())
-    }
-
-    /// The server-scale two-level hierarchy of [`MlBtbConfig::server`].
-    #[must_use]
-    pub fn server() -> Self {
-        Self::new(MlBtbConfig::server())
-    }
-}
-
-impl<S: TelemetrySink> MlBtb<S> {
-    /// Build a BTB that publishes probe events to `sink`.
-    ///
-    /// # Panics
-    /// Panics with the [`ConfigError`] text if
-    /// [`MlBtbConfig::validate`] refuses the configuration.
-    #[must_use]
-    pub fn with_sink(config: impl Into<MlBtbConfig>, sink: S) -> Self {
         let config = config.into();
         assert_valid(config.validate());
         let mut levels = config
@@ -304,9 +277,20 @@ impl<S: TelemetrySink> MlBtb<S> {
             lookups: 0,
             full_misses: 0,
             config,
-            sink,
             last_hit: None,
         }
+    }
+
+    /// The paper's 256-entry fully-associative 2-bit CBTB with T = 2.
+    #[must_use]
+    pub fn paper() -> Self {
+        Self::new(MlBtbConfig::paper())
+    }
+
+    /// The server-scale two-level hierarchy of [`MlBtbConfig::server`].
+    #[must_use]
+    pub fn server() -> Self {
+        Self::new(MlBtbConfig::server())
     }
 
     /// The configuration this buffer was built with.
@@ -337,12 +321,6 @@ impl<S: TelemetrySink> MlBtb<S> {
         stats
     }
 
-    /// The telemetry sink.
-    #[must_use]
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
     /// Total resident entries across all levels.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -367,13 +345,6 @@ impl<S: TelemetrySink> MlBtb<S> {
         }
     }
 
-    #[inline]
-    fn probe(&mut self, site: u32, kind: ProbeKind) {
-        if self.sink.enabled() {
-            self.sink.emit(ProbeEvent { site, kind });
-        }
-    }
-
     /// `predict` for a branch L1 does not hold, in a hierarchy: a hit in
     /// a lower level, which promotes the entry, or a full miss. Kept out
     /// of line, so the L1 paths stay small.
@@ -388,7 +359,6 @@ impl<S: TelemetrySink> MlBtb<S> {
             return self.full_miss(pc);
         };
         self.stats.levels[level].hits += 1;
-        self.probe(pc, ProbeKind::Hit);
         // Promote: straight to L1 (inclusive-L1) or one level up (staged
         // climb); victims cascade down.
         let dest = match self.config.policy {
@@ -405,7 +375,6 @@ impl<S: TelemetrySink> MlBtb<S> {
     #[inline]
     fn full_miss(&mut self, pc: u32) -> Prediction {
         self.full_misses += 1;
-        self.probe(pc, ProbeKind::Miss);
         self.last_hit = Some((pc, None));
         Prediction {
             taken: false,
@@ -441,7 +410,6 @@ impl<S: TelemetrySink> MlBtb<S> {
             };
             self.stats.levels[level].evicts += 1;
             if level == self.lower.len() {
-                self.probe(victim_key, ProbeKind::Evict);
                 return;
             }
             level += 1;
@@ -451,7 +419,7 @@ impl<S: TelemetrySink> MlBtb<S> {
     }
 }
 
-impl<S: TelemetrySink> BranchPredictor for MlBtb<S> {
+impl BranchPredictor for MlBtb {
     fn name(&self) -> &'static str {
         if self.lower.is_empty() {
             "CBTB"
@@ -472,39 +440,13 @@ impl<S: TelemetrySink> BranchPredictor for MlBtb<S> {
             };
         };
         let entry = *e;
-        self.probe(pc, ProbeKind::Hit);
         self.last_hit = Some((pc, Some(way)));
         self.hit_prediction(entry)
     }
 
     #[inline]
-    fn update(&mut self, ev: &BranchEvent, pred: &Prediction) {
+    fn update(&mut self, ev: &BranchEvent, _: &Prediction) {
         let pc = ev.pc.0;
-        if self.sink.enabled() {
-            let kind = if ev.taken {
-                ProbeKind::Taken
-            } else {
-                ProbeKind::NotTaken
-            };
-            self.sink.emit(ProbeEvent { site: pc, kind });
-            if !pred.is_correct(ev) {
-                self.sink.emit(ProbeEvent {
-                    site: pc,
-                    kind: ProbeKind::Mispredict,
-                });
-            }
-            if ev.taken
-                && self
-                    .levels()
-                    .find_map(|l| l.peek(pc))
-                    .is_some_and(|entry| entry.target != ev.target)
-            {
-                self.sink.emit(ProbeEvent {
-                    site: pc,
-                    kind: ProbeKind::Alias,
-                });
-            }
-        }
         let max = self.config.counter_max();
         let resident = match self.last_hit.take() {
             // predict already found this L1 entry, or found the branch
@@ -539,14 +481,12 @@ impl<S: TelemetrySink> BranchPredictor for MlBtb<S> {
     }
 
     fn lane_spec(&self) -> Option<LaneSpec> {
-        // A probe sink observes per-event effects the lane engine does
-        // not replay, a non-empty buffer has diverged from the fresh
-        // configuration the spec describes, and a hierarchy has no
-        // lane form.
+        // A non-empty buffer has diverged from the fresh configuration
+        // the spec describes, and a hierarchy has no lane form.
         let [level] = self.config.levels[..] else {
             return None;
         };
-        (!self.sink.enabled() && self.is_empty()).then_some(LaneSpec::Cbtb(CbtbConfig {
+        self.is_empty().then_some(LaneSpec::Cbtb(CbtbConfig {
             entries: level.entries,
             ways: level.ways,
             counter_bits: self.config.counter_bits,
@@ -808,19 +748,25 @@ mod tests {
     }
 
     #[test]
-    fn dropped_entries_probe_evict() {
-        use branchlab_telemetry::SiteProbe;
-        let mut e = Evaluator::new(MlBtb::with_sink(tiny(FillPolicy::L1), SiteProbe::default()));
+    fn the_dropped_entry_is_the_least_recent_branch() {
+        let mut e = Evaluator::new(MlBtb::new(tiny(FillPolicy::L1)));
         // Capacity is 1 + 2 = 3; the fourth distinct branch drops one.
         for pc in [10, 20, 30, 40] {
             e.branch(&cond_to(pc, true, pc + 5));
         }
         assert_eq!(e.predictor.stats().dropped, 1);
-        let probe = e.predictor.sink();
-        let evicted: u64 = probe.sites().values().map(|c| c.evicts).sum();
-        assert_eq!(evicted, 1);
-        // The very first branch is the LRU chain's tail.
-        assert_eq!(probe.sites()[&10].evicts, 1);
+        // The very first branch was the LRU chain's tail: the other
+        // three still hit (each promotion demotes without a drop), and
+        // it misses.
+        for pc in [20, 30, 40] {
+            let misses = e.stats.btb_misses;
+            e.branch(&cond_to(pc, true, pc + 5));
+            assert_eq!(e.stats.btb_misses, misses, "pc {pc} is resident");
+        }
+        assert_eq!(e.predictor.stats().dropped, 1);
+        let misses = e.stats.btb_misses;
+        e.branch(&cond_to(10, true, 15));
+        assert_eq!(e.stats.btb_misses, misses + 1, "pc 10 was dropped");
     }
 
     #[test]

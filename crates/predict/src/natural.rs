@@ -13,13 +13,14 @@
 //!   which is all the Forward Semantic profile needs.
 //! * [`NaturalPass`] adds the paper's fully-associative SBTB and CBTB
 //!   as true-LRU tables indexed by pc, stepped together in one fused
-//!   per-event body, with per-pc tallies that double as the
-//!   [`SiteProbe`] telemetry.
+//!   per-event body, with per-pc tallies that are the suite's one
+//!   source of per-site telemetry ([`SiteProbe`]).
 //!
 //! [`Sbtb`](crate::Sbtb) and [`Cbtb`](crate::Cbtb) stay the general
-//! engines (any geometry, any event source); they are the oracle these
-//! passes must match exactly (`tests/natural_prop.rs`). The CBTB's
-//! counter rule is [`MlBtbConfig`]'s, shared with the engine.
+//! engines (any geometry, any event source). Driven under a test-only
+//! per-site oracle (`tests/support/site_oracle.rs`), they are what
+//! these passes must match exactly (`tests/natural_prop.rs`). The
+//! CBTB's counter rule is [`MlBtbConfig`]'s, shared with the engine.
 
 use branchlab_ir::{Addr, FuncId, Inst};
 use branchlab_telemetry::{SiteCounters, SiteProbe};
@@ -332,9 +333,10 @@ struct BtbTally {
 /// lookup, the scoring, and the update (LRU refresh, SBTB delete-on-
 /// fall-through, CBTB counter step, fills with LRU eviction) with no
 /// second search. The result equals [`Evaluator`](crate::Evaluator)
-/// over `Sbtb<SiteProbe>` and `Cbtb<SiteProbe>` with the same
+/// over [`Sbtb`](crate::Sbtb) and [`Cbtb`](crate::Cbtb) with the same
 /// configurations, fed the same events and flushed at the same points,
-/// in every statistic and site counter.
+/// in every statistic; and each site counter equals what the tests'
+/// per-site oracle tallies from those engines' predictions.
 ///
 /// ```
 /// use branchlab_predict::{CbtbConfig, NaturalPass, SbtbConfig};
@@ -525,13 +527,13 @@ impl NaturalPass {
         self.btb_stats(&self.cbtb_tally)
     }
 
-    /// The SBTB's per-site telemetry, as a `Sbtb<SiteProbe>` collects it.
+    /// The SBTB's per-site telemetry: one entry per executed site.
     #[must_use]
     pub fn sbtb_sites(&self) -> SiteProbe {
         self.site_probe(&self.sbtb_tally)
     }
 
-    /// The CBTB's per-site telemetry, as a `Cbtb<SiteProbe>` collects it.
+    /// The CBTB's per-site telemetry: one entry per executed site.
     #[must_use]
     pub fn cbtb_sites(&self) -> SiteProbe {
         self.site_probe(&self.cbtb_tally)

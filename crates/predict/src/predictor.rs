@@ -109,9 +109,7 @@ pub trait BranchPredictor: Send {
     /// Contract: return `Some` only while the predictor's state is
     /// *exactly* the freshly-constructed state the spec describes —
     /// the lane engine rebuilds the configuration from the spec alone,
-    /// and the planner swaps it in for this instance. Instrumented
-    /// predictors (enabled telemetry sinks) must return `None`: lane
-    /// scoring does not replay per-event probes.
+    /// and the planner swaps it in for this instance.
     fn lane_spec(&self) -> Option<crate::lanes::LaneSpec> {
         None
     }
@@ -301,8 +299,30 @@ impl<P: BranchPredictor> BranchPredictor for ContextSwitched<P> {
 
 #[cfg(test)]
 pub(crate) mod test_util {
-    use branchlab_ir::{Addr, BlockId, BranchId, FuncId};
+    use branchlab_ir::{Addr, BlockId, BranchId, Cond, FuncId, Inst, Operand};
     use branchlab_trace::{BranchEvent, BranchKind};
+
+    /// A binary with a conditional branch at each of `pcs` and `Nop`
+    /// everywhere else, for the pc-indexed passes.
+    pub fn branch_code(pcs: &[u32]) -> Vec<Inst> {
+        let len = pcs.iter().max().map_or(0, |&pc| pc + 1);
+        (0..len)
+            .map(|pc| {
+                if pcs.contains(&pc) {
+                    Inst::Br {
+                        cond: Cond::Eq,
+                        a: Operand::Imm(0),
+                        b: Operand::Imm(0),
+                        target: Addr(0),
+                        slots: 0,
+                        likely: false,
+                    }
+                } else {
+                    Inst::Nop
+                }
+            })
+            .collect()
+    }
 
     /// A conditional branch event at `pc` with the given outcome.
     pub fn cond(pc: u32, taken: bool) -> BranchEvent {
@@ -322,7 +342,7 @@ pub(crate) mod test_util {
                 block: BlockId(pc),
             },
             likely: false,
-            cond: Some(branchlab_ir::Cond::Eq),
+            cond: Some(Cond::Eq),
         }
     }
 

@@ -7,7 +7,6 @@
 //! is deleted.
 
 use branchlab_ir::Addr;
-use branchlab_telemetry::{NoopSink, ProbeEvent, ProbeKind, TelemetrySink};
 use branchlab_trace::BranchEvent;
 
 use crate::assoc::AssocBuffer;
@@ -49,11 +48,9 @@ impl Default for SbtbConfig {
     }
 }
 
-/// The Simple Branch Target Buffer.
-///
-/// Generic over a [`TelemetrySink`]; the default [`NoopSink`] keeps
-/// `enabled()` constant-false, so the uninstrumented predictor
-/// monomorphizes with no probe code on the hot path.
+/// The Simple Branch Target Buffer. It reports each step's outcome
+/// only through its [`Prediction`]; per-site tallies are the scorer's
+/// job ([`NaturalPass`](crate::NaturalPass) keeps them per pc).
 ///
 /// Construct with the paper's geometry (or any [`SbtbConfig`]) and score
 /// it over a live run via [`Evaluator`](crate::Evaluator):
@@ -81,9 +78,8 @@ impl Default for SbtbConfig {
 /// # }
 /// ```
 #[derive(Clone, Debug)]
-pub struct Sbtb<S: TelemetrySink = NoopSink> {
+pub struct Sbtb {
     buf: AssocBuffer<Addr>,
-    sink: S,
     /// `(pc, way)` of the entry the last `predict` hit, so `update` can
     /// revisit it without a second buffer search.
     last_hit: Option<(u32, u32)>,
@@ -97,30 +93,17 @@ impl Sbtb {
     /// [`SbtbConfig::validate`] refuses `config`.
     #[must_use]
     pub fn new(config: SbtbConfig) -> Self {
-        Self::with_sink(config, NoopSink)
+        assert_valid(config.validate());
+        Sbtb {
+            buf: AssocBuffer::new(config.entries / config.ways, config.ways),
+            last_hit: None,
+        }
     }
 
     /// The paper's 256-entry fully-associative SBTB.
     #[must_use]
     pub fn paper() -> Self {
         Self::new(SbtbConfig::paper())
-    }
-}
-
-impl<S: TelemetrySink> Sbtb<S> {
-    /// Build an SBTB that publishes probe events to `sink`.
-    ///
-    /// # Panics
-    /// Panics with the [`ConfigError`] text if
-    /// [`SbtbConfig::validate`] refuses `config`.
-    #[must_use]
-    pub fn with_sink(config: SbtbConfig, sink: S) -> Self {
-        assert_valid(config.validate());
-        Sbtb {
-            buf: AssocBuffer::new(config.entries / config.ways, config.ways),
-            sink,
-            last_hit: None,
-        }
     }
 
     /// Resident entries (for tests and occupancy studies).
@@ -134,19 +117,6 @@ impl<S: TelemetrySink> Sbtb<S> {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
-
-    /// The telemetry sink.
-    #[must_use]
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    #[inline]
-    fn probe(&mut self, site: u32, kind: ProbeKind) {
-        if self.sink.enabled() {
-            self.sink.emit(ProbeEvent { site, kind });
-        }
-    }
 }
 
 impl Default for Sbtb {
@@ -155,7 +125,7 @@ impl Default for Sbtb {
     }
 }
 
-impl<S: TelemetrySink> BranchPredictor for Sbtb<S> {
+impl BranchPredictor for Sbtb {
     fn name(&self) -> &'static str {
         "SBTB"
     }
@@ -164,53 +134,20 @@ impl<S: TelemetrySink> BranchPredictor for Sbtb<S> {
         let hit = self.buf.lookup_pos(ev.pc.0).map(|(way, t)| (way, *t));
         self.last_hit = hit.map(|(way, _)| (ev.pc.0, way));
         match hit.map(|(_, t)| t) {
-            Some(target) => {
-                self.probe(ev.pc.0, ProbeKind::Hit);
-                Prediction {
-                    taken: true,
-                    target: TargetInfo::Addr(target),
-                    hit: Some(true),
-                }
-            }
-            None => {
-                self.probe(ev.pc.0, ProbeKind::Miss);
-                Prediction {
-                    taken: false,
-                    target: TargetInfo::None,
-                    hit: Some(false),
-                }
-            }
+            Some(target) => Prediction {
+                taken: true,
+                target: TargetInfo::Addr(target),
+                hit: Some(true),
+            },
+            None => Prediction {
+                taken: false,
+                target: TargetInfo::None,
+                hit: Some(false),
+            },
         }
     }
 
     fn update(&mut self, ev: &BranchEvent, pred: &Prediction) {
-        if self.sink.enabled() {
-            let kind = if ev.taken {
-                ProbeKind::Taken
-            } else {
-                ProbeKind::NotTaken
-            };
-            self.sink.emit(ProbeEvent {
-                site: ev.pc.0,
-                kind,
-            });
-            if !pred.is_correct(ev) {
-                self.sink.emit(ProbeEvent {
-                    site: ev.pc.0,
-                    kind: ProbeKind::Mispredict,
-                });
-            }
-            if ev.taken {
-                if let Some(&old) = self.buf.peek(ev.pc.0) {
-                    if old != ev.target {
-                        self.sink.emit(ProbeEvent {
-                            site: ev.pc.0,
-                            kind: ProbeKind::Alias,
-                        });
-                    }
-                }
-            }
-        }
         let cached_way = match self.last_hit.take() {
             Some((pc, way)) if pc == ev.pc.0 => Some(way),
             _ => None,
@@ -224,9 +161,7 @@ impl<S: TelemetrySink> BranchPredictor for Sbtb<S> {
                     return;
                 }
             }
-            if let Some((victim, _)) = self.buf.insert(ev.pc.0, ev.target) {
-                self.probe(victim, ProbeKind::Evict);
-            }
+            self.buf.insert(ev.pc.0, ev.target);
         } else if pred.hit == Some(true) {
             // Predicted taken but fell through: delete the entry (§2.2).
             if cached_way.is_none_or(|way| self.buf.remove_at(ev.pc.0, way).is_none()) {
@@ -244,8 +179,9 @@ impl<S: TelemetrySink> BranchPredictor for Sbtb<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predictor::test_util::{cond, cond_to, indirect, jmp};
+    use crate::predictor::test_util::{branch_code, cond, cond_to, indirect, jmp};
     use crate::predictor::Evaluator;
+    use crate::{CbtbConfig, NaturalPass};
     use branchlab_trace::ExecHooks;
 
     fn drive(sbtb: Sbtb, events: &[BranchEvent]) -> Evaluator<Sbtb> {
@@ -345,27 +281,45 @@ mod tests {
 
     #[test]
     fn site_probe_counts_hits_misses_and_evictions() {
-        use branchlab_telemetry::SiteProbe;
-        let mut e = Evaluator::new(Sbtb::with_sink(
-            SbtbConfig {
-                entries: 1,
-                ways: 1,
-            },
-            SiteProbe::default(),
-        ));
-        e.branch(&cond_to(10, true, 50)); // miss, insert
-        e.branch(&cond_to(10, true, 50)); // hit, correct
-        e.branch(&cond_to(10, true, 99)); // hit, stale target → alias
-        e.branch(&cond_to(26, true, 7)); // miss, insert evicts site 10
-        let probe = e.predictor.sink();
-        let site10 = probe.sites()[&10];
-        assert_eq!(site10.hits, 2);
-        assert_eq!(site10.misses, 1);
-        assert_eq!(site10.evicts, 1, "site 10 was the eviction victim");
-        assert_eq!(site10.aliases, 1);
-        assert_eq!(site10.taken, 3);
-        assert_eq!(site10.mispredicts, 2); // first miss + stale target
-        assert_eq!(probe.sites()[&26].misses, 1);
+        // Per-site tallies are the natural pass's; at both geometries it
+        // scores the events as the engine does.
+        let events = [
+            cond_to(10, true, 50), // miss, insert
+            cond_to(10, true, 50), // hit, correct
+            cond_to(10, true, 99), // hit, stale target → alias
+            cond_to(26, true, 7),  // miss, insert (evicts site 10 from 1 entry)
+        ];
+        for entries in [1, 256] {
+            let config = SbtbConfig {
+                entries,
+                ways: entries,
+            };
+            let cbtb = CbtbConfig {
+                entries,
+                ways: entries,
+                ..CbtbConfig::paper()
+            };
+            let mut pass = NaturalPass::new(&branch_code(&[10, 26]), config, cbtb);
+            let mut e = Evaluator::new(Sbtb::new(config));
+            for ev in &events {
+                pass.branch(ev);
+                e.branch(ev);
+            }
+            assert_eq!(pass.sbtb_stats(), e.stats, "{entries} entries");
+            let probe = pass.sbtb_sites();
+            let site10 = probe.sites()[&10];
+            assert_eq!(site10.hits, 2);
+            assert_eq!(site10.misses, 1);
+            assert_eq!(
+                site10.evicts,
+                u64::from(entries == 1),
+                "site 10 is the 1-entry buffer's eviction victim"
+            );
+            assert_eq!(site10.aliases, 1);
+            assert_eq!(site10.taken, 3);
+            assert_eq!(site10.mispredicts, 2); // first miss + stale target
+            assert_eq!(probe.sites()[&26].misses, 1);
+        }
     }
 
     #[test]

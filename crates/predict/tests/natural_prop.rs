@@ -1,8 +1,8 @@
 //! Dense ≡ scalar: the pc-indexed [`NaturalPass`] and [`SiteOutcomes`]
 //! must score every random stream exactly as the general engines do —
-//! `Evaluator<Sbtb<SiteProbe>>`, `Evaluator<Cbtb<SiteProbe>>`, the
-//! static-baseline evaluators and [`BranchMix`] — in every statistic
-//! and every per-site counter.
+//! `Sbtb` and `Cbtb` under the per-site oracle (`support/site_oracle.rs`),
+//! the static-baseline evaluators and [`BranchMix`] — in every
+//! statistic and every per-site counter.
 //!
 //! Each trial builds a random instruction stream with more than 256
 //! branch sites (so the paper's 256-entry buffers evict), drives
@@ -17,13 +17,18 @@
 //! must merge into exactly the pass that scored them all: the last
 //! test splits random multi-run streams across 1–4 passes.
 
+mod support {
+    pub mod site_oracle;
+}
+
 use branchlab_ir::{Addr, BlockId, BranchId, Cond, FuncId, Inst, Operand};
 use branchlab_predict::{
-    AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, BranchPredictor, Cbtb, CbtbConfig,
-    Evaluator, LikelyBit, NaturalPass, Sbtb, SbtbConfig, SiteOutcomes,
+    AlwaysNotTaken, AlwaysTaken, BackwardTakenForwardNot, Cbtb, CbtbConfig, Evaluator, LikelyBit,
+    NaturalPass, Sbtb, SbtbConfig, SiteOutcomes,
 };
-use branchlab_telemetry::{ProbeKind, Rng, SiteProbe};
+use branchlab_telemetry::Rng;
 use branchlab_trace::{BranchEvent, BranchKind, BranchMix, ExecHooks};
+use support::site_oracle::SiteOracle;
 
 /// A random binary: mostly branches, some jumps and jump tables, and
 /// non-branch filler.
@@ -104,22 +109,18 @@ impl Stream {
 
 /// The general engines, fed event by event.
 struct Oracle {
-    sbtb: Evaluator<Sbtb<SiteProbe>>,
-    cbtb: Evaluator<Cbtb<SiteProbe>>,
+    sbtb: SiteOracle<Sbtb>,
+    cbtb: SiteOracle<Cbtb>,
     at: Evaluator<AlwaysTaken>,
     ant: Evaluator<AlwaysNotTaken>,
     btfn: Evaluator<BackwardTakenForwardNot>,
     likely: Evaluator<LikelyBit>,
     mix: BranchMix,
-    /// SBTB entries deleted by a hit that fell through.
-    deletions: u64,
 }
 
 impl ExecHooks for Oracle {
     fn branch(&mut self, ev: &BranchEvent) {
-        let resident = self.sbtb.predictor.len();
         self.sbtb.branch(ev);
-        self.deletions += u64::from(self.sbtb.predictor.len() < resident);
         self.cbtb.branch(ev);
         self.at.branch(ev);
         self.ant.branch(ev);
@@ -157,19 +158,18 @@ fn natural_pass_matches_the_scalar_engines() {
         let mut pass = NaturalPass::new(&code, sbtb_cfg, cbtb_cfg);
         let mut fs = SiteOutcomes::new(&code);
         let mut oracle = Oracle {
-            sbtb: Evaluator::new(Sbtb::with_sink(sbtb_cfg, SiteProbe::default())),
-            cbtb: Evaluator::new(Cbtb::with_sink(cbtb_cfg, SiteProbe::default())),
+            sbtb: SiteOracle::sbtb(sbtb_cfg),
+            cbtb: SiteOracle::cbtb(cbtb_cfg),
             at: Evaluator::new(AlwaysTaken),
             ant: Evaluator::new(AlwaysNotTaken),
             btfn: Evaluator::new(BackwardTakenForwardNot),
             likely: Evaluator::new(LikelyBit),
             mix: BranchMix::new(),
-            deletions: 0,
         };
         for _run in 0..rng.gen_range(2..5u32) {
             pass.flush();
-            oracle.sbtb.predictor.flush();
-            oracle.cbtb.predictor.flush();
+            oracle.sbtb.flush();
+            oracle.cbtb.flush();
             let width = rng.gen_range(8..stream.sites.len());
             let mut window = 0;
             for i in 0..rng.gen_range(1000..4000u32) {
@@ -194,18 +194,19 @@ fn natural_pass_matches_the_scalar_engines() {
         assert_eq!(fs.likely_bit(), oracle.likely.stats, "{ctx}: likely bit");
         assert_eq!(
             pass.sbtb_sites().sites(),
-            oracle.sbtb.predictor.sink().sites(),
+            &oracle.sbtb.sites,
             "{ctx}: SBTB sites"
         );
         assert_eq!(
             pass.cbtb_sites().sites(),
-            oracle.cbtb.predictor.sink().sites(),
+            &oracle.cbtb.sites,
             "{ctx}: CBTB sites"
         );
-        let sinks = [oracle.sbtb.predictor.sink(), oracle.cbtb.predictor.sink()];
-        evicts += sinks.iter().map(|s| s.total(ProbeKind::Evict)).sum::<u64>();
-        aliases += sinks.iter().map(|s| s.total(ProbeKind::Alias)).sum::<u64>();
-        deletions += oracle.deletions;
+        for totals in [oracle.sbtb.probe().totals(), oracle.cbtb.probe().totals()] {
+            evicts += totals.evicts;
+            aliases += totals.aliases;
+        }
+        deletions += oracle.sbtb.deletions;
     }
     // The streams exercised every path the fused body has.
     assert!(evicts > 0 && aliases > 0 && deletions > 0);
@@ -222,7 +223,7 @@ fn paper_geometry_evicts_once_sites_outnumber_entries() {
         })
         .collect();
     let mut pass = NaturalPass::new(&code, SbtbConfig::paper(), CbtbConfig::paper());
-    let mut sbtb = Evaluator::new(Sbtb::with_sink(SbtbConfig::paper(), SiteProbe::default()));
+    let mut sbtb = SiteOracle::sbtb(SbtbConfig::paper());
     for _lap in 0..3 {
         for pc in 0..300u32 {
             let ev = BranchEvent {
@@ -244,8 +245,8 @@ fn paper_geometry_evicts_once_sites_outnumber_entries() {
     }
     assert_eq!(pass.sbtb_stats(), sbtb.stats);
     assert_eq!(pass.sbtb_stats().btb_misses, 900);
-    assert_eq!(pass.sbtb_sites().sites(), sbtb.predictor.sink().sites());
-    assert_eq!(pass.cbtb_sites().total(ProbeKind::Evict), 900 - 256);
+    assert_eq!(pass.sbtb_sites().sites(), &sbtb.sites);
+    assert_eq!(pass.cbtb_sites().totals().evicts, 900 - 256);
 }
 
 /// Sorted jump-table transfers, for comparison.

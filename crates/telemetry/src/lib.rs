@@ -14,9 +14,9 @@
 //!   capture/score/merge, and a server request alike; a bounded
 //!   [`FlightRecorder`] ring of recent request traces; and a Chrome
 //!   trace-event / Perfetto exporter ([`chrome_trace`]).
-//! * [`sink`] — the [`TelemetrySink`] trait behind which the branch
-//!   predictors publish hit/miss/evict/alias events, the zero-cost
-//!   [`NoopSink`], and the per-branch-site [`SiteProbe`] collector.
+//! * [`sink`] — [`SiteProbe`], the per-branch-site table of BTB
+//!   hit/miss/evict/alias/mispredict [`SiteCounters`] that run
+//!   manifests publish.
 //! * [`manifest`] — the [`RunManifest`] written next to experiment
 //!   output so every number in EXPERIMENTS.md can be traced back to a
 //!   (config, seed, git revision, per-phase timing) record.
@@ -39,7 +39,7 @@ pub use json::JsonValue;
 pub use manifest::RunManifest;
 pub use metrics::{prometheus_name, Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 pub use rng::Rng;
-pub use sink::{NoopSink, ProbeEvent, ProbeKind, SiteCounters, SiteProbe, TelemetrySink};
+pub use sink::{SiteCounters, SiteProbe};
 pub use trace::{
     chrome_trace, validate_chrome_trace, FlightRecorder, RequestTrace, Span, SpanHandle, SpanId,
     SpanLink, TraceContext, TraceId,
